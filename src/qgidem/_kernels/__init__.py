@@ -2,8 +2,8 @@
 
 The compiled module is picked at import when available; set the
 environment variable ``QGIDEM_PURE_PYTHON=1`` to force the fallback.
-Both backends implement ``newton_polish_batch`` with identical semantics
-(see ``benchmarks/bench_solver.py`` for a timing comparison).
+Both backends implement ``newton_polish_batch`` with identical semantics;
+``python3 perfbench/run.py`` times the solver on whichever is active.
 """
 
 import os

@@ -171,7 +171,7 @@ def invariant_subalgebra(
     m = qg.mult
     cond = frobenius(
         np.einsum("pi,qj,pqr->rij", lw, lw, m)
-        - np.einsum("qr,pi,pjq->rij", lw, lw, m)
+        - np.einsum("rq,pi,pjq->rij", lw, lw, m)
     )
     if cond > tol * qg.dim:
         raise QuantumGroupError(
@@ -292,17 +292,22 @@ def _kernel_basis(e, rel_tol: float = 1e-9) -> np.ndarray:
 def symmetry_residual(
     qg: FiniteQuantumGroup, gd: GnsData, mu: MultUnitary, c_basis
 ) -> float:
-    """max over basis c of C of the defect of V^*(1 (x) c)V from B(H) (x) C."""
+    """max over basis c of C of the defect of V^*(1 (x) c)V from B(H) (x) C.
+
+    (1 (x) pi(c)) V contracts pi(c) into V's second output leg (n^5, no
+    n^2 x n^2 Kronecker factor), so each basis vector of C costs one
+    n^2 x n^2 GEMM with V^*.
+    """
     n = qg.dim
     u = orthonormal_columns(np.asarray(c_basis, dtype=np.complex128))
     rep_c = np.stack([gd.rep(u[:, i]).ravel() for i in range(u.shape[1])], axis=1)
     q = orthonormal_columns(rep_c)
     v = mu.v
     vh = v.conj().T
+    v_legs = v.reshape(n, n, n * n)  # [a, b, (c, d)]
     worst = 0.0
-    eye = np.eye(n)
     for i in range(u.shape[1]):
-        x = vh @ np.kron(eye, gd.rep(u[:, i])) @ v
+        x = vh @ (gd.rep(u[:, i]) @ v_legs).reshape(n * n, n * n)
         rows = x.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
         residual = frobenius(rows - rows @ q.conj() @ q.T)
         worst = max(worst, residual)

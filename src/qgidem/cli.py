@@ -45,6 +45,20 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Report a bad command line as a one-line CliError (exit 2)."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
+def positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as a bad value
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def parse_input(spec: str, tol: float):
     """Resolve a builtin spec or JSON path to a validated quantum group.
 
@@ -270,7 +284,12 @@ def cmd_quotient(qg, info, args):
 
 def cmd_walk(qg, info, args):
     if args.init is not None:
-        st = serialize.state_from_dict(serialize.load_json(args.init), qg)
+        try:
+            st = serialize.state_from_dict(serialize.load_json(args.init), qg)
+        except (OSError, json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
+            raise CliError(
+                f"cannot read the initial state {args.init!r}: {type(exc).__name__}: {exc}"
+            ) from exc
         w0 = st.coeffs
     else:
         # faithful deterministic default: perturb the unit inside a vector state
@@ -315,7 +334,7 @@ COMMANDS = {
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qgidem",
         description="finite quantum groups: idempotent states and their structure",
     )
@@ -324,7 +343,7 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("input", help="builtin spec (fn:S3, ga:D4, dual:fn:Z4) or JSON path")
         p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--starts", type=int, default=500)
+        p.add_argument("--starts", type=positive_int, default=500)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--oracle", action="store_true",
                        help="cross-check against the subgroup oracle (builtin groups)")
@@ -334,7 +353,7 @@ def build_parser():
             p.add_argument("--state", type=int, required=True,
                            help="index of the idempotent state (canonical order)")
         if name == "walk":
-            p.add_argument("--steps", type=int, default=1000)
+            p.add_argument("--steps", type=positive_int, default=1000)
             p.add_argument("--init", default=None,
                            help="JSON file with the initial state (default: a "
                                 "faithful deterministic state)")
@@ -342,16 +361,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.seed is None:
-        args.seed = int(os.environ.get("QGIDEM_SEED", "0"))
     try:
+        args = build_parser().parse_args(argv)
+        if args.seed is None:
+            args.seed = int(os.environ.get("QGIDEM_SEED", "0"))
         qg, info = parse_input(args.input, args.tol)
         data, passed, lines = COMMANDS[args.command](qg, info, args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QuantumGroupError as exc:
+    except (CliError, QuantumGroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

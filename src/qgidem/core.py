@@ -187,43 +187,48 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
     eye = np.eye(n)
     r = {}
 
+    def ein(spec, *operands):
+        # let einsum pick a pairwise order and hand each pair to BLAS: the
+        # default evaluates every term as one C loop over all indices
+        return np.einsum(spec, *operands, optimize=True)
+
     r["associativity"] = frobenius(
-        np.einsum("ijk,klp->ijlp", m, m) - np.einsum("jlk,ikp->ijlp", m, m)
+        ein("ijk,klp->ijlp", m, m) - ein("jlk,ikp->ijlp", m, m)
     )
     r["unit"] = max(
-        frobenius(np.einsum("i,ijk->jk", u, m) - eye),
-        frobenius(np.einsum("j,ijk->ik", u, m) - eye),
+        frobenius(ein("i,ijk->jk", u, m) - eye),
+        frobenius(ein("j,ijk->ik", u, m) - eye),
     )
     r["star_involution"] = frobenius(st @ np.conj(st) - eye)
     # (e_i e_j)^* = e_j^* e_i^*
-    lhs = np.einsum("ijl,kl->ijk", np.conj(m), st)
-    rhs = np.einsum("pj,qi,pqk->ijk", st, st, m)
+    lhs = ein("ijl,kl->ijk", np.conj(m), st)
+    rhs = ein("pj,qi,pqk->ijk", st, st, m)
     r["star_antimultiplicative"] = frobenius(lhs - rhs)
 
     r["coassociativity"] = frobenius(
-        np.einsum("ijc,jab->iabc", d, d) - np.einsum("iak,kbc->iabc", d, d)
+        ein("ijc,jab->iabc", d, d) - ein("iak,kbc->iabc", d, d)
     )
     r["counit"] = max(
-        frobenius(np.einsum("ijk,j->ik", d, eps) - eye),
-        frobenius(np.einsum("ijk,k->ij", d, eps) - eye),
+        frobenius(ein("ijk,j->ik", d, eps) - eye),
+        frobenius(ein("ijk,k->ij", d, eps) - eye),
     )
-    r["comult_unital"] = frobenius(np.einsum("i,ijk->jk", u, d) - np.outer(u, u))
+    r["comult_unital"] = frobenius(ein("i,ijk->jk", u, d) - np.outer(u, u))
 
     # Delta(e_i e_j) = Delta(e_i) Delta(e_j), as one n^2 x n^2 matrix
     # identity: contract both quadratic sides down to matmuls so the n^6
     # part runs in BLAS
-    lhs = np.einsum("ijk,kpq->ipjq", m, d).reshape(n * n, n * n)
-    t1 = np.einsum("iab,acp->ipbc", d, m).reshape(n * n, n * n)
-    u1 = np.einsum("jce,beq->bcjq", d, m).reshape(n * n, n * n)
+    lhs = ein("ijk,kpq->ipjq", m, d).reshape(n * n, n * n)
+    t1 = ein("iab,acp->ipbc", d, m).reshape(n * n, n * n)
+    u1 = ein("jce,beq->bcjq", d, m).reshape(n * n, n * n)
     r["comult_multiplicative"] = frobenius(lhs - t1 @ u1)
     # Delta(a^*) = Delta(a)^{* (x) *}
-    lhs = np.einsum("li,lpq->ipq", st, d)
-    rhs = np.einsum("ijk,pj,qk->ipq", np.conj(d), st, st)
+    lhs = ein("li,lpq->ipq", st, d)
+    rhs = ein("ijk,pj,qk->ipq", np.conj(d), st, st)
     r["comult_star"] = frobenius(lhs - rhs)
 
     # m(S (x) id)Delta = eps(.)1 = m(id (x) S)Delta
-    left = np.einsum("ijk,pj,pkq->iq", d, s, m)
-    right = np.einsum("ijk,pk,jpq->iq", d, s, m)
+    left = ein("ijk,pj,pkq->iq", d, s, m)
+    right = ein("ijk,pk,jpq->iq", d, s, m)
     target = np.outer(eps, u)
     r["antipode_left"] = frobenius(left - target)
     r["antipode_right"] = frobenius(right - target)
@@ -243,15 +248,15 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
     r["haar_faithful"] = max(0.0, floor - float(eigs.min()))
 
     r["haar_left_invariant"] = frobenius(
-        np.einsum("ijk,j->ik", d, h) - np.outer(h, u)
+        ein("ijk,j->ik", d, h) - np.outer(h, u)
     )
     r["haar_right_invariant"] = frobenius(
-        np.einsum("ijk,k->ij", d, h) - np.outer(h, u)
+        ein("ijk,k->ij", d, h) - np.outer(h, u)
     )
 
     # quantum cancellation laws as rank conditions
-    span_right = np.einsum("iaq,ajp->pqij", d, m).reshape(n * n, n * n)
-    span_left = np.einsum("ipb,bjq->pqij", d, m).reshape(n * n, n * n)
+    span_right = ein("iaq,ajp->pqij", d, m).reshape(n * n, n * n)
+    span_left = ein("ipb,bjq->pqij", d, m).reshape(n * n, n * n)
     ranks = (_rank(span_right), _rank(span_left))
 
     return ValidationReport(dim=n, tol=tol, residuals=r, cancellation_ranks=ranks)
@@ -470,61 +475,61 @@ def unitarity_defect(v) -> float:
     return max(frobenius(v @ v.conj().T - eye), frobenius(v.conj().T @ v - eye))
 
 
+def _apply_leg(v, x, legs):
+    """Apply V to two legs of x, of shape (n, n, n, batch): one GEMM."""
+    n = x.shape[0]
+    perm = list(legs) + [k for k in range(3) if k not in legs] + [3]
+    xt = np.transpose(x, perm).reshape(n * n, -1)
+    yt = (v @ xt).reshape(x.shape)
+    return np.transpose(yt, np.argsort(perm))
+
+
 def pentagon_defect(v, max_dense_dim: int = 2000, rng=None) -> float:
     """|| V12 V13 V23 - V23 V12 || on H (x) H (x) H.
 
-    Dense evaluation when n^3 is small; otherwise the identity is tested on
-    random product vectors (same contraction, sampled).
+    Dense evaluation when n^3 is small (both sides applied to the n^3 x n^3
+    identity, a batch of n^3 vectors); otherwise the identity is tested on
+    random product vectors with the same contraction.
     """
     v = np.asarray(v)
     n = int(round(np.sqrt(v.shape[0])))
+
+    def defect(x):
+        lhs = _apply_leg(v, _apply_leg(v, _apply_leg(v, x, (1, 2)), (0, 2)), (0, 1))
+        rhs = _apply_leg(v, _apply_leg(v, x, (0, 1)), (1, 2))
+        return frobenius(lhs - rhs)
+
     if n**3 <= max_dense_dim:
-        eye = np.eye(n)
-        v12 = np.kron(v, eye)
-        v23 = np.kron(eye, v)
-        swap = np.zeros((n * n, n * n))
-        for i in range(n):
-            for j in range(n):
-                swap[i * n + j, j * n + i] = 1.0
-        sig = np.kron(eye, swap)
-        v13 = sig @ np.kron(v, eye) @ sig
-        return frobenius(v12 @ v13 @ v23 - v23 @ v12)
+        return defect(np.eye(n**3).reshape(n, n, n, n**3))
 
     rng = np.random.default_rng(0) if rng is None else rng
-
-    def apply_leg(x, legs):
-        # x has shape (n, n, n); contract v on the two given tensor legs
-        perm = list(legs) + [k for k in range(3) if k not in legs]
-        xt = np.transpose(x, perm).reshape(n * n, n)
-        yt = (v @ xt).reshape(n, n, n)
-        return np.transpose(yt, np.argsort(perm))
-
     worst = 0.0
     for _ in range(8):
         x = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
         x /= frobenius(x)
-        lhs = apply_leg(apply_leg(apply_leg(x, (1, 2)), (0, 2)), (0, 1))
-        rhs = apply_leg(apply_leg(x, (0, 1)), (1, 2))
-        worst = max(worst, frobenius(lhs - rhs))
+        worst = max(worst, defect(x[..., None]))
     return worst
 
 
 def coproduct_defect(qg: FiniteQuantumGroup, gd: GnsData, v) -> float:
-    """max_i || (pi (x) pi) Delta(e_i) - V (pi(e_i) (x) 1) V^* ||."""
+    """max_i || (pi (x) pi) Delta(e_i) - V (pi(e_i) (x) 1) V^* ||.
+
+    V (pi(e_i) (x) 1) contracts pi(e_i) into V's first input leg (n^5, no
+    n^2 x n^2 Kronecker factor), so each basis element costs one n^2 x n^2
+    GEMM with V^*: n^7 in all.
+    """
     n = qg.dim
     v = np.asarray(v)
     vh = v.conj().T
-    eye = np.eye(n)
+    v_legs = v.reshape(n * n, n, n)  # [(a, b), c, d]
     reg_flat = gd.left_reg.reshape(n, n * n)
     worst = 0.0
     for i in range(n):
-        second = np.einsum("jk,kcd->jcd", qg.comult[i], gd.left_reg)
-        pairs = reg_flat.T @ second.reshape(n, n * n)  # [(a,b), (c,d)]
-        delta_rep = (
-            pairs.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-        )
-        conj_rep = v @ np.kron(gd.left_reg[i], eye) @ vh
-        worst = max(worst, frobenius(delta_rep - conj_rep))
+        pairs = reg_flat.T @ (qg.comult[i] @ reg_flat)  # [(a,b), (c,d)]
+        conj_rep = (gd.left_reg[i].T @ v_legs).reshape(n * n, n * n) @ vh
+        diff = conj_rep.reshape(n, n, n, n)
+        diff -= pairs.reshape(n, n, n, n).transpose(0, 2, 1, 3)
+        worst = max(worst, frobenius(diff))
     return worst
 
 
@@ -533,6 +538,13 @@ def multiplicative_unitary(
 ) -> MultUnitary:
     """Construct V and verify unitarity, the pentagon identity and
     Delta(a) = V (a (x) 1) V^*.
+
+    V = (U (x) U) T (W (x) W) with U = onb_inv, W = onb and T the matrix of
+    Lambda(e_i) (x) Lambda(e_j) -> Delta(e_i)(1 (x) e_j).  Each one-leg
+    factor is folded into the structure tensor that carries the leg (n^4
+    each), which leaves one n^5 contraction over the index shared by the
+    coproduct and the product: V is built in n^5.  The checks dominate:
+    the coproduct identity costs one n^2 x n^2 GEMM per basis element.
 
     A failure of unitarity or the pentagon signals that the supplied Haar
     functional is not right invariant; the defect is surfaced, never
@@ -543,8 +555,11 @@ def multiplicative_unitary(
     gd = gns(qg) if gd is None else gd
     tol = qg.tol if tol is None else float(tol)
     n = qg.dim
-    t = np.einsum("ipb,bjq->pqij", qg.comult, qg.mult).reshape(n * n, n * n)
-    v = np.kron(gd.onb_inv, gd.onb_inv) @ t @ np.kron(gd.onb, gd.onb)
+    # V[a, b, c, d] = sum_r left[c, a, r] right[r, d, b]
+    left = np.einsum("ic,ap,ipr->car", gd.onb, gd.onb_inv, qg.comult, optimize=True)
+    right = np.einsum("rjq,jd,bq->rdb", qg.mult, gd.onb, gd.onb_inv, optimize=True)
+    v = (left.reshape(n * n, n) @ right.reshape(n, n * n)).reshape(n, n, n, n)
+    v = np.ascontiguousarray(v.transpose(1, 3, 0, 2)).reshape(n * n, n * n)
     udef = unitarity_defect(v)
     pdef = pentagon_defect(v)
     if udef > tol or pdef > tol:

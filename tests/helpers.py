@@ -44,6 +44,40 @@ def gns_and_unitary(kind, name):
     return gd, qg.multiplicative_unitary(g, gd)
 
 
+def random_unitary(n, rng):
+    """Haar-distributed unitary (QR of a complex Gaussian, phases fixed)."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def change_basis(g, t):
+    """The quantum group for which ``a -> t a`` is an isomorphism from g.
+
+    Every structure tensor is transported; functionals move as ``w t^-1``.
+    """
+    ti = np.linalg.inv(t)
+    return qg.FiniteQuantumGroup(
+        dim=g.dim,
+        mult=np.einsum("ip,jq,ijk,lk->pql", ti, ti, g.mult, t, optimize=True),
+        unit=t @ g.unit,
+        star=t @ g.star @ np.conj(ti),
+        comult=np.einsum("il,ijk,pj,qk->lpq", ti, g.comult, t, t, optimize=True),
+        counit=g.counit @ ti,
+        antipode=t @ g.antipode @ ti,
+        haar=g.haar @ ti,
+        tol=g.tol,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def dense_algebra(kind, name, seed=0):
+    """(g, t): algebra(kind, name) carried by a seeded random unitary t to a
+    basis in which every structure tensor is dense."""
+    t = random_unitary(algebra(kind, name).dim, np.random.default_rng(seed))
+    return change_basis(algebra(kind, name), t), t
+
+
 @functools.lru_cache(maxsize=None)
 def solved(kind, name, starts=500, seed=0):
     return tuple(

@@ -35,9 +35,11 @@ from helpers import (
     SOLVER_CASES,
     algebra,
     basis_vector,
+    dense_algebra,
     gns_and_unitary,
     group,
     match_state,
+    oracle_states,
     solved,
 )
 
@@ -170,6 +172,55 @@ def test_symmetric_subalgebra_examples():
     order2_basis = np.eye(6)[:, list(by_order[2][0])]
     assert not is_symmetric(g, order2_basis, mu, gd=gd)
     assert symmetry_residual(gd=gd, mu=mu, qg=g, c_basis=order2_basis) > 0.1
+
+
+def kron_symmetry_residual(g, gd, v, c_basis):
+    """symmetry_residual with 1 (x) pi(c) as a dense Kronecker factor."""
+    n = g.dim
+    u = orthonormal_columns(c_basis)
+    q = orthonormal_columns(
+        np.stack([gd.rep(u[:, i]).ravel() for i in range(u.shape[1])], axis=1)
+    )
+    worst = 0.0
+    for i in range(u.shape[1]):
+        x = v.conj().T @ np.kron(np.eye(n), gd.rep(u[:, i])) @ v
+        rows = x.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+        worst = max(worst, np.linalg.norm(rows - rows @ q.conj() @ q.T))
+    return worst
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("kind,name", [("fn", "S3"), ("ga", "S3"), ("fn", "Q8"), ("ga", "Q8")])
+def test_symmetry_residual_matches_kron_reference(kind, name, dense):
+    base = algebra(kind, name)
+    g, t = dense_algebra(kind, name) if dense else (base, np.eye(base.dim))
+    gd = qg.gns(g)
+    mu = qg.multiplicative_unitary(g, gd)
+    residuals = []
+    for st in oracle_states(kind, name):
+        c_basis = left_slice(g, st.coeffs @ np.linalg.inv(t))
+        res = symmetry_residual(g, gd, mu, c_basis)
+        assert abs(res - kron_symmetry_residual(g, gd, mu.v, c_basis)) <= 1e-12
+        residuals.append(res)
+    # on ga:S3 the order-2 subgroups are not normal: the parity is not 0 = 0
+    if (kind, name) == ("ga", "S3"):
+        assert max(residuals) > 0.1
+
+
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_invariant_subalgebra_on_dense_basis(kind):
+    # L_omega is not symmetric in a dense basis, so the conditional
+    # expectation check must read it the right way round
+    g, t = dense_algebra(kind, "S3")
+    for st in oracle_states(kind, "S3"):
+        base = invariant_subalgebra(algebra(kind, "S3"), st)
+        sub = invariant_subalgebra(g, st.coeffs @ np.linalg.inv(t))
+        assert sub.dim == base.dim
+        assert sub.is_algebra and sub.is_selfadjoint
+        assert sub.is_right_invariant and sub.is_expected
+        # C transports with the basis: t C_base = C
+        moved = t @ base.basis
+        assert np.linalg.norm(moved - sub.basis @ (sub.basis.conj().T @ moved)) < 1e-10
 
 
 # -- classification -------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import qgidem as qg
 from qgidem.cli import main
@@ -145,3 +146,27 @@ def test_seed_env_fallback(capsys, monkeypatch):
     code, out2, _ = run(capsys, "idempotents", "fn:Z4", "--starts", "150")
     assert code == 0
     assert "found 3" in out1 and "found 3" in out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walk", "fn:Z4", "--steps", "0"),
+        ("walk", "fn:Z4", "--steps", "-5"),
+        ("idempotents", "fn:Z4", "--starts", "0"),
+        ("idempotents", "fn:Z4", "--starts", "-1"),
+    ],
+)
+def test_non_positive_budget_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "expected a positive integer" in err
+
+
+def test_malformed_walk_init_is_usage_error(capsys, tmp_path):
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"qg_hash": "0"}))
+    code, _, err = run(capsys, "walk", "fn:Z4", "--init", str(init))
+    assert code == 2
+    assert err.count("\n") == 1 and "KeyError" in err and "coeffs" in err

@@ -13,7 +13,7 @@ from qgidem.core import (
     unitarity_defect,
 )
 
-from helpers import algebra, basis_vector, gns_and_unitary, group
+from helpers import algebra, basis_vector, dense_algebra, gns_and_unitary, group
 
 
 SMALL_GROUPS = ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z2xZ2", "S3", "D4", "Q8"]
@@ -206,6 +206,72 @@ def test_pentagon_defect_sampled_path_agrees():
     dense = pentagon_defect(mu.v)
     sampled = pentagon_defect(mu.v, max_dense_dim=1, rng=np.random.default_rng(0))
     assert dense < 1e-12 and sampled < 1e-12
+
+
+# reference formulas with dense Kronecker factors, kept only to pin the
+# leg contractions in the library to them
+def kron_unitary(g, gd):
+    n = g.dim
+    t = np.einsum("ipb,bjq->pqij", g.comult, g.mult).reshape(n * n, n * n)
+    return np.kron(gd.onb_inv, gd.onb_inv) @ t @ np.kron(gd.onb, gd.onb)
+
+
+def kron_coproduct_defect(g, gd, v):
+    n = g.dim
+    worst = 0.0
+    for i in range(n):
+        delta_rep = sum(
+            g.comult[i, j, k] * np.kron(gd.left_reg[j], gd.left_reg[k])
+            for j in range(n)
+            for k in range(n)
+        )
+        conj_rep = v @ np.kron(gd.left_reg[i], np.eye(n)) @ v.conj().T
+        worst = max(worst, np.linalg.norm(delta_rep - conj_rep))
+    return worst
+
+
+def kron_pentagon_defect(v):
+    n = int(round(np.sqrt(v.shape[0])))
+    eye = np.eye(n)
+    swap = np.eye(n * n)[[j * n + i for i in range(n) for j in range(n)]]
+    sig = np.kron(eye, swap)
+    v12, v23 = np.kron(v, eye), np.kron(eye, v)
+    v13 = sig @ v12 @ sig
+    return np.linalg.norm(v12 @ v13 @ v23 - v23 @ v12)
+
+
+def second_leg_permuted(v):
+    """(1 (x) P) V for the transposition P of the first two basis vectors:
+    still unitary, but it no longer implements the coproduct."""
+    n = int(round(np.sqrt(v.shape[0])))
+    p = np.eye(n)[[1, 0] + list(range(2, n))]
+    return np.kron(np.eye(n), p) @ v
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("kind,name", [("fn", "S3"), ("ga", "S3"), ("fn", "Q8"), ("ga", "Q8")])
+def test_multiplicative_unitary_matches_kron_reference(kind, name, dense):
+    g = dense_algebra(kind, name)[0] if dense else algebra(kind, name)
+    gd = qg.gns(g)
+    v = multiplicative_unitary(g, gd).v
+    ref = kron_unitary(g, gd)
+    assert np.abs(v - ref).max() <= 1e-12
+    assert abs(coproduct_defect(g, gd, v) - kron_coproduct_defect(g, gd, ref)) <= 1e-12
+    wrong = second_leg_permuted(v)
+    assert unitarity_defect(wrong) < 1e-12
+    defect = coproduct_defect(g, gd, wrong)
+    assert abs(defect - kron_coproduct_defect(g, gd, wrong)) <= 1e-12
+    # far above tol (1e-9): the one-GEMM check still rejects a wrong V
+    assert defect > 0.1
+
+
+@pytest.mark.parametrize("kind,name", [("fn", "S3"), ("ga", "S3"), ("ga", "Z4")])
+def test_dense_pentagon_matches_kron_reference(kind, name):
+    _, mu = gns_and_unitary(kind, name)
+    for v in (mu.v, second_leg_permuted(mu.v)):
+        assert abs(pentagon_defect(v) - kron_pentagon_defect(v)) <= 1e-12
+    # the permuted V breaks the pentagon, so the parity above is not 0 = 0
+    assert pentagon_defect(second_leg_permuted(mu.v)) > 0.1
 
 
 def test_multiplicative_unitary_flags_noninvariant_haar():
