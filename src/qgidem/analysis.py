@@ -24,6 +24,7 @@ from .core import (
     InternalConsistencyError,
     MultUnitary,
     QuantumGroupError,
+    ValidationReport,
     frobenius,
     gns,
     multiplicative_unitary,
@@ -54,12 +55,18 @@ def orthonormal_columns(m, rel_tol: float = 1e-9) -> np.ndarray:
     return u[:, :rank]
 
 
-def membership_residual(x, basis) -> float:
-    """|| (id - P_W) x || for the orthogonal projector P_W onto span(basis)."""
-    x = np.asarray(x, dtype=np.complex128).ravel()
-    if basis.shape[1] == 0:
-        return frobenius(x)
-    return frobenius(x - basis @ (basis.conj().T @ x))
+def subspace_defect(images, u) -> float:
+    """Largest column norm of (1 - u u^*) images.
+
+    ``images`` stacks the vectors to test as the columns of a (..., n, k)
+    array; ``u`` has orthonormal columns spanning the subspace.  Zero iff
+    every image lies in span(u).
+    """
+    images = np.asarray(images, dtype=np.complex128)
+    if images.size == 0:
+        return 0.0
+    outside = images - u @ (u.conj().T @ images)
+    return float(np.linalg.norm(outside, axis=-2).max())
 
 
 def _require_idempotent(qg, w, tol=1e-8):
@@ -88,18 +95,12 @@ def ideal_residual(qg: FiniteQuantumGroup, basis) -> float:
     if basis.shape[1] == 0:
         return 0.0
     u = orthonormal_columns(basis)
-    worst = 0.0
-    for i in range(qg.dim):
-        e_i = np.zeros(qg.dim)
-        e_i[i] = 1.0
-        left = qg.left_mult_matrix(e_i) @ u
-        right = qg.right_mult_matrix(e_i) @ u
-        for col in range(u.shape[1]):
-            worst = max(worst, membership_residual(left[:, col], u))
-            worst = max(worst, membership_residual(right[:, col], u))
-    for col in range(u.shape[1]):
-        worst = max(worst, membership_residual(qg.star_vec(u[:, col]), u))
-    return worst
+    m = qg.mult
+    return max(
+        subspace_defect(np.einsum("ijk,jc->ikc", m, u), u),  # e_i u
+        subspace_defect(np.einsum("jik,jc->ikc", m, u), u),  # u e_i
+        subspace_defect(qg.star_vec(u), u),
+    )
 
 
 def is_ideal(qg: FiniteQuantumGroup, basis, tol: float = CLASSIFY_TOL) -> bool:
@@ -131,27 +132,17 @@ class Subalgebra:
 
 
 def _algebra_residuals(qg, u):
-    prod = 0.0
-    for i in range(u.shape[1]):
-        left = qg.left_mult_matrix(u[:, i]) @ u
-        for j in range(u.shape[1]):
-            prod = max(prod, membership_residual(left[:, j], u))
-    star = max(
-        membership_residual(qg.star_vec(u[:, i]), u) for i in range(u.shape[1])
-    )
-    unit = membership_residual(qg.unit, u)
+    products = np.einsum("pjk,pi,jc->ikc", qg.mult, u, u, optimize=True)
+    prod = subspace_defect(products, u)  # u_i u_c
+    star = subspace_defect(qg.star_vec(u), u)
+    unit = subspace_defect(qg.unit[:, None], u)
     return prod, star, unit
 
 
 def right_invariance_residual(qg, u) -> float:
     """max over the dual basis nu of the defect of R_nu(C) in C."""
-    worst = 0.0
-    for k in range(qg.dim):
-        rk = qg.comult[:, :, k].T  # R_{f_k}[j, i] = comult[i, j, k]
-        img = rk @ u
-        for col in range(u.shape[1]):
-            worst = max(worst, membership_residual(img[:, col], u))
-    return worst
+    # R_{f_k}[j, i] = comult[i, j, k]
+    return subspace_defect(np.einsum("ijk,ic->kjc", qg.comult, u), u)
 
 
 def invariant_subalgebra(
@@ -232,9 +223,7 @@ def verify_conditional_expectation(
 
     r["idempotent"] = frobenius(e @ e - e)
     r["fixes_subalgebra"] = frobenius(e @ u - u)
-    r["range_in_subalgebra"] = max(
-        membership_residual(e[:, i], u) for i in range(n)
-    )
+    r["range_in_subalgebra"] = subspace_defect(e, u)
 
     blocks = np.empty((n, n, n, n), dtype=np.complex128)
     for i in range(n):
@@ -403,13 +392,15 @@ class QuotientQG:
     *-homomorphism with kernel N_omega, intertwining the coproducts);
     ``section`` maps B-coordinates back to the Haar-orthogonal complement
     of N_omega; ``haar_mu`` is the faithful invariant state with
-    haar_mu . pi = omega, i.e. the Haar state of B.
+    haar_mu . pi = omega, i.e. the Haar state of B; ``report`` is the
+    (passed) validation of B.
     """
 
     quotient: FiniteQuantumGroup
     projection: np.ndarray
     haar_mu: State
     section: np.ndarray
+    report: ValidationReport
 
 
 def quotient_quantum_group(
@@ -523,6 +514,7 @@ def quotient_quantum_group(
         projection=proj,
         haar_mu=State(quotient, haar_b),
         section=section,
+        report=report,
     )
 
 
@@ -548,17 +540,7 @@ def homogeneous_space_check(
     target = np.einsum("b,ti->bti", q.quotient.unit, np.eye(n)).reshape(nb * n, n)
     fixed = _kernel_basis(op - target, rel_tol=1e-10)
     c = orthonormal_columns(left_slice(qg, w))
-    mismatch = max(
-        (membership_residual(fixed[:, i], c) for i in range(fixed.shape[1])),
-        default=0.0,
-    )
-    mismatch = max(
-        mismatch,
-        max(
-            (membership_residual(c[:, i], fixed) for i in range(c.shape[1])),
-            default=0.0,
-        ),
-    )
+    mismatch = max(subspace_defect(fixed, c), subspace_defect(c, fixed))
     passed = fixed.shape[1] == c.shape[1] and mismatch <= tol
     return CheckReport(
         values={
@@ -599,8 +581,8 @@ def coaction_checks(
             # alpha(c)(1 (x) e_j): right multiplication on the second leg
             density_rows.append((x @ qg.right_mult_matrix(e_j).T).ravel())
             nondeg_rows.append(qg.left_mult_matrix(u[:, i])[:, j])
-    density_rank = np.linalg.matrix_rank(np.array(density_rows), tol=1e-8)
-    nondeg_rank = np.linalg.matrix_rank(np.array(nondeg_rows), tol=1e-8)
+    density_rank = int(np.linalg.matrix_rank(np.array(density_rows), tol=1e-8))
+    nondeg_rank = int(np.linalg.matrix_rank(np.array(nondeg_rows), tol=1e-8))
 
     passed = (
         membership <= tol
@@ -612,9 +594,9 @@ def coaction_checks(
         values={
             "membership_residual": membership,
             "counit_residual": counit_law,
-            "density_rank": int(density_rank),
+            "density_rank": density_rank,
             "density_rank_expected": kdim * n,
-            "nondegeneracy_rank": int(nondeg_rank),
+            "nondegeneracy_rank": nondeg_rank,
         },
         tol=tol,
         passed=passed,

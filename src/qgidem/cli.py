@@ -59,6 +59,15 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def parse_input(spec: str, tol: float):
     """Resolve a builtin spec or JSON path to a validated quantum group.
 
@@ -261,11 +270,10 @@ def cmd_quotient(qg, info, args):
     hs = analysis.homogeneous_space_check(qg, st, q)
     sub = analysis.invariant_subalgebra(qg, st)
     co = analysis.coaction_checks(qg, sub.basis)
-    quotient_report = validate(q.quotient)
-    passed = quotient_report.passed and hs.passed and co.passed
+    passed = q.report.passed and hs.passed and co.passed
     lines = [
         f"quotient of dim {qg.dim} by state [{args.state}] -> dim {q.quotient.dim}",
-        f"  quotient validates: {quotient_report.passed}",
+        f"  quotient validates: {q.report.passed}",
         f"  haar state of quotient: {_fmt_state(q.haar_mu)}",
         f"  homogeneous-space check: {hs.values} passed={hs.passed}",
         f"  coaction checks: {co.values} passed={co.passed}",
@@ -344,7 +352,7 @@ def build_parser():
         p.add_argument("input", help="builtin spec (fn:S3, ga:D4, dual:fn:Z4) or JSON path")
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--starts", type=positive_int, default=500)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=nonnegative_int, default=None)
         p.add_argument("--oracle", action="store_true",
                        help="cross-check against the subgroup oracle (builtin groups)")
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -364,7 +372,13 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.seed is None:
-            args.seed = int(os.environ.get("QGIDEM_SEED", "0"))
+            env_seed = os.environ.get("QGIDEM_SEED", "0")
+            try:
+                args.seed = nonnegative_int(env_seed)
+            except (ValueError, argparse.ArgumentTypeError):
+                raise CliError(
+                    f"QGIDEM_SEED must be a non-negative integer, got {env_seed!r}"
+                ) from None
         qg, info = parse_input(args.input, args.tol)
         data, passed, lines = COMMANDS[args.command](qg, info, args)
     except (CliError, QuantumGroupError) as exc:

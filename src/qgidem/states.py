@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 
-from . import _kernels
 from .cayley import CayleyTable, is_subgroup
 from .core import (
     FiniteQuantumGroup,
@@ -176,6 +176,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (self.newton_tol > 0 and self.dedup_tol > 0):
             raise ValueError("tolerances must be positive")
 
@@ -295,35 +297,104 @@ def _solver_starts(qg, cfg, z, w_p):
     return np.ascontiguousarray(t0)
 
 
+def _newton_polish_batch(d, w_p, z, t0, tol, max_iter):
+    """Polish each start of the idempotent system on the normalization chart.
+
+    Unknown: t with w = w_p + z t.  Residual: F(w) = conv(w, w) - w where
+    conv is the bilinear map with coefficients d.  The iteration is the one
+    described in :func:`solve_idempotents`.  Returns (solutions w, sup-norm
+    residuals, convergence flags).
+    """
+    n = d.shape[0]
+    m = z.shape[1]
+    batch = t0.shape[0]
+    eye = np.eye(m)
+
+    out_w = np.empty((batch, n), dtype=np.complex128)
+    out_res = np.empty(batch)
+    out_ok = np.zeros(batch, dtype=bool)
+
+    def residual(w):
+        return np.einsum("ijk,j,k->i", d, w, w) - w
+
+    for b in range(batch):
+        t = t0[b].copy()
+        w = w_p + z @ t
+        f = residual(w)
+        phi = float(np.vdot(f, f).real)
+        for _ in range(max_iter):
+            if np.abs(f).max() <= tol:
+                break
+            if m == 0:
+                break
+            jw = (
+                np.einsum("ijk,k->ij", d, w)
+                + np.einsum("ikj,k->ij", d, w)
+                - np.eye(n)
+            )
+            j = jw @ z
+            a = j.conj().T @ j
+            rhs = -(j.conj().T @ f)
+            lam = 1e-12 * (1.0 + float(a.trace().real) / m)
+            delta = None
+            for _ in range(4):
+                try:
+                    chol = np.linalg.cholesky(a + lam * eye)
+                    delta = cho_solve((chol, True), rhs)
+                    break
+                except np.linalg.LinAlgError:
+                    lam *= 100.0
+            if delta is None:
+                break
+            step = 1.0
+            accepted = False
+            while step >= 2.0**-24:
+                t_new = t + step * delta
+                w_new = w_p + z @ t_new
+                f_new = residual(w_new)
+                phi_new = float(np.vdot(f_new, f_new).real)
+                if phi_new <= phi * (1.0 - 1e-4 * step):
+                    t, w, f, phi = t_new, w_new, f_new, phi_new
+                    accepted = True
+                    break
+                step *= 0.5
+            if not accepted:
+                break
+        out_w[b] = w
+        out_res[b] = np.abs(f).max()
+        out_ok[b] = out_res[b] <= tol
+    return out_w, out_res, out_ok
+
+
 def solve_idempotents(
-    qg: FiniteQuantumGroup,
-    cfg: SolveConfig | None = None,
-    backend: str | None = None,
+    qg: FiniteQuantumGroup, cfg: SolveConfig | None = None
 ) -> list[State]:
     """Find idempotent states by damped multi-start Newton.
 
     The quadratic system {omega * omega - omega = 0, omega(1) = 1} is solved
-    on the affine normalization chart; solutions failing the state test are
-    discarded and the rest deduplicated at ``dedup_tol`` (sup norm) in a
-    canonical order.  Deterministic for a fixed seed.  The result always
-    contains the counit and the Haar state; no completeness claim is made
-    for a general quantum group (the CLI reports findings as "found").
+    on the affine normalization chart w = w_p + z t.  Each start is polished
+    by damped Gauss-Newton: the normal equations J^* J delta = -J^* F are
+    Levenberg-regularised (the shift grows a hundredfold while Cholesky
+    fails) and the step is halved until the squared residual passes an
+    Armijo test.  Solutions failing the state test are discarded and the
+    rest deduplicated at ``dedup_tol`` (sup norm) in a canonical order.
+    Deterministic for a fixed seed.  The result always contains the counit
+    and the Haar state; no completeness claim is made for a general quantum
+    group (the CLI reports findings as "found").
     """
     cfg = SolveConfig() if cfg is None else cfg
-    kern = _kernels.get_backend(backend)
     n = qg.dim
     if n == 1:
         return [State(qg, np.ones(1) / qg.unit[0])]
 
     w_p, z = _constraint_chart(qg)
     t0 = _solver_starts(qg, cfg, z, w_p)
-    d = np.ascontiguousarray(qg.comult)
-    solutions, residuals, converged = kern.newton_polish_batch(
-        d, w_p, z, t0, min(cfg.newton_tol, 1e-13), cfg.max_iter
+    solutions, residuals, _ = _newton_polish_batch(
+        qg.comult, w_p, z, t0, min(cfg.newton_tol, 1e-13), cfg.max_iter
     )
 
     kept = []
-    for w, res, ok in zip(solutions, residuals, converged):
+    for w, res in zip(solutions, residuals):
         if res > cfg.newton_tol:
             continue
         if not is_idempotent(qg, w, 1e-9):

@@ -3,6 +3,9 @@ import pytest
 
 import qgidem as qg
 from qgidem.analysis import (
+    CLASSIFY_TOL,
+    _algebra_residuals,
+    _kernel_basis,
     antipode_invariance,
     build_lattice,
     classify,
@@ -19,12 +22,14 @@ from qgidem.analysis import (
     orthonormal_columns,
     projection_defect,
     quotient_quantum_group,
+    right_invariance_residual,
     state_from_subalgebra,
+    subspace_defect,
     symmetry_residual,
     v_projection,
     verify_conditional_expectation,
 )
-from qgidem.core import QuantumGroupError
+from qgidem.core import QuantumGroupError, frobenius
 from qgidem.states import (
     left_slice,
     subgroup_state_fn,
@@ -221,6 +226,115 @@ def test_invariant_subalgebra_on_dense_basis(kind):
         # C transports with the basis: t C_base = C
         moved = t @ base.basis
         assert np.linalg.norm(moved - sub.basis @ (sub.basis.conj().T @ moved)) < 1e-10
+
+
+# -- the batched subspace check against the per-column loops it replaced --
+
+
+def loop_membership(x, basis):
+    x = np.asarray(x, dtype=np.complex128).ravel()
+    if basis.shape[1] == 0:
+        return frobenius(x)
+    return frobenius(x - basis @ (basis.conj().T @ x))
+
+
+def loop_ideal_residual(g, basis):
+    u = orthonormal_columns(basis)
+    worst = 0.0
+    for i in range(g.dim):
+        e_i = basis_vector(g.dim, i)
+        left = g.left_mult_matrix(e_i) @ u
+        right = g.right_mult_matrix(e_i) @ u
+        for col in range(u.shape[1]):
+            worst = max(worst, loop_membership(left[:, col], u))
+            worst = max(worst, loop_membership(right[:, col], u))
+    for col in range(u.shape[1]):
+        worst = max(worst, loop_membership(g.star_vec(u[:, col]), u))
+    return worst
+
+
+def loop_algebra_residuals(g, u):
+    prod = 0.0
+    for i in range(u.shape[1]):
+        left = g.left_mult_matrix(u[:, i]) @ u
+        for j in range(u.shape[1]):
+            prod = max(prod, loop_membership(left[:, j], u))
+    star = max(loop_membership(g.star_vec(u[:, i]), u) for i in range(u.shape[1]))
+    return prod, star, loop_membership(g.unit, u)
+
+
+def loop_right_invariance(g, u):
+    worst = 0.0
+    for k in range(g.dim):
+        img = g.comult[:, :, k].T @ u
+        for col in range(u.shape[1]):
+            worst = max(worst, loop_membership(img[:, col], u))
+    return worst
+
+
+def loop_span_mismatch(a, b):
+    return max(
+        max((loop_membership(a[:, i], b) for i in range(a.shape[1])), default=0.0),
+        max((loop_membership(b[:, i], a) for i in range(b.shape[1])), default=0.0),
+    )
+
+
+def test_subspace_defect_matches_column_loop():
+    rng = np.random.default_rng(3)
+    u = orthonormal_columns(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+    images = rng.standard_normal((4, 6, 5)) + 1j * rng.standard_normal((4, 6, 5))
+    expected = max(
+        loop_membership(images[b][:, c], u) for b in range(4) for c in range(5)
+    )
+    assert abs(subspace_defect(images, u) - expected) <= 1e-12
+    assert subspace_defect(u @ images[0, :3], u) <= 1e-12
+    # an empty basis leaves each image whole; no images leave no defect
+    whole = np.linalg.norm(images[0], axis=0).max()
+    assert abs(subspace_defect(images[0], u[:, :0]) - whole) <= 1e-12
+    assert subspace_defect(images[0][:, :0], u) == 0.0
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_subspace_residuals_match_column_loops(kind, dense):
+    base = algebra(kind, "S3")
+    g, t = dense_algebra(kind, "S3") if dense else (base, np.eye(base.dim))
+    haar_seen = 0
+    for st in oracle_states(kind, "S3"):
+        w = st.coeffs @ np.linalg.inv(t)
+        nsp = null_space(g, w)
+        ideal = ideal_residual(g, nsp)
+        assert abs(ideal - loop_ideal_residual(g, nsp)) <= 1e-12
+        lw = left_slice(g, w)
+        u = orthonormal_columns(lw)
+        for got, ref in zip(_algebra_residuals(g, u), loop_algebra_residuals(g, u)):
+            assert abs(got - ref) <= 1e-12
+        assert abs(right_invariance_residual(g, u) - loop_right_invariance(g, u)) <= 1e-12
+        rep = verify_conditional_expectation(g, lw, u)
+        ref = max(loop_membership(lw[:, i], u) for i in range(g.dim))
+        assert abs(rep.residuals["range_in_subalgebra"] - ref) <= 1e-12
+        if ideal <= CLASSIFY_TOL:
+            haar_seen += 1
+            q = quotient_quantum_group(g, w)
+            hs = homogeneous_space_check(g, w, q)
+            n, nb = g.dim, q.quotient.dim
+            op = np.einsum("bp,ipt->bti", q.projection, g.comult).reshape(nb * n, n)
+            unit = np.einsum("b,ti->bti", q.quotient.unit, np.eye(n))
+            fixed = _kernel_basis(op - unit.reshape(nb * n, n), rel_tol=1e-10)
+            ref = loop_span_mismatch(fixed, u)
+            assert abs(hs.values["span_mismatch"] - ref) <= 1e-12
+    assert haar_seen == (6 if kind == "fn" else 3)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_non_invariant_subspace_exceeds_classify_tol(dense):
+    # the span of one point mass on S3 is moved by every right translation
+    base = algebra("fn", "S3")
+    g, t = dense_algebra("fn", "S3") if dense else (base, np.eye(base.dim))
+    u = orthonormal_columns(t @ basis_vector(g.dim, 1)[:, None])
+    res = right_invariance_residual(g, u)
+    assert res > CLASSIFY_TOL
+    assert abs(res - loop_right_invariance(g, u)) <= 1e-12
 
 
 # -- classification -------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qgidem as qg
+from qgidem.analysis import quotient_quantum_group
 from qgidem.cli import main
 from qgidem.serialize import qg_to_dict, save_json, state_to_dict
 from qgidem.states import subgroup_state_fn
@@ -103,6 +104,28 @@ def test_quotient_command(capsys):
     assert "passed: True" in out
 
 
+def test_quotient_reports_the_validation_of_the_quotient(capsys):
+    ct = group("S3")
+    g = algebra("fn", "S3")
+    a3 = [s for s in qg.all_subgroups(ct) if len(s) == 3][0]
+    found = list(solved("fn", "S3"))
+    idx = match_state(found, subgroup_state_fn(g, ct, a3).coeffs)
+    q = quotient_quantum_group(g, found[idx])
+    report = qg.validate(q.quotient)
+    assert q.report.residuals == report.residuals
+    assert q.report.cancellation_ranks == report.cancellation_ranks
+    code, out, _ = run(capsys, "quotient", "fn:S3", "--state", str(idx))
+    assert code == 0
+    assert f"quotient validates: {report.passed}" in out
+    code, out, _ = run(
+        capsys, "quotient", "fn:S3", "--state", str(idx), "--format", "json"
+    )
+    assert code == 0
+    data = json.loads(out)["data"]
+    assert data["quotient"] == json.loads(json.dumps(qg_to_dict(q.quotient)))
+    assert data["passed"] is report.passed
+
+
 def test_quotient_rejects_non_haar_state(capsys):
     ct = group("S3")
     g = algebra("ga", "S3")
@@ -162,6 +185,22 @@ def test_non_positive_budget_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "expected a positive integer" in err
+
+
+def test_negative_seed_is_usage_error(capsys):
+    code, out, err = run(capsys, "idempotents", "fn:Z2", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "expected a non-negative integer" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bad_seed_env_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("QGIDEM_SEED", value)
+    code, out, err = run(capsys, "idempotents", "fn:Z2")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "QGIDEM_SEED" in err
 
 
 def test_malformed_walk_init_is_usage_error(capsys, tmp_path):

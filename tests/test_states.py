@@ -19,6 +19,7 @@ from qgidem.states import (
     subgroup_state_fn,
     subgroup_state_ga,
 )
+from qgidem.states import _constraint_chart, _newton_polish_batch
 
 from helpers import (
     PROPERTY_GROUPS,
@@ -225,6 +226,20 @@ def test_solve_config_validation():
         SolveConfig(starts=0)
     with pytest.raises(ValueError):
         SolveConfig(newton_tol=-1.0)
+
+
+def test_solve_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        SolveConfig(seed=-1)
+
+
+def test_kernel_converges_from_exact_solution():
+    g = algebra("fn", "Z4")
+    w_p, z = _constraint_chart(g)
+    t_haar = (z.conj().T @ (g.haar - w_p))[None, :]
+    w, res, ok = _newton_polish_batch(g.comult, w_p, z, t_haar, 1e-13, 40)
+    assert ok[0]
+    assert np.abs(w[0] - g.haar).max() < 1e-12
 
 
 def test_convolve_requires_same_parent():
