@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -56,6 +57,15 @@ def positive_int(text: str) -> int:
     value = int(text)  # argparse reports a ValueError as a bad value
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}"
+        )
     return value
 
 
@@ -350,7 +360,7 @@ def build_parser():
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("input", help="builtin spec (fn:S3, ga:D4, dual:fn:Z4) or JSON path")
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=positive_float, default=1e-9)
         p.add_argument("--starts", type=positive_int, default=500)
         p.add_argument("--seed", type=nonnegative_int, default=None)
         p.add_argument("--oracle", action="store_true",
@@ -396,8 +406,13 @@ def main(argv=None) -> int:
     else:
         text = "\n".join(lines + [f"passed: {passed}"])
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"error: cannot write {args.out!r}: {reason}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0 if passed else 1

@@ -21,6 +21,7 @@ the modular element is 1) and are deliberately not represented.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -84,8 +85,10 @@ class FiniteQuantumGroup:
         object.__setattr__(self, "counit", _as_complex(self.counit, (n,), "counit"))
         object.__setattr__(self, "antipode", _as_complex(self.antipode, (n, n), "antipode"))
         object.__setattr__(self, "haar", _as_complex(self.haar, (n,), "haar"))
-        if not self.tol > 0:
-            raise StructuralError("tol must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise StructuralError(
+                f"tol must be a positive finite number, got {self.tol!r}"
+            )
 
     # -- pointwise operations on coordinate vectors --------------------
 
@@ -124,9 +127,31 @@ class FiniteQuantumGroup:
         g.setflags(write=False)
         return g
 
+    @cached_property
+    def _star_mult(self) -> np.ndarray:
+        """Coefficients of e_i^* e_j as an (n*n, n) matrix: row i*n + j."""
+        n = self.dim
+        s = (self.star.T @ self.mult.reshape(n, n * n)).reshape(n * n, n)
+        s.setflags(write=False)
+        return s
+
+    @cached_property
+    def _haar_triple(self) -> np.ndarray:
+        """h(e_p e_i e_q) as an (n, n*n) matrix: row p, column i*n + q."""
+        n = self.dim
+        t = (self.mult.reshape(n * n, n) @ (self.mult @ self.haar)).reshape(n, n * n)
+        t.setflags(write=False)
+        return t
+
     def functional_gram(self, w) -> np.ndarray:
-        """Gram matrix omega(e_i^* e_j) of the functional with coefficients w."""
-        return np.einsum("pi,pjk,k->ij", self.star, self.mult, np.asarray(w))
+        """Gram matrix omega(e_i^* e_j) of the functional with coefficients w.
+
+        A stack of functionals ``(..., n)`` gives a stack of Grams
+        ``(..., n, n)``; each costs ``n^3`` against the cached contraction
+        of ``star`` with ``mult``.
+        """
+        w = np.asarray(w)
+        return (w @ self._star_mult.T).reshape(w.shape[:-1] + (self.dim, self.dim))
 
 
 @dataclass

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .cayley import CayleyTable, is_subgroup
 from .core import (
@@ -94,22 +93,41 @@ def right_slice(qg: FiniteQuantumGroup, w) -> np.ndarray:
     return np.einsum("ijk,k->ji", qg.comult, as_coeffs(w))
 
 
+def _state_mask(qg: FiniteQuantumGroup, ws, tol: float, idempotent: bool) -> np.ndarray:
+    """Which rows of ``ws`` are states (idempotent states with ``idempotent``).
+
+    A row passes when it is normalized at the unit, its Gram matrix is
+    Hermitian and its smallest eigenvalue is >= -tol, each within ``tol``;
+    with ``idempotent`` also ``max |w * w - w| <= tol``.  Rows are tested in
+    blocks of :func:`_blocks`, at ``n^3`` per row for the Gram and its
+    eigenvalues.
+    """
+    ws = np.asarray(ws, dtype=np.complex128)
+    ok = np.abs(ws @ qg.unit - 1.0) <= tol
+    for sl in _blocks(len(ws), qg.dim):
+        w = ws[sl]
+        good = ok[sl]  # a view: clearing a row of good clears it in ok
+        if idempotent:
+            good &= np.abs(_square(qg.comult, w) - w).max(axis=-1) <= tol
+        rows = np.flatnonzero(good)
+        g = qg.functional_gram(w[rows])
+        gh = np.conj(g.swapaxes(-1, -2))
+        herm = np.abs(g - gh).max(axis=(-2, -1)) <= tol
+        good[rows[~herm]] = False
+        low = np.linalg.eigvalsh((g[herm] + gh[herm]) / 2).min(axis=-1)
+        good[rows[herm][low < -tol]] = False
+    return ok
+
+
 def is_state(qg: FiniteQuantumGroup, w, tol: float = 1e-9) -> bool:
     """Normalized at the unit, with a Hermitian positive semidefinite Gram
     matrix (smallest eigenvalue >= -tol)."""
-    w = as_coeffs(w)
-    if abs(np.dot(w, qg.unit) - 1.0) > tol:
-        return False
-    g = qg.functional_gram(w)
-    if np.abs(g - g.conj().T).max() > tol:
-        return False
-    return float(np.linalg.eigvalsh((g + g.conj().T) / 2).min()) >= -tol
+    return bool(_state_mask(qg, as_coeffs(w)[None], tol, idempotent=False)[0])
 
 
 def is_idempotent(qg: FiniteQuantumGroup, w, tol: float = 1e-9) -> bool:
-    w = as_coeffs(w)
-    defect = np.abs(convolve(qg, w, w) - w).max()
-    return bool(defect <= tol) and is_state(qg, w, tol)
+    """A state with idempotency defect ``max |w * w - w| <= tol``."""
+    return bool(_state_mask(qg, as_coeffs(w)[None], tol, idempotent=True)[0])
 
 
 def idempotency_defect(qg: FiniteQuantumGroup, w) -> float:
@@ -143,14 +161,16 @@ def subgroup_state_ga(qg: FiniteQuantumGroup, ct: CayleyTable, subset) -> State:
 
 
 def _vector_state(qg: FiniteQuantumGroup, a) -> np.ndarray:
-    """Coefficients of omega(x) = h(a^* x a) / h(a^* a)."""
+    """Coefficients of omega(x) = h(a^* x a) / h(a^* a), for each row of a.
+
+    omega(e_i) = sum_{p,q} (a^*)_p h(e_p e_i e_q) a_q against the cached
+    Haar triple product, ``n^3`` per row.
+    """
     a = np.asarray(a, dtype=np.complex128)
-    a_star = qg.star_vec(a)
-    # omega(e_i) = sum_{p,q,k,l} astar_p m[p,i,k] a_q m[k,q,l] h[l]
-    w = np.einsum(
-        "p,pik,q,kql,l->i", a_star, qg.mult, a, qg.mult, qg.haar, optimize=True
-    )
-    return w / np.dot(w, qg.unit)
+    n = qg.dim
+    a_star = np.conj(a) @ qg.star.T
+    w = _rows((a_star @ qg._haar_triple).reshape(a.shape[:-1] + (n, n)), a)
+    return w / (w @ qg.unit)[..., None]
 
 
 def random_state(qg: FiniteQuantumGroup, rng) -> State:
@@ -192,21 +212,24 @@ def _constraint_chart(qg):
     return w_p, np.ascontiguousarray(z)
 
 
-def _cesaro_probe(qg, step_of, w, k: int = 32):
-    """Extrapolated Cesaro mean of convolution powers of a state.
+def _cesaro_probe(qg, ws, k: int = 32):
+    """Extrapolated Cesaro means of convolution powers of each row of ws.
 
     Cesaro means approach an idempotent state at rate O(1/k); the
     Richardson combination 2 nu_{2k} - nu_k removes the 1/k term, leaving
     a point exponentially close to an idempotent, which makes an excellent
-    Newton start.
+    Newton start.  The step matrices nu -> nu * w are stacked, so the
+    2k - 1 powers are stacked mat-vecs (``n^3`` per row to build the step,
+    ``n^2`` per power).
     """
-    step = step_of(w)
-    power = w.copy()
-    acc = w.copy()
+    n = qg.dim
+    steps = (ws @ qg.comult.reshape(n * n, n).T).reshape(-1, n, n)
+    power = ws[..., None].copy()
+    acc = ws.copy()
     nu_k = None
     for j in range(2, 2 * k + 1):
-        power = step @ power
-        acc += power
+        power = steps @ power
+        acc += power[..., 0]
         if j == k:
             nu_k = acc / j
     return 2.0 * (acc / (2 * k)) - nu_k
@@ -222,9 +245,10 @@ def _generated_support(qg, idxs) -> np.ndarray:
     s = np.zeros(n, dtype=np.complex128)
     s[list(idxs)] = 1.0
     mask = np.abs(s) > 1e-9
+    times_s = qg.right_mult_matrix(s)
     cur = s.copy()
     for _ in range(n):
-        cur = qg.multiply(cur, s)
+        cur = times_s @ cur
         peak = np.abs(cur).max()
         if peak < 1e-12:
             break
@@ -237,17 +261,6 @@ def _generated_support(qg, idxs) -> np.ndarray:
     return mask
 
 
-def _subset_probe(qg, mask) -> np.ndarray:
-    """Vector state of the equal-weight sum of the masked basis elements.
-
-    Equal weights matter: the Cesaro limit of such a state keeps exactly
-    the coefficients that sit at the extreme value 1, and those form the
-    state's multiplicative-domain subgroup.
-    """
-    a = np.where(mask, 1.0, 0.0).astype(np.complex128)
-    return _vector_state(qg, a)
-
-
 def _solver_starts(qg, cfg, z, w_p):
     """Initial points for the multi-start Newton solve.
 
@@ -257,6 +270,13 @@ def _solver_starts(qg, cfg, z, w_p):
     of the budget alternates between random simplex mixtures of the
     GNS-diagonal vector states with heterogeneous perturbation and
     Cesaro-extrapolated equal-weight random-subset probes.
+
+    The random numbers are drawn first, in a fixed order, and the probe
+    masks collected; the probes are then warmed in blocks of
+    :func:`_blocks`.  Equal weights matter: the Cesaro limit of an
+    equal-weight subset probe keeps exactly the coefficients that sit at
+    the extreme value 1, and those form the state's multiplicative-domain
+    subgroup.
     """
     n = qg.dim
     rng = np.random.default_rng(cfg.seed)
@@ -265,36 +285,82 @@ def _solver_starts(qg, cfg, z, w_p):
     w_u = np.conj(qg.unit) / np.vdot(qg.unit, qg.unit).real
     eps = qg.counit
 
-    def step_of(w):
-        return np.einsum("ijk,k->ij", qg.comult, w)
-
     def normalized(w):
-        return w + (1.0 - np.dot(qg.unit, w)) * w_u
+        return w + (1.0 - w @ qg.unit)[..., None] * w_u
 
-    def warmed(mu):
-        return normalized(_cesaro_probe(qg, step_of, 0.5 * (mu + eps)))
-
-    seeds = [eps.copy(), qg.haar.copy()]
-
+    total = max(2, cfg.starts)
+    seeds = np.empty((total, n), dtype=np.complex128)
+    seeds[0] = eps
+    seeds[1] = qg.haar
     combos = [(i,) for i in range(n)]
     combos += [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for combo in combos[: max(0, cfg.starts - 2) // 2]:
-        seeds.append(warmed(_subset_probe(qg, _generated_support(qg, combo))))
-
-    while len(seeds) < cfg.starts:
-        if len(seeds) % 2 == 0:
+    masks = [_generated_support(qg, c) for c in combos[: max(0, cfg.starts - 2) // 2]]
+    probe_rows = list(range(2, 2 + len(masks)))
+    for row in range(2 + len(masks), total):
+        if row % 2 == 0:
             p = rng.dirichlet(np.ones(n))
             w0 = diag_states @ p
             sigma = rng.uniform(0.0, cfg.perturbation)
             w0 = w0 + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            seeds.append(normalized(w0))
+            seeds[row] = normalized(w0)
         else:
             mask = rng.random(n) < rng.uniform(0.15, 0.9)
             if not mask.any():
                 mask[rng.integers(n)] = True
-            seeds.append(warmed(_subset_probe(qg, mask)))
-    t0 = np.array([z.conj().T @ (w - w_p) for w in seeds], dtype=np.complex128)
-    return np.ascontiguousarray(t0)
+            masks.append(mask)
+            probe_rows.append(row)
+    masks = np.array(masks, dtype=np.complex128).reshape(-1, n)
+    probe_rows = np.array(probe_rows, dtype=np.intp)
+    for sl in _blocks(len(masks), n):
+        mu = _vector_state(qg, masks[sl])
+        seeds[probe_rows[sl]] = normalized(_cesaro_probe(qg, 0.5 * (mu + eps)))
+    return (seeds - w_p) @ np.conj(z)
+
+
+def _blocks(count: int, n: int) -> list[slice]:
+    """Slices covering range(count) in blocks of max(1, 2**13 // n**2) rows.
+
+    A block's largest intermediate (Gram matrices, Cesaro step matrices,
+    Jacobians) holds about 2**13 complex numbers whatever n is.
+    """
+    size = max(1, 2**13 // (n * n))
+    return [slice(i, min(i + size, count)) for i in range(0, count, size)]
+
+
+def _rows(matrix, ws) -> np.ndarray:
+    """matrix @ w for each row w of ws, as one mat-vec per row.
+
+    A stacked mat-vec gives each row the same bits whatever the batch holds,
+    which a single matrix product over all rows does not.
+    """
+    return (matrix @ ws[..., None])[..., 0]
+
+
+def _square(d, ws) -> np.ndarray:
+    """sum_{j,k} d[i, j, k] w_j w_k for each row w of ws (``n^3`` per row)."""
+    n = d.shape[0]
+    dw = _rows(d.reshape(n * n, n), ws).reshape(ws.shape[:-1] + (n, n))
+    return _rows(dw, ws)
+
+
+def _cholesky_each(a):
+    """Lower Cholesky factors of a stack of matrices and which exist.
+
+    numpy raises for the whole stack when one factorization fails; only
+    then is each matrix factorized on its own.
+    """
+    try:
+        return np.linalg.cholesky(a), np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        chol = np.zeros_like(a)
+        ok = np.zeros(len(a), dtype=bool)
+        for i, ai in enumerate(a):
+            try:
+                chol[i] = np.linalg.cholesky(ai)
+                ok[i] = True
+            except np.linalg.LinAlgError:
+                pass
+        return chol, ok
 
 
 def _newton_polish_batch(d, w_p, z, t0, tol, max_iter):
@@ -302,68 +368,80 @@ def _newton_polish_batch(d, w_p, z, t0, tol, max_iter):
 
     Unknown: t with w = w_p + z t.  Residual: F(w) = conv(w, w) - w where
     conv is the bilinear map with coefficients d.  The iteration is the one
-    described in :func:`solve_idempotents`.  Returns (solutions w, sup-norm
-    residuals, convergence flags).
+    described in :func:`solve_idempotents`, run on the starts of one block
+    of :func:`_blocks` at a time over the set of live starts.  A start
+    leaves the live set when ``max |F| <= tol``, when no Levenberg shift
+    gives a Cholesky factor, or when no Armijo step is accepted; the rest
+    stop after ``max_iter`` iterations.  The Jacobian
+    ``(sum_k (d[i,j,k] + d[i,k,j]) w_k - delta_ij) z`` comes from one
+    precontracted ``(n m, n)`` matrix.  Per start and iteration the cost is
+    ``n^2 m`` for the Jacobian, ``n m^2`` for the normal equations, ``m^3``
+    for the factorization and ``n^3`` per residual evaluation.  Returns
+    (solutions w, sup-norm residuals, convergence flags).
     """
     n = d.shape[0]
     m = z.shape[1]
     batch = t0.shape[0]
     eye = np.eye(m)
+    # jac[i*m + a, k] = sum_j (d[i,j,k] + d[i,k,j]) z[j, a]
+    jac = z.T @ d
+    jac += (d @ z).swapaxes(-1, -2)
+    jac = jac.reshape(n * m, n)
 
     out_w = np.empty((batch, n), dtype=np.complex128)
     out_res = np.empty(batch)
-    out_ok = np.zeros(batch, dtype=bool)
 
     def residual(w):
-        return np.einsum("ijk,j,k->i", d, w, w) - w
+        return _square(d, w) - w
 
-    for b in range(batch):
-        t = t0[b].copy()
-        w = w_p + z @ t
+    for sl in _blocks(batch, n):
+        t = t0[sl].copy()
+        w = w_p + _rows(z, t)
         f = residual(w)
-        phi = float(np.vdot(f, f).real)
-        for _ in range(max_iter):
-            if np.abs(f).max() <= tol:
+        phi = np.sum(np.abs(f) ** 2, axis=-1)
+        live = np.arange(len(t))
+        for _ in range(max_iter if m else 0):
+            live = live[np.abs(f[live]).max(axis=-1) > tol]
+            if not live.size:
                 break
-            if m == 0:
-                break
-            jw = (
-                np.einsum("ijk,k->ij", d, w)
-                + np.einsum("ikj,k->ij", d, w)
-                - np.eye(n)
-            )
-            j = jw @ z
-            a = j.conj().T @ j
-            rhs = -(j.conj().T @ f)
-            lam = 1e-12 * (1.0 + float(a.trace().real) / m)
-            delta = None
+            j = _rows(jac, w[live]).reshape(-1, n, m) - z
+            jh = np.conj(j.swapaxes(-1, -2))
+            a = jh @ j
+            rhs = -(jh @ f[live][..., None])
+            lam = 1e-12 * (1.0 + np.trace(a, axis1=-2, axis2=-1).real / m)
+            delta = np.zeros((live.size, m), dtype=np.complex128)
+            solved = np.zeros(live.size, dtype=bool)
+            pending = np.arange(live.size)
             for _ in range(4):
-                try:
-                    chol = np.linalg.cholesky(a + lam * eye)
-                    delta = cho_solve((chol, True), rhs)
+                chol, ok = _cholesky_each(a[pending] + lam[pending, None, None] * eye)
+                rows, low = pending[ok], chol[ok]
+                y = np.linalg.solve(low, rhs[rows])
+                delta[rows] = np.linalg.solve(np.conj(low.swapaxes(-1, -2)), y)[..., 0]
+                solved[rows] = True
+                pending = pending[~ok]
+                if not pending.size:
                     break
-                except np.linalg.LinAlgError:
-                    lam *= 100.0
-            if delta is None:
-                break
+                lam[pending] *= 100.0
+            trial = np.flatnonzero(solved)
             step = 1.0
-            accepted = False
-            while step >= 2.0**-24:
-                t_new = t + step * delta
-                w_new = w_p + z @ t_new
+            while step >= 2.0**-24 and trial.size:
+                idx = live[trial]
+                t_new = t[idx] + step * delta[trial]
+                w_new = w_p + _rows(z, t_new)
                 f_new = residual(w_new)
-                phi_new = float(np.vdot(f_new, f_new).real)
-                if phi_new <= phi * (1.0 - 1e-4 * step):
-                    t, w, f, phi = t_new, w_new, f_new, phi_new
-                    accepted = True
-                    break
+                phi_new = np.sum(np.abs(f_new) ** 2, axis=-1)
+                acc = phi_new <= phi[idx] * (1.0 - 1e-4 * step)
+                take = idx[acc]
+                t[take], w[take] = t_new[acc], w_new[acc]
+                f[take], phi[take] = f_new[acc], phi_new[acc]
+                trial = trial[~acc]
                 step *= 0.5
-            if not accepted:
-                break
-        out_w[b] = w
-        out_res[b] = np.abs(f).max()
-        out_ok[b] = out_res[b] <= tol
-    return out_w, out_res, out_ok
+            # starts with no factor or no accepted step stop here
+            solved[trial] = False
+            live = live[solved]
+        out_w[sl] = w
+        out_res[sl] = np.abs(f).max(axis=-1)
+    return out_w, out_res, out_res <= tol
 
 
 def solve_idempotents(
@@ -372,15 +450,23 @@ def solve_idempotents(
     """Find idempotent states by damped multi-start Newton.
 
     The quadratic system {omega * omega - omega = 0, omega(1) = 1} is solved
-    on the affine normalization chart w = w_p + z t.  Each start is polished
-    by damped Gauss-Newton: the normal equations J^* J delta = -J^* F are
-    Levenberg-regularised (the shift grows a hundredfold while Cholesky
-    fails) and the step is halved until the squared residual passes an
-    Armijo test.  Solutions failing the state test are discarded and the
-    rest deduplicated at ``dedup_tol`` (sup norm) in a canonical order.
-    Deterministic for a fixed seed.  The result always contains the counit
-    and the Haar state; no completeness claim is made for a general quantum
-    group (the CLI reports findings as "found").
+    on the affine normalization chart w = w_p + z t (``m = n - 1``
+    unknowns).  Each start is polished by damped Gauss-Newton: the normal
+    equations J^* J delta = -J^* F are Levenberg-regularised with the shift
+    ``1e-12 (1 + tr(J^* J) / m)``, multiplied by 100 while Cholesky fails
+    (four tries), and the step is halved from 1 down to ``2^-24`` until the
+    squared residual passes an Armijo test at ``1e-4``.  Solutions with a
+    residual above ``newton_tol`` or failing the state test are discarded
+    and the rest deduplicated at ``dedup_tol`` (sup norm) in a canonical
+    order.  Deterministic for a fixed seed.  The result always contains the
+    counit and the Haar state; no completeness claim is made for a general
+    quantum group (the CLI reports findings as "found").
+
+    Starts, Newton polish and state test each run as array operations on
+    blocks of ``max(1, 2**13 // n**2)`` starts, so the working set stays
+    near 2**13 complex numbers.  Per start the cost is ``n^3`` for the
+    probe and its Cesaro warm-up, ``n^3`` per Newton iteration and
+    line-search trial, and ``n^3`` for the state test.
     """
     cfg = SolveConfig() if cfg is None else cfg
     n = qg.dim
@@ -392,16 +478,10 @@ def solve_idempotents(
     solutions, residuals, _ = _newton_polish_batch(
         qg.comult, w_p, z, t0, min(cfg.newton_tol, 1e-13), cfg.max_iter
     )
+    candidates = solutions[residuals <= cfg.newton_tol]
+    states = candidates[_state_mask(qg, candidates, 1e-9, idempotent=True)]
+    kept = sorted((State(qg, w) for w in states), key=State.sort_key)
 
-    kept = []
-    for w, res in zip(solutions, residuals):
-        if res > cfg.newton_tol:
-            continue
-        if not is_idempotent(qg, w, 1e-9):
-            continue
-        kept.append(State(qg, w))
-
-    kept.sort(key=State.sort_key)
     unique: list[State] = []
     for st in kept:
         if any(

@@ -58,6 +58,28 @@ def test_invalid_quantum_group_file_lists_axioms(capsys, tmp_path):
     assert "haar_left_invariant" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "0", "-1e-9"])
+def test_non_finite_or_non_positive_tol_is_usage_error(capsys, tmp_path, tol):
+    g = algebra("ga", "Z2")
+    data = qg_to_dict(g)
+    data["haar"] = [[1.0, 0.0], [1.0, 0.0]]  # fails validation at any finite tol
+    path = tmp_path / "bad.json"
+    save_json(path, data)
+    code, out, err = run(capsys, "validate", str(path), f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "expected a positive finite number" in err
+
+
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "validate", "fn:Z2", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "cannot write" in err
+    assert not path.exists()
+
+
 def test_load_round_trip_through_file(capsys, tmp_path):
     path = tmp_path / "qg.json"
     save_json(path, qg_to_dict(algebra("fn", "S3")))

@@ -76,6 +76,19 @@ def test_dimension_mismatch_is_structural_error():
         )
 
 
+@pytest.mark.parametrize("tol", [np.inf, -np.inf, np.nan, 0.0, -1e-9])
+def test_non_finite_or_non_positive_tol_is_structural_error(tol):
+    base = algebra("fn", "Z2")
+    with pytest.raises(StructuralError, match="tol"):
+        qg.FiniteQuantumGroup(
+            dim=2, mult=base.mult, unit=base.unit, star=base.star,
+            comult=base.comult, counit=base.counit, antipode=base.antipode,
+            haar=base.haar, tol=tol,
+        )
+    with pytest.raises(StructuralError, match="tol"):
+        qg.function_algebra(group("Z2"), tol=tol)
+
+
 def test_trivial_quantum_group():
     g = algebra("fn", "Z1")
     assert g.dim == 1

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 import qgidem as qg
 from qgidem.states import (
@@ -19,12 +22,20 @@ from qgidem.states import (
     subgroup_state_fn,
     subgroup_state_ga,
 )
-from qgidem.states import _constraint_chart, _newton_polish_batch
+from qgidem.states import (
+    _blocks,
+    _cholesky_each,
+    _constraint_chart,
+    _newton_polish_batch,
+    _solver_starts,
+    _state_mask,
+)
 
 from helpers import (
     PROPERTY_GROUPS,
     SOLVER_CASES,
     algebra,
+    dense_algebra,
     group,
     hausdorff,
     oracle_states,
@@ -177,6 +188,15 @@ def test_solver_oracle_match_is_seed_robust(kind, name, count, seed):
     assert hausdorff(list(found), list(oracle_states(kind, name))) <= 1e-7
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_solver_matches_oracle_on_s4(kind, seed):
+    found = solved(kind, "S4", seed=seed)
+    oracle = oracle_states(kind, "S4")
+    assert len(found) == len(oracle) == 30
+    assert hausdorff(list(found), list(oracle)) <= 1e-7
+
+
 IDEMPOTENT_COUNTS = {"Z2": 2, "Z3": 2, "Z4": 3, "Z2xZ2": 5, "S3": 6, "D4": 10, "Q8": 6}
 
 
@@ -240,6 +260,186 @@ def test_kernel_converges_from_exact_solution():
     w, res, ok = _newton_polish_batch(g.comult, w_p, z, t_haar, 1e-13, 40)
     assert ok[0]
     assert np.abs(w[0] - g.haar).max() < 1e-12
+
+
+def _reference_polish(d, w_p, z, t0, tol, max_iter):
+    """The one-start-at-a-time loop the blocked kernel replaced."""
+    n, m = d.shape[0], z.shape[1]
+    out = []
+    for t in t0:
+        w = w_p + z @ t
+        f = np.einsum("ijk,j,k->i", d, w, w) - w
+        phi = float(np.vdot(f, f).real)
+        for _ in range(max_iter):
+            if np.abs(f).max() <= tol:
+                break
+            jw = np.einsum("ijk,k->ij", d, w) + np.einsum("ikj,k->ij", d, w) - np.eye(n)
+            j = jw @ z
+            a, rhs = j.conj().T @ j, -(j.conj().T @ f)
+            lam = 1e-12 * (1.0 + float(a.trace().real) / m)
+            delta = None
+            for _ in range(4):
+                try:
+                    chol = np.linalg.cholesky(a + lam * np.eye(m))
+                    delta = cho_solve((chol, True), rhs)
+                    break
+                except np.linalg.LinAlgError:
+                    lam *= 100.0
+            if delta is None:
+                break
+            step = 1.0
+            while step >= 2.0**-24:
+                w_new = w_p + z @ (t + step * delta)
+                f_new = np.einsum("ijk,j,k->i", d, w_new, w_new) - w_new
+                phi_new = float(np.vdot(f_new, f_new).real)
+                if phi_new <= phi * (1.0 - 1e-4 * step):
+                    t, w, f, phi = t + step * delta, w_new, f_new, phi_new
+                    break
+                step *= 0.5
+            else:
+                break
+        out.append((w, np.abs(f).max()))
+    return np.array([w for w, _ in out]), np.array([r for _, r in out])
+
+
+def _solver_starts_for(g, starts=500):
+    w_p, z = _constraint_chart(g)
+    return w_p, z, _solver_starts(g, SolveConfig(starts=starts, seed=0), z, w_p)
+
+
+@pytest.mark.parametrize("kind,name", [("fn", "S3"), ("ga", "D4"), ("fn", "S4")])
+def test_newton_batch_matches_single_start_polish(kind, name):
+    g = algebra(kind, name)
+    w_p, z, t0 = _solver_starts_for(g)
+    size = _blocks(len(t0), g.dim)[0].stop
+    assert size < len(t0)  # the batch spans several blocks
+    w, res, ok = _newton_polish_batch(g.comult, w_p, z, t0, 1e-13, 80)
+    picks = {0, 1, size - 1, size, size + 1, 2 * size, len(t0) - 1}
+    for b in sorted(picks | set(range(2, len(t0), 37))):
+        w1, res1, ok1 = _newton_polish_batch(g.comult, w_p, z, t0[b : b + 1], 1e-13, 80)
+        assert np.abs(w1[0] - w[b]).max() <= 1e-12
+        assert abs(res1[0] - res[b]) <= 1e-12 and ok1[0] == ok[b]
+
+
+@pytest.mark.parametrize("kind,name", [("fn", "S3"), ("ga", "D4")])
+def test_newton_batch_finds_what_the_reference_loop_finds(kind, name):
+    # raw landing points on positive-dimensional non-state components depend
+    # on rounding, so the comparison is on the deduplicated idempotent states
+    g = algebra(kind, name)
+    w_p, z, t0 = _solver_starts_for(g, starts=200)
+    w_new, res_new, _ = _newton_polish_batch(g.comult, w_p, z, t0, 1e-13, 80)
+    w_ref, res_ref = _reference_polish(g.comult, w_p, z, t0, 1e-13, 80)
+    assert np.array_equal(res_new <= 1e-10, res_ref <= 1e-10)
+    if kind == "ga":
+        # convolution on a group algebra is pointwise and its idempotents
+        # are isolated: every start lands where the loop lands
+        assert np.abs(w_new - w_ref).max() <= 1e-12
+
+    def found(ws, res):
+        ws = ws[res <= 1e-10]
+        return [State(g, w) for w in ws if is_idempotent(g, w, 1e-9)]
+
+    a, b = found(w_new, res_new), found(w_ref, res_ref)
+    assert len(a) == len(b)
+    assert hausdorff(a, b) <= 1e-9
+
+
+@pytest.mark.parametrize("max_iter", [5, 80])
+def test_newton_batch_matches_reference_loop_on_a_generic_system(max_iter):
+    # a random overdetermined bilinear system has no root: full steps
+    # overshoot, the Armijo search backtracks and starts stop without an
+    # accepted step or at max_iter
+    rng = np.random.default_rng(3)
+    n = 4
+    d = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    w_p = np.eye(n, dtype=np.complex128)[0]
+    z = np.eye(n, dtype=np.complex128)[:, 1:]
+    t0 = rng.standard_normal((60, n - 1)) + 1j * rng.standard_normal((60, n - 1))
+    w, res, ok = _newton_polish_batch(d, w_p, z, t0, 1e-13, max_iter)
+    w_ref, res_ref = _reference_polish(d, w_p, z, t0, 1e-13, max_iter)
+    assert not ok.any()
+    assert np.abs(w - w_ref).max() <= 1e-10
+    assert np.abs(res - res_ref).max() <= 1e-10
+
+
+def test_cholesky_each_flags_the_failing_matrices():
+    a = np.stack([np.eye(3), -np.eye(3), 2.0 * np.eye(3)]).astype(np.complex128)
+    chol, ok = _cholesky_each(a)
+    assert ok.tolist() == [True, False, True]
+    assert np.allclose(chol[0], np.eye(3))
+    assert np.allclose(chol[2], np.sqrt(2.0) * np.eye(3))
+    chol, ok = _cholesky_each(a[[0, 2]])
+    assert ok.tolist() == [True, True]
+
+
+def test_solver_working_set_is_blocked():
+    solve_idempotents(algebra("ga", "S3"), SolveConfig(starts=20))  # warm imports
+    g = qg.group_algebra(group("S4"))  # fresh, so its caches are built inside
+    tracemalloc.start()
+    try:
+        found = solve_idempotents(g, SolveConfig(starts=500, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 30
+    # a block's Jacobians, Grams or Cesaro steps hold about 2**13 complex
+    # numbers (128 KiB); any of them for all 500 starts holds over 3.4 MiB
+    assert peak < 3 * 2**20
+
+
+def _reference_is_state(g, w, tol):
+    """The per-functional test the batched one replaced."""
+    if abs(np.dot(w, g.unit) - 1.0) > tol:
+        return False
+    gram = np.einsum("pi,pjk,k->ij", g.star, g.mult, w)
+    if np.abs(gram - gram.conj().T).max() > tol:
+        return False
+    return float(np.linalg.eigvalsh((gram + gram.conj().T) / 2).min()) >= -tol
+
+
+def _crafted_functionals(g, subgroup_state, rng):
+    """(functional, is a state, is an idempotent state) on g."""
+    h, eps = g.haar, g.counit
+    return [
+        (h, True, True),
+        (eps, True, True),
+        (subgroup_state, True, True),
+        (random_state(g, rng).coeffs, True, False),
+        (0.5 * h, False, False),  # not normalised
+        (h + 0.1j * (eps - h), False, False),  # non-Hermitian Gram
+        (2.0 * h - eps, False, False),  # a negative eigenvalue
+    ]
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_batched_state_test_matches_reference(kind, dense):
+    ct = group("S3")
+    sub = next(s for s in qg.all_subgroups(ct) if len(s) == 2)
+    g = algebra(kind, "S3")
+    build = subgroup_state_fn if kind == "fn" else subgroup_state_ga
+    w_sub = build(g, ct, sub).coeffs
+    if dense:
+        g, t = dense_algebra(kind, "S3")
+        w_sub = w_sub @ np.linalg.inv(t)
+    cases = _crafted_functionals(g, w_sub, np.random.default_rng(5))
+    ws = np.array([w for w, _, _ in cases])
+    want_state = [s for _, s, _ in cases]
+    want_idem = [i for _, _, i in cases]
+    assert [_reference_is_state(g, w, 1e-9) for w in ws] == want_state
+    defects = [np.abs(convolve(g, w, w) - w).max() for w in ws]
+    assert [
+        bool(d <= 1e-9) and _reference_is_state(g, w, 1e-9) for d, w in zip(defects, ws)
+    ] == want_idem
+    assert _state_mask(g, ws, 1e-9, idempotent=False).tolist() == want_state
+    assert _state_mask(g, ws, 1e-9, idempotent=True).tolist() == want_idem
+    assert [is_state(g, w) for w in ws] == want_state
+    assert [is_idempotent(g, w) for w in ws] == want_idem
+    grams = g.functional_gram(ws)
+    for w, gram in zip(ws, grams):
+        ref = np.einsum("pi,pjk,k->ij", g.star, g.mult, w)
+        assert np.abs(gram - ref).max() <= 1e-12
+        assert np.abs(g.functional_gram(w) - ref).max() <= 1e-12
 
 
 def test_convolve_requires_same_parent():
