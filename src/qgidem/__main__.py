@@ -1,0 +1,8 @@
+"""``python -m qgidem``: the qgidem command (see :mod:`qgidem.cli`)."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

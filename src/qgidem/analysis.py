@@ -283,20 +283,59 @@ def symmetry_residual(
 ) -> float:
     """max over basis c of C of the defect of V^*(1 (x) c)V from B(H) (x) C.
 
-    (1 (x) pi(c)) V contracts pi(c) into V's second output leg (n^5, no
-    n^2 x n^2 Kronecker factor), so each basis vector of C costs one
-    n^2 x n^2 GEMM with V^*.
+    Evaluated on V = sum_k F_k (x) g_k (``mu.leg_factors``, kept from
+    :func:`multiplicative_unitary`) when that describes V up to rounding:
+    n^5 per basis vector of C.  Otherwise (1 (x) pi(c)) V contracts pi(c)
+    into V's second output leg, and each basis vector of C costs one
+    n^2 x n^2 GEMM with V^*, n^6.
     """
-    n = qg.dim
     u = orthonormal_columns(np.asarray(c_basis, dtype=np.complex128))
-    rep_c = np.stack([gd.rep(u[:, i]).ravel() for i in range(u.shape[1])], axis=1)
-    q = orthonormal_columns(rep_c)
-    v = mu.v
+    reps = [gd.rep(u[:, i]) for i in range(u.shape[1])]
+    q = orthonormal_columns(np.stack([x.ravel() for x in reps], axis=1))
+    legs = mu.leg_factors(gd)
+    if legs.exact:
+        return _symmetry_residual_factored(legs, reps, q)
+    return _symmetry_residual_dense(mu.v, reps, q)
+
+
+def _symmetry_residual_factored(legs, reps, q) -> float:
+    """V^*(1 (x) pi(c))V = sum_kl F_k^* F_l (x) g_k^* pi(c) g_l.
+
+    g is rotated into an orthonormal basis of pi(C) followed by its
+    complement in pi(A) (F rotates with it, V is unchanged).  The second
+    leg of V^*(1 (x) pi(c))V lies in pi(A), so the part outside
+    B(H) (x) pi(C) is sum_{m >= r} Y_m (x) g_m with
+    Y_m = sum_kl tr((g_k g_m)^* pi(c) g_l) F_k^* F_l, whose norm is the
+    residual.  Per state: n^5 for the products F_k^* F_l and g_k g_m; per
+    basis vector c: n^4 for pi(c) g_l and n^5 for the coefficients and Y.
+    """
+    n = legs.basis.shape[0]
+    r = q.shape[1]
+    # coordinates of pi(C) in g, completed to a unitary: the first r
+    # columns span pi(C), the rest its complement in pi(A)
+    rot = np.linalg.qr(legs.basis.reshape(n, n * n).conj() @ q, mode="complete")[0]
+    g = np.tensordot(rot, legs.basis, axes=(0, 0))
+    f = np.tensordot(rot.conj(), legs.factors, axes=(0, 0))
+    outer = np.matmul(np.conj(f.transpose(0, 2, 1))[:, None], f[None])  # F_k^* F_l
+    outer = outer.reshape(n * n, n * n)
+    prods = np.matmul(g[None], g[r:, None])  # [m - r, k]: g_k g_m
+    prods = np.conj(prods).reshape((n - r) * n, n * n)
+    worst = 0.0
+    for rep_c in reps:
+        moved = (rep_c @ g).reshape(n, n * n)  # pi(c) g_l
+        coeffs = (prods @ moved.T).reshape(n - r, n * n)  # [m, (k, l)]
+        worst = max(worst, frobenius(coeffs @ outer))
+    return worst
+
+
+def _symmetry_residual_dense(v, reps, q) -> float:
+    """One n^2 x n^2 GEMM with V^* per basis vector of C (n^6 each)."""
+    n = reps[0].shape[0]
     vh = v.conj().T
     v_legs = v.reshape(n, n, n * n)  # [a, b, (c, d)]
     worst = 0.0
-    for i in range(u.shape[1]):
-        x = vh @ (gd.rep(u[:, i]) @ v_legs).reshape(n * n, n * n)
+    for rep_c in reps:
+        x = vh @ (rep_c @ v_legs).reshape(n * n, n * n)
         rows = x.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
         residual = frobenius(rows - rows @ q.conj() @ q.T)
         worst = max(worst, residual)

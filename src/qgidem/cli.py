@@ -5,7 +5,11 @@ Inputs are either JSON files (see :mod:`qgidem.serialize`) or builtin
 specs like ``fn:S3``, ``ga:D4``, ``dual:fn:Z4`` (``dual:`` may be
 repeated).  Builtin groups: Z1..Z12, Z2xZ2, S3, D4, Q8, S4.
 
-Exit status is 0 iff every requested check passed.
+Exit status is 0 iff every requested check passed: 1 when a check
+failed, 2 for a bad command line, an unreadable or invalid input or a
+failed construction, 3 when the library reports an internal
+inconsistency (a disagreement the theory rules out, which flags
+numerical trouble).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 from . import analysis, serialize
 from .cayley import all_subgroups, builtin_group, builtin_group_names
 from .core import (
+    InternalConsistencyError,
     QuantumGroupError,
     dual,
     function_algebra,
@@ -391,6 +396,9 @@ def main(argv=None) -> int:
                 ) from None
         qg, info = parse_input(args.input, args.tol)
         data, passed, lines = COMMANDS[args.command](qg, info, args)
+    except InternalConsistencyError as exc:
+        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        return 3
     except (CliError, QuantumGroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

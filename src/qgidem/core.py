@@ -436,6 +436,16 @@ class GnsData:
         return np.tensordot(np.asarray(a, dtype=np.complex128), self.left_reg, axes=(0, 0))
 
     @cached_property
+    def _hs_basis(self) -> np.ndarray:
+        """An orthonormal basis g_0 .. g_{n-1} of pi(A) for the
+        Hilbert-Schmidt inner product tr(x^* y), as an (n, n, n) stack."""
+        n = self.dim
+        q, _ = np.linalg.qr(self.left_reg.reshape(n, n * n).T)
+        g = np.ascontiguousarray(q.T).reshape(n, n, n)
+        g.setflags(write=False)
+        return g
+
+    @cached_property
     def _rep_pinv(self) -> np.ndarray:
         cols = self.left_reg.reshape(self.dim, -1).T
         return np.linalg.pinv(cols)
@@ -469,15 +479,66 @@ def gns(qg: FiniteQuantumGroup) -> GnsData:
 
 
 @dataclass(frozen=True)
+class LegFactors:
+    """V = sum_k F_k (x) g_k + R, sliced against an orthonormal basis of pi(A).
+
+    ``basis[k]`` is g_k (``GnsData._hs_basis``, Hilbert-Schmidt
+    orthonormal), ``factors[k]`` is F_k = (id (x) tr(g_k^* .))V, and
+    ``remainder`` is ||R||.  V lies in B(H) (x) pi(A) (Baaj-Skandalis), so R
+    is rounding for every V that :func:`multiplicative_unitary` builds;
+    ``exact`` says R <= 64 eps ||V||, the condition under which the checks
+    may be evaluated on the factors.
+    """
+
+    basis: np.ndarray
+    factors: np.ndarray
+    remainder: float
+    exact: bool
+
+
+def second_leg_factors(gd: GnsData, v) -> LegFactors:
+    """Slice the second leg of V against ``gd._hs_basis`` (n^5, n^3 memory).
+
+    V[(a, b), (c, d)] has first leg (a, c) and second leg (b, d); each row
+    a of the first leg is sliced on its own.
+    """
+    n = gd.dim
+    g = gd._hs_basis
+    gmat = g.reshape(n, n * n)
+    v = np.asarray(v)
+    v4 = v.reshape(n, n, n, n)
+    factors = np.empty((n, n, n), dtype=np.complex128)  # [k, a, c]
+    rem_sq = 0.0
+    for a in range(n):
+        rows = v4[a].transpose(1, 0, 2).reshape(n, n * n)  # [c, (b, d)]
+        f = rows @ gmat.conj().T  # [c, k]
+        factors[:, a, :] = f.T
+        rem_sq += frobenius(rows - f @ gmat) ** 2
+    remainder = math.sqrt(rem_sq)
+    exact = remainder <= 64 * np.finfo(float).eps * frobenius(v)
+    factors.setflags(write=False)
+    return LegFactors(basis=g, factors=factors, remainder=remainder, exact=exact)
+
+
+@dataclass(frozen=True)
 class MultUnitary:
     """The right multiplicative unitary V on H (x) H.
 
     V(Lambda(a) (x) Lambda(b)) = (Lambda (x) Lambda)(Delta(a)(1 (x) b)),
     so that Delta(a) = V (pi(a) (x) 1) V^* and the pentagon identity
-    V12 V13 V23 = V23 V12 holds.
+    V12 V13 V23 = V23 V12 holds.  ``legs`` keeps the factorization that
+    :func:`multiplicative_unitary` computed, for reuse by later checks.
     """
 
     v: np.ndarray
+    legs: LegFactors | None = field(default=None, repr=False, compare=False)
+
+    def leg_factors(self, gd: GnsData) -> LegFactors:
+        """V sliced against ``gd``'s basis of pi(A); the kept factorization
+        when it was made from that basis, else a new one (n^5)."""
+        if self.legs is not None and self.legs.basis is gd._hs_basis:
+            return self.legs
+        return second_leg_factors(gd, self.v)
 
     @property
     def hilbert_dim(self) -> int:
@@ -513,8 +574,11 @@ def pentagon_defect(v, max_dense_dim: int = 2000, rng=None) -> float:
     """|| V12 V13 V23 - V23 V12 || on H (x) H (x) H.
 
     Dense evaluation when n^3 is small (both sides applied to the n^3 x n^3
-    identity, a batch of n^3 vectors); otherwise the identity is tested on
-    random product vectors with the same contraction.
+    identity, a batch of n^3 vectors); otherwise both sides are applied to
+    eight normalised complex Gaussian vectors of H (x) H (x) H (full
+    vectors, not product vectors) with the same contraction, n^5 each.  The
+    sampled value is the largest of those eight norms, a lower bound of the
+    operator norm of the difference and so of the dense value.
     """
     v = np.asarray(v)
     n = int(round(np.sqrt(v.shape[0])))
@@ -539,9 +603,59 @@ def pentagon_defect(v, max_dense_dim: int = 2000, rng=None) -> float:
 def coproduct_defect(qg: FiniteQuantumGroup, gd: GnsData, v) -> float:
     """max_i || (pi (x) pi) Delta(e_i) - V (pi(e_i) (x) 1) V^* ||.
 
+    V is first sliced against a basis of pi(A) (:func:`second_leg_factors`,
+    n^5).  When the slices describe V up to rounding the identity is
+    checked on them at n^6; otherwise by one n^2 x n^2 GEMM with V^* per
+    basis element, n^7 in all.
+    """
+    return _coproduct_defect(qg, gd, v, second_leg_factors(gd, v))
+
+
+def _coproduct_defect(qg, gd, v, legs: LegFactors) -> float:
+    if legs.exact:
+        return _coproduct_defect_factored(qg, gd, legs)
+    return _coproduct_defect_dense(qg, gd, v)
+
+
+def _coproduct_defect_factored(qg, gd, legs: LegFactors) -> float:
+    """The coproduct defect from V = sum_k F_k (x) g_k, at n^6.
+
+    V (pi(e_i) (x) 1) V^* = sum_kl F_k pi(e_i) F_l^* (x) g_k g_l^*, and
+    g_k g_l^* = sum_m gamma[m, k, l] g_m because pi(A) is a *-algebra.  With
+    g orthonormal the defect for e_i is the norm of the n matrices
+    D_m = sum_kl gamma[m, k, l] F_k pi(e_i) F_l^* - (id (x) tr(g_m^* .))
+    (pi (x) pi)Delta(e_i).  For each m one (n x n^2)(n^2 x n^2) GEMM gives
+    D_m for every e_i at once.
+    """
+    n = qg.dim
+    g, f = legs.basis, legs.factors  # g[k, b, d], f[k, a, c]
+    gmat = g.reshape(n, n * n)
+    reg = gd.left_reg  # reg[i, x, y] = pi(e_i)
+    reg_flat = reg.reshape(n, n * n)
+    prods = np.matmul(g[:, None], np.conj(g.transpose(0, 2, 1))[None])  # g_k g_l^*
+    gamma = (gmat.conj() @ prods.reshape(n * n, n * n).T).reshape(n, n, n)
+    del prods
+    # pi(e_i) F_l^* as z[(l, x), (i, c)]
+    w = reg.reshape(n * n, n) @ np.conj(f).reshape(n * n, n).T  # [(i, x), (l, c)]
+    z = np.ascontiguousarray(w.reshape(n, n, n, n).transpose(2, 1, 0, 3)).reshape(n * n, n * n)
+    del w
+    # (pi (x) pi)Delta(e_i) = sum_{p,m} coef[i, p, m] pi(e_p) (x) g_m
+    coef = qg.comult @ (gmat.conj() @ reg_flat.T).T
+    sq = np.zeros(n)
+    for m in range(n):
+        h = np.tensordot(gamma[m], f, axes=(0, 0))  # sum_k gamma[m,k,l] F_k: [l, a, x]
+        d = h.transpose(1, 0, 2).reshape(n, n * n) @ z  # [a, (i, c)]
+        ref = (coef[:, :, m] @ reg_flat).reshape(n, n, n)  # [i, a, c]
+        diff = d.reshape(n, n, n).transpose(1, 0, 2) - ref
+        sq += np.sum(diff.real**2 + diff.imag**2, axis=(1, 2))
+    return float(np.sqrt(sq.max()))
+
+
+def _coproduct_defect_dense(qg, gd, v) -> float:
+    """The coproduct defect by one n^2 x n^2 GEMM with V^* per e_i (n^7).
+
     V (pi(e_i) (x) 1) contracts pi(e_i) into V's first input leg (n^5, no
-    n^2 x n^2 Kronecker factor), so each basis element costs one n^2 x n^2
-    GEMM with V^*: n^7 in all.
+    n^2 x n^2 Kronecker factor).
     """
     n = qg.dim
     v = np.asarray(v)
@@ -568,8 +682,12 @@ def multiplicative_unitary(
     Lambda(e_i) (x) Lambda(e_j) -> Delta(e_i)(1 (x) e_j).  Each one-leg
     factor is folded into the structure tensor that carries the leg (n^4
     each), which leaves one n^5 contraction over the index shared by the
-    coproduct and the product: V is built in n^5.  The checks dominate:
-    the coproduct identity costs one n^2 x n^2 GEMM per basis element.
+    coproduct and the product: V is built in n^5.  V is then sliced against
+    a basis of pi(A) once (n^5; kept on the result as ``legs``).  Above
+    n = 12 the checks cost n^6 in all: the two n^2 x n^2 products of the
+    unitarity test and the coproduct identity evaluated on the slices,
+    with the pentagon sampled at n^5 per vector; up to n = 12 the dense
+    pentagon (n^8) dominates.
 
     A failure of unitarity or the pentagon signals that the supplied Haar
     functional is not right invariant; the defect is surfaced, never
@@ -593,13 +711,14 @@ def multiplicative_unitary(
             f"(unitarity {udef:.2e}, pentagon {pdef:.2e}); the Haar functional "
             "is not bi-invariant"
         )
-    cdef = coproduct_defect(qg, gd, v)
+    legs = second_leg_factors(gd, v)
+    cdef = _coproduct_defect(qg, gd, v, legs)
     if cdef > tol:
         raise QuantumGroupError(
             f"V does not implement the coproduct (defect {cdef:.2e})"
         )
     v.setflags(write=False)
-    return MultUnitary(v=v)
+    return MultUnitary(v=v, legs=legs)
 
 
 def antipode_slice_defect(qg: FiniteQuantumGroup, gd: GnsData, mu: MultUnitary):

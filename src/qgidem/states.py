@@ -458,15 +458,17 @@ def solve_idempotents(
     squared residual passes an Armijo test at ``1e-4``.  Solutions with a
     residual above ``newton_tol`` or failing the state test are discarded
     and the rest deduplicated at ``dedup_tol`` (sup norm) in a canonical
-    order.  Deterministic for a fixed seed.  The result always contains the
-    counit and the Haar state; no completeness claim is made for a general
-    quantum group (the CLI reports findings as "found").
+    order, then snapped onto the state face (:func:`_snap_to_states`).
+    Deterministic for a fixed seed.  The result always contains the counit
+    and the Haar state; no completeness claim is made for a general quantum
+    group (the CLI reports findings as "found").
 
     Starts, Newton polish and state test each run as array operations on
     blocks of ``max(1, 2**13 // n**2)`` starts, so the working set stays
     near 2**13 complex numbers.  Per start the cost is ``n^3`` for the
     probe and its Cesaro warm-up, ``n^3`` per Newton iteration and
-    line-search trial, and ``n^3`` for the state test.
+    line-search trial, and ``n^3`` for the state test; per state found the
+    snap costs one ``n x n`` eigh.
     """
     cfg = SolveConfig() if cfg is None else cfg
     n = qg.dim
@@ -489,7 +491,32 @@ def solve_idempotents(
         ):
             continue
         unique.append(st)
-    return unique
+    snapped = _snap_to_states(qg, np.array([st.coeffs for st in unique]).reshape(-1, n))
+    return [State(qg, w) for w in snapped]
+
+
+def _snap_to_states(qg: FiniteQuantumGroup, ws) -> np.ndarray:
+    """Move each row of ws onto the face of states its Gram matrix spans.
+
+    Newton can stop on an idempotent functional a little off the state
+    face: a Gram eigenvalue of ~1e-10 where 0 is meant, which the later
+    null-space cutoff reads as a nonzero direction.  The Hermitian part of
+    the Gram matrix G[i, j] = omega(e_i^* e_j) loses its eigenvalues below
+    ``1e-8`` times the largest, omega is read back as
+    omega(e_j) = sum_i conj(1_i) G[i, j] (the unit is sum_i 1_i e_i) and
+    renormalised at the unit.  One ``n x n`` eigh per row, in blocks of
+    :func:`_blocks`.
+    """
+    out = np.empty_like(ws)
+    for sl in _blocks(len(ws), qg.dim):
+        g = qg.functional_gram(ws[sl])
+        g = (g + np.conj(g.swapaxes(-1, -2))) / 2
+        vals, vecs = np.linalg.eigh(g)
+        vals = np.where(vals >= 1e-8 * vals[..., -1:], vals, 0.0)
+        g = (vecs * vals[..., None, :]) @ np.conj(vecs.swapaxes(-1, -2))
+        w = np.conj(qg.unit) @ g
+        out[sl] = w / (w @ qg.unit)[..., None]
+    return out
 
 
 # -- random walks --------------------------------------------------------

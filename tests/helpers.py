@@ -44,6 +44,19 @@ def gns_and_unitary(kind, name):
     return gd, qg.multiplicative_unitary(g, gd)
 
 
+def right_regular_twist(g, gd, mu, s):
+    """(1 (x) u) V with u the right multiplication by e_s on H.
+
+    For a group algebra and a group element e_s, u is unitary and commutes
+    with pi(A), so (1 (x) u) V is unitary and implements the coproduct, but
+    its second leg leaves pi(A) unless e_s is the identity.
+    """
+    e_s = np.zeros(g.dim)
+    e_s[s] = 1.0
+    u = gd.onb_inv @ g.right_mult_matrix(e_s) @ gd.onb
+    return np.kron(np.eye(g.dim), u) @ mu.v
+
+
 def random_unitary(n, rng):
     """Haar-distributed unitary (QR of a complex Gaussian, phases fixed)."""
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -6,6 +6,7 @@ from qgidem.analysis import (
     CLASSIFY_TOL,
     _algebra_residuals,
     _kernel_basis,
+    _symmetry_residual_dense,
     antipode_invariance,
     build_lattice,
     classify,
@@ -29,7 +30,7 @@ from qgidem.analysis import (
     v_projection,
     verify_conditional_expectation,
 )
-from qgidem.core import QuantumGroupError, frobenius
+from qgidem.core import MultUnitary, QuantumGroupError, frobenius
 from qgidem.states import (
     left_slice,
     subgroup_state_fn,
@@ -45,6 +46,7 @@ from helpers import (
     group,
     match_state,
     oracle_states,
+    right_regular_twist,
     solved,
 )
 
@@ -212,6 +214,43 @@ def test_symmetry_residual_matches_kron_reference(kind, name, dense):
         assert max(residuals) > 0.1
 
 
+def dense_symmetry_residual(g, gd, v, c_basis):
+    """symmetry_residual through its dense loop, whatever V's factors."""
+    u = orthonormal_columns(c_basis)
+    reps = [gd.rep(u[:, i]) for i in range(u.shape[1])]
+    q = orthonormal_columns(np.stack([x.ravel() for x in reps], axis=1))
+    return _symmetry_residual_dense(v, reps, q)
+
+
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_factored_symmetry_residual_matches_dense_on_s4(kind):
+    g = algebra(kind, "S4")
+    gd, mu = gns_and_unitary(kind, "S4")
+    assert mu.legs.exact
+    states = oracle_states(kind, "S4")
+    residuals = []
+    for st in states[::5]:  # 6 of the 30 subgroups, orders 1 to 24
+        c_basis = left_slice(g, st.coeffs)
+        res = symmetry_residual(g, gd, mu, c_basis)
+        assert abs(res - dense_symmetry_residual(g, gd, mu.v, c_basis)) <= 1e-12
+        residuals.append(res)
+    if kind == "ga":  # non-normal subgroups among them: not 0 = 0
+        assert max(residuals) > 0.1
+
+
+def test_symmetry_fallback_on_a_valid_v_outside_pi_a():
+    g = algebra("ga", "S3")
+    gd, mu = gns_and_unitary("ga", "S3")
+    # u commutes with pi(A), so V^*(1 (x) u^* pi(c) u)V is unchanged
+    twisted = MultUnitary(v=right_regular_twist(g, gd, mu, 1))
+    assert not twisted.leg_factors(gd).exact
+    for st in oracle_states("ga", "S3"):
+        c_basis = left_slice(g, st.coeffs)
+        res = symmetry_residual(g, gd, twisted, c_basis)
+        assert abs(res - symmetry_residual(g, gd, mu, c_basis)) <= 1e-12
+        assert abs(res - kron_symmetry_residual(g, gd, twisted.v, c_basis)) <= 1e-12
+
+
 @pytest.mark.parametrize("kind", ["fn", "ga"])
 def test_invariant_subalgebra_on_dense_basis(kind):
     # L_omega is not symmetric in a dense basis, so the conditional
@@ -357,6 +396,17 @@ def test_classify_epsilon_and_haar():
     gd, mu = gns_and_unitary("fn", "S3")
     assert classify(g, g.counit, gd=gd, mu=mu).is_haar
     assert classify(g, g.haar, gd=gd, mu=mu).is_haar
+
+
+def test_classify_every_solver_state_on_fn_s4():
+    g = algebra("fn", "S4")
+    gd, mu = gns_and_unitary("fn", "S4")
+    found = solved("fn", "S4", seed=0)
+    assert len(found) == 30
+    for st in found:
+        c = classify(g, st, gd=gd, mu=mu)  # raises if the criteria disagree
+        assert c.is_haar
+        assert c.null_space_dim == g.dim - np.count_nonzero(np.abs(st.coeffs) > 1e-6)
 
 
 def test_tracial_idempotents_are_haar():

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qgidem as qg
+from qgidem import analysis
 from qgidem.analysis import quotient_quantum_group
 from qgidem.cli import main
+from qgidem.core import InternalConsistencyError
 from qgidem.serialize import qg_to_dict, save_json, state_to_dict
 from qgidem.states import subgroup_state_fn
 
@@ -231,3 +237,28 @@ def test_malformed_walk_init_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "walk", "fn:Z4", "--init", str(init))
     assert code == 2
     assert err.count("\n") == 1 and "KeyError" in err and "coeffs" in err
+
+
+def test_internal_inconsistency_exits_3(capsys, monkeypatch):
+    def disagree(*args, **kwargs):
+        raise InternalConsistencyError("Haar criteria disagree: test")
+
+    monkeypatch.setattr(analysis, "classify", disagree)
+    code, _, err = run(capsys, "classify", "fn:Z2")
+    assert code == 3
+    assert "Haar criteria disagree" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-m", "qgidem", "validate", "fn:Z2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "passed: True" in result.stdout

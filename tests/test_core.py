@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,15 +7,24 @@ import qgidem as qg
 from qgidem.core import (
     QuantumGroupError,
     StructuralError,
+    _coproduct_defect_dense,
     antipode_slice_defect,
     coproduct_defect,
     intertwiner_defect,
     multiplicative_unitary,
     pentagon_defect,
+    second_leg_factors,
     unitarity_defect,
 )
 
-from helpers import algebra, basis_vector, dense_algebra, gns_and_unitary, group
+from helpers import (
+    algebra,
+    basis_vector,
+    dense_algebra,
+    gns_and_unitary,
+    group,
+    right_regular_twist,
+)
 
 
 SMALL_GROUPS = ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z2xZ2", "S3", "D4", "Q8"]
@@ -285,6 +296,62 @@ def test_dense_pentagon_matches_kron_reference(kind, name):
         assert abs(pentagon_defect(v) - kron_pentagon_defect(v)) <= 1e-12
     # the permuted V breaks the pentagon, so the parity above is not 0 = 0
     assert pentagon_defect(second_leg_permuted(mu.v)) > 0.1
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("kind,name", [("fn", "S3"), ("ga", "S3"), ("fn", "Q8"), ("ga", "Q8")])
+def test_second_leg_factors_rebuild_v(kind, name, dense):
+    g = dense_algebra(kind, name)[0] if dense else algebra(kind, name)
+    gd = qg.gns(g)
+    mu = multiplicative_unitary(g, gd)
+    n = g.dim
+    legs = mu.legs
+    assert legs.exact and legs.remainder < 1e-13
+    # sum_k F_k (x) g_k, legs ordered as in V[(a, b), (c, d)]
+    rebuilt = np.einsum("kac,kbd->abcd", legs.factors, legs.basis).reshape(n * n, n * n)
+    assert np.abs(rebuilt - mu.v).max() < 1e-13
+    gram = np.einsum("kbd,lbd->kl", legs.basis.conj(), legs.basis)
+    assert np.abs(gram - np.eye(n)).max() < 1e-13
+
+
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_factored_coproduct_defect_matches_dense_on_s4(kind):
+    g = algebra(kind, "S4")
+    gd, mu = gns_and_unitary(kind, "S4")
+    # the V that multiplicative_unitary builds is checked on its factors
+    assert mu.legs.exact and mu.legs.remainder < 1e-13
+    dense = _coproduct_defect_dense(g, gd, mu.v)
+    assert abs(coproduct_defect(g, gd, mu.v) - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [1, 3, 5])
+def test_coproduct_fallback_on_a_valid_v_outside_pi_a(s):
+    g = algebra("ga", "S3")
+    gd, mu = gns_and_unitary("ga", "S3")
+    twisted = right_regular_twist(g, gd, mu, s)
+    assert unitarity_defect(twisted) < 1e-12
+    legs = second_leg_factors(gd, twisted)
+    assert not legs.exact
+    assert 4.2 <= legs.remainder <= 4.9
+    defect = coproduct_defect(g, gd, twisted)
+    assert defect < 1e-12
+    assert abs(defect - kron_coproduct_defect(g, gd, twisted)) <= 1e-12
+
+
+def test_coproduct_defect_memory_on_d16():
+    g = qg.function_algebra(qg.dihedral_group(16))  # n = 32
+    gd = qg.gns(g)
+    v = multiplicative_unitary(g, gd).v
+    tracemalloc.start()
+    try:
+        defect = coproduct_defect(g, gd, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert defect < 1e-12
+    # the dense check held about 80 MiB here (V^* and two n^2 x n^2
+    # products); the factored one keeps about three n^4 arrays
+    assert peak <= 80 * 2**20
 
 
 def test_multiplicative_unitary_flags_noninvariant_haar():

@@ -197,6 +197,17 @@ def test_solver_matches_oracle_on_s4(kind, seed):
     assert hausdorff(list(found), list(oracle)) <= 1e-7
 
 
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_solver_states_sit_on_the_state_face(kind):
+    # a state just off the face has a Gram eigenvalue of ~1e-10 where 0 is
+    # meant, above the null-space cutoff of 1e-10
+    g = algebra(kind, "S4")
+    for st in solved(kind, "S4", seed=0):
+        eigs = np.abs(np.linalg.eigvalsh(g.functional_gram(st.coeffs)))
+        assert not np.any((eigs > 1e-13) & (eigs < 1e-8)), eigs
+        assert idempotency_defect(g, st) <= 1e-12
+
+
 IDEMPOTENT_COUNTS = {"Z2": 2, "Z3": 2, "Z4": 3, "Z2xZ2": 5, "S3": 6, "D4": 10, "Q8": 6}
 
 
