@@ -446,6 +446,30 @@ class GnsData:
         return g
 
     @cached_property
+    def _hs_structure(self) -> tuple[np.ndarray, float]:
+        """(gamma, defect) for the basis g of :attr:`_hs_basis` (n^5).
+
+        g_k g_l^* = sum_m gamma[m, k, l] g_m + E_kl, and ``defect`` is the
+        larger of ||E|| and the distance of the identity from span g.  It is
+        rounding exactly when span g is a unital *-algebra, which holds when
+        pi is multiplicative, so for every valid input.
+        """
+        n = self.dim
+        g = self._hs_basis
+        gmat = g.reshape(n, n * n)
+        g_adj = np.conj(g.transpose(0, 2, 1))
+        gamma = np.empty((n, n, n), dtype=np.complex128)
+        err_sq = 0.0
+        for k in range(n):  # one k at a time keeps the memory at n^3
+            prods = (g[k] @ g_adj).reshape(n, n * n)  # g_k g_l^*
+            gamma[:, k, :] = gmat.conj() @ prods.T
+            err_sq += frobenius(prods - gamma[:, k, :].T @ gmat) ** 2
+        eye = np.eye(n).ravel()
+        defect = max(math.sqrt(err_sq), frobenius(eye - (gmat.conj() @ eye) @ gmat))
+        gamma.setflags(write=False)
+        return gamma, defect
+
+    @cached_property
     def _rep_pinv(self) -> np.ndarray:
         cols = self.left_reg.reshape(self.dim, -1).T
         return np.linalg.pinv(cols)
@@ -484,10 +508,11 @@ class LegFactors:
 
     ``basis[k]`` is g_k (``GnsData._hs_basis``, Hilbert-Schmidt
     orthonormal), ``factors[k]`` is F_k = (id (x) tr(g_k^* .))V, and
-    ``remainder`` is ||R||.  V lies in B(H) (x) pi(A) (Baaj-Skandalis), so R
-    is rounding for every V that :func:`multiplicative_unitary` builds;
-    ``exact`` says R <= 64 eps ||V||, the condition under which the checks
-    may be evaluated on the factors.
+    ``remainder`` is ||R||.  The factored checks assume two things: that R
+    is rounding (V lies in B(H) (x) pi(A), Baaj-Skandalis) and that span g
+    is closed under products and adjoints (``GnsData._hs_structure``).
+    ``exact`` says both hold, R <= 64 eps ||V|| and the closure defect
+    <= 64 eps n; when it is false the checks run their dense loops.
     """
 
     basis: np.ndarray
@@ -515,7 +540,8 @@ def second_leg_factors(gd: GnsData, v) -> LegFactors:
         factors[:, a, :] = f.T
         rem_sq += frobenius(rows - f @ gmat) ** 2
     remainder = math.sqrt(rem_sq)
-    exact = remainder <= 64 * np.finfo(float).eps * frobenius(v)
+    eps = np.finfo(float).eps
+    exact = remainder <= 64 * eps * frobenius(v) and gd._hs_structure[1] <= 64 * eps * n
     factors.setflags(write=False)
     return LegFactors(basis=g, factors=factors, remainder=remainder, exact=exact)
 
@@ -621,7 +647,8 @@ def _coproduct_defect_factored(qg, gd, legs: LegFactors) -> float:
     """The coproduct defect from V = sum_k F_k (x) g_k, at n^6.
 
     V (pi(e_i) (x) 1) V^* = sum_kl F_k pi(e_i) F_l^* (x) g_k g_l^*, and
-    g_k g_l^* = sum_m gamma[m, k, l] g_m because pi(A) is a *-algebra.  With
+    g_k g_l^* = sum_m gamma[m, k, l] g_m because pi(A) is a *-algebra
+    (``GnsData._hs_structure``; ``legs.exact`` says it is one).  With
     g orthonormal the defect for e_i is the norm of the n matrices
     D_m = sum_kl gamma[m, k, l] F_k pi(e_i) F_l^* - (id (x) tr(g_m^* .))
     (pi (x) pi)Delta(e_i).  For each m one (n x n^2)(n^2 x n^2) GEMM gives
@@ -632,9 +659,7 @@ def _coproduct_defect_factored(qg, gd, legs: LegFactors) -> float:
     gmat = g.reshape(n, n * n)
     reg = gd.left_reg  # reg[i, x, y] = pi(e_i)
     reg_flat = reg.reshape(n, n * n)
-    prods = np.matmul(g[:, None], np.conj(g.transpose(0, 2, 1))[None])  # g_k g_l^*
-    gamma = (gmat.conj() @ prods.reshape(n * n, n * n).T).reshape(n, n, n)
-    del prods
+    gamma = gd._hs_structure[0]
     # pi(e_i) F_l^* as z[(l, x), (i, c)]
     w = reg.reshape(n * n, n) @ np.conj(f).reshape(n * n, n).T  # [(i, x), (l, c)]
     z = np.ascontiguousarray(w.reshape(n, n, n, n).transpose(2, 1, 0, 3)).reshape(n * n, n * n)

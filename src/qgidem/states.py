@@ -17,6 +17,7 @@ import numpy as np
 from .cayley import CayleyTable, is_subgroup
 from .core import (
     FiniteQuantumGroup,
+    GnsData,
     InternalConsistencyError,
     gns,
 )
@@ -261,7 +262,7 @@ def _generated_support(qg, idxs) -> np.ndarray:
     return mask
 
 
-def _solver_starts(qg, cfg, z, w_p):
+def _solver_starts(qg, cfg, z, w_p, gd):
     """Initial points for the multi-start Newton solve.
 
     Always includes the counit and the Haar state.  Deterministic probes
@@ -280,7 +281,6 @@ def _solver_starts(qg, cfg, z, w_p):
     """
     n = qg.dim
     rng = np.random.default_rng(cfg.seed)
-    gd = gns(qg)
     diag_states = np.einsum("jkk->jk", gd.left_reg)  # column i: psi_i(e_j)
     w_u = np.conj(qg.unit) / np.vdot(qg.unit, qg.unit).real
     eps = qg.counit
@@ -458,7 +458,8 @@ def solve_idempotents(
     squared residual passes an Armijo test at ``1e-4``.  Solutions with a
     residual above ``newton_tol`` or failing the state test are discarded
     and the rest deduplicated at ``dedup_tol`` (sup norm) in a canonical
-    order, then snapped onto the state face (:func:`_snap_to_states`).
+    order, then snapped onto the state face (:func:`_snap_to_states`) and
+    deduplicated again.
     Deterministic for a fixed seed.  The result always contains the counit
     and the Haar state; no completeness claim is made for a general quantum
     group (the CLI reports findings as "found").
@@ -468,7 +469,7 @@ def solve_idempotents(
     near 2**13 complex numbers.  Per start the cost is ``n^3`` for the
     probe and its Cesaro warm-up, ``n^3`` per Newton iteration and
     line-search trial, and ``n^3`` for the state test; per state found the
-    snap costs one ``n x n`` eigh.
+    snap costs one ``n x n`` eigh and one state test.
     """
     cfg = SolveConfig() if cfg is None else cfg
     n = qg.dim
@@ -476,46 +477,65 @@ def solve_idempotents(
         return [State(qg, np.ones(1) / qg.unit[0])]
 
     w_p, z = _constraint_chart(qg)
-    t0 = _solver_starts(qg, cfg, z, w_p)
+    gd = gns(qg)
+    t0 = _solver_starts(qg, cfg, z, w_p, gd)
     solutions, residuals, _ = _newton_polish_batch(
         qg.comult, w_p, z, t0, min(cfg.newton_tol, 1e-13), cfg.max_iter
     )
     candidates = solutions[residuals <= cfg.newton_tol]
     states = candidates[_state_mask(qg, candidates, 1e-9, idempotent=True)]
     kept = sorted((State(qg, w) for w in states), key=State.sort_key)
+    unique = _dedup(kept, cfg.dedup_tol)
+    snapped = _snap_to_states(
+        qg, gd, np.array([st.coeffs for st in unique]).reshape(-1, n), cfg.dedup_tol
+    )
+    return _dedup([State(qg, w) for w in snapped], cfg.dedup_tol)
 
+
+def _dedup(states: list[State], tol: float) -> list[State]:
+    """The states in order, each dropped when within ``tol`` (sup norm) of
+    one kept before it."""
     unique: list[State] = []
-    for st in kept:
-        if any(
-            np.abs(st.coeffs - seen.coeffs).max() <= cfg.dedup_tol for seen in unique
-        ):
+    for st in states:
+        if any(np.abs(st.coeffs - seen.coeffs).max() <= tol for seen in unique):
             continue
         unique.append(st)
-    snapped = _snap_to_states(qg, np.array([st.coeffs for st in unique]).reshape(-1, n))
-    return [State(qg, w) for w in snapped]
+    return unique
 
 
-def _snap_to_states(qg: FiniteQuantumGroup, ws) -> np.ndarray:
+def _snap_to_states(
+    qg: FiniteQuantumGroup, gd: GnsData, ws, max_move: float
+) -> np.ndarray:
     """Move each row of ws onto the face of states its Gram matrix spans.
 
     Newton can stop on an idempotent functional a little off the state
     face: a Gram eigenvalue of ~1e-10 where 0 is meant, which the later
-    null-space cutoff reads as a nonzero direction.  The Hermitian part of
-    the Gram matrix G[i, j] = omega(e_i^* e_j) loses its eigenvalues below
-    ``1e-8`` times the largest, omega is read back as
-    omega(e_j) = sum_i conj(1_i) G[i, j] (the unit is sum_i 1_i e_i) and
-    renormalised at the unit.  One ``n x n`` eigh per row, in blocks of
-    :func:`_blocks`.
+    null-space cutoff reads as a nonzero direction.  The cutoff is taken
+    in GNS-orthonormal coordinates, on omega(f_k^* f_l) for an orthonormal
+    basis f of L^2(h), whose spectrum does not depend on the basis of A:
+    its Hermitian part loses the eigenvalues below ``1e-8`` times the
+    largest, the Gram matrix G[i, j] = omega(e_i^* e_j) is rebuilt from it,
+    omega is read back as omega(e_j) = sum_i conj(1_i) G[i, j] (the unit is
+    sum_i 1_i e_i) and renormalised at the unit.  A row takes the snapped
+    value only when that moved it by at most ``max_move`` (sup norm) and is
+    still an idempotent state at ``1e-9``; otherwise it is kept as it was.
+    One ``n x n`` eigh per row, in blocks of :func:`_blocks`.
     """
-    out = np.empty_like(ws)
-    for sl in _blocks(len(ws), qg.dim):
-        g = qg.functional_gram(ws[sl])
+    # G = onb_inv^* G' onb_inv, so conj(1) G = conj(Lambda(1)) G' onb_inv
+    unit_h = np.conj(gd.vector(qg.unit))
+    out = np.array(ws, dtype=np.complex128)
+    for sl in _blocks(len(out), qg.dim):
+        g = np.conj(gd.onb.T) @ qg.functional_gram(out[sl]) @ gd.onb
         g = (g + np.conj(g.swapaxes(-1, -2))) / 2
         vals, vecs = np.linalg.eigh(g)
         vals = np.where(vals >= 1e-8 * vals[..., -1:], vals, 0.0)
         g = (vecs * vals[..., None, :]) @ np.conj(vecs.swapaxes(-1, -2))
-        w = np.conj(qg.unit) @ g
-        out[sl] = w / (w @ qg.unit)[..., None]
+        w = (unit_h @ g) @ gd.onb_inv
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = w / (w @ qg.unit)[..., None]
+        keep = np.flatnonzero(np.abs(w - out[sl]).max(axis=-1) <= max_move)
+        keep = keep[_state_mask(qg, w[keep], 1e-9, idempotent=True)]
+        out[sl][keep] = w[keep]
     return out
 
 

@@ -1,5 +1,6 @@
 """Shared constructions for the test suite, cached across modules."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -55,6 +56,27 @@ def right_regular_twist(g, gd, mu, s):
     e_s[s] = 1.0
     u = gd.onb_inv @ g.right_mult_matrix(e_s) @ gd.onb
     return np.kron(np.eye(g.dim), u) @ mu.v
+
+
+def non_associative_case(kind, name, size=1e-3, seed=0):
+    """(g, gd, v): algebra(kind, name) with its product perturbed by a seeded
+    Gaussian of scale ``size``, and v = sum_r X_r (x) pi(e_r) for random X_r.
+
+    The perturbed product is not associative, so span pi(A) is not closed
+    under products, while v's second leg still lies in that span.  The unit
+    stays a left unit, so pi(1) = 1 still lies in the span.
+    """
+    base = algebra(kind, name)
+    rng = np.random.default_rng(seed)
+    p = size * rng.standard_normal(base.mult.shape)
+    u = base.unit / np.vdot(base.unit, base.unit)
+    p = p - np.multiply.outer(np.conj(u), np.tensordot(base.unit, p, axes=(0, 0)))
+    g = dataclasses.replace(base, mult=base.mult + p)
+    gd = qg.gns(g)
+    n = g.dim
+    x = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    v = np.einsum("rac,rbd->abcd", x, gd.left_reg).reshape(n * n, n * n)
+    return g, gd, v
 
 
 def random_unitary(n, rng):

@@ -43,6 +43,7 @@ from helpers import (
     basis_vector,
     dense_algebra,
     gns_and_unitary,
+    non_associative_case,
     group,
     match_state,
     oracle_states,
@@ -249,6 +250,17 @@ def test_symmetry_fallback_on_a_valid_v_outside_pi_a():
         res = symmetry_residual(g, gd, twisted, c_basis)
         assert abs(res - symmetry_residual(g, gd, mu, c_basis)) <= 1e-12
         assert abs(res - kron_symmetry_residual(g, gd, twisted.v, c_basis)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_symmetry_fallback_when_pi_a_is_not_closed(kind):
+    g, gd, v = non_associative_case(kind, "S3")
+    mu = MultUnitary(v=v)
+    assert not mu.leg_factors(gd).exact
+    for st in oracle_states(kind, "S3"):
+        c_basis = left_slice(g, st.coeffs)
+        res = symmetry_residual(g, gd, mu, c_basis)
+        assert abs(res - kron_symmetry_residual(g, gd, v, c_basis)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["fn", "ga"])

@@ -22,6 +22,7 @@ from helpers import (
     basis_vector,
     dense_algebra,
     gns_and_unitary,
+    non_associative_case,
     group,
     right_regular_twist,
 )
@@ -336,6 +337,16 @@ def test_coproduct_fallback_on_a_valid_v_outside_pi_a(s):
     defect = coproduct_defect(g, gd, twisted)
     assert defect < 1e-12
     assert abs(defect - kron_coproduct_defect(g, gd, twisted)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_coproduct_fallback_when_pi_a_is_not_closed(kind):
+    g, gd, v = non_associative_case(kind, "S3")
+    assert gd._hs_structure[1] > 1e-6
+    legs = second_leg_factors(gd, v)
+    # the slices rebuild v, but g_k g_l^* leaves their span
+    assert legs.remainder < 1e-13 and not legs.exact
+    assert abs(coproduct_defect(g, gd, v) - kron_coproduct_defect(g, gd, v)) <= 1e-12
 
 
 def test_coproduct_defect_memory_on_d16():

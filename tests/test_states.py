@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from qgidem.states import (
     _cholesky_each,
     _constraint_chart,
     _newton_polish_batch,
+    _snap_to_states,
     _solver_starts,
     _state_mask,
 )
@@ -35,6 +37,7 @@ from helpers import (
     PROPERTY_GROUPS,
     SOLVER_CASES,
     algebra,
+    change_basis,
     dense_algebra,
     group,
     hausdorff,
@@ -208,6 +211,51 @@ def test_solver_states_sit_on_the_state_face(kind):
         assert idempotency_defect(g, st) <= 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-5, 1e5])
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_solver_on_a_badly_scaled_basis(kind, scale):
+    # one basis vector scaled by 1e5 either way: the Haar Gram spans ten
+    # orders of magnitude, so the snap's cutoff must not read it in this
+    # basis (the tolerance is lowered so that gns accepts the Haar state)
+    base = algebra(kind, "S3")
+    t = np.eye(base.dim)
+    t[-1, -1] = scale
+    g = dataclasses.replace(change_basis(base, t), tol=1e-13)
+    found = solve_idempotents(g, SolveConfig(starts=200, seed=0))
+    t_inv = np.linalg.inv(t)
+    moved = [State(g, st.coeffs @ t_inv) for st in oracle_states(kind, "S3")]
+    tol = 1e-7 * max(1.0, 1 / scale)  # the largest coefficient is 1 / scale
+    assert len(found) == len(moved) == 6
+    for target in (base.haar @ t_inv, base.counit @ t_inv):
+        assert min(np.abs(st.coeffs - target).max() for st in found) <= tol
+    assert hausdorff(list(found), moved) <= tol
+    for st in found:
+        assert is_idempotent(g, st)
+
+
+def test_snap_on_a_badly_scaled_basis():
+    # subgroup states of fn:S3 with +-1e-10 off their support, the drift
+    # Newton leaves, in a basis whose Haar Gram spans ten orders of
+    # magnitude: the snap must remove the drift and keep the state
+    base = algebra("fn", "S3")
+    t = np.eye(base.dim)
+    t[-1, -1] = 1e5
+    g = dataclasses.replace(change_basis(base, t), tol=1e-13)
+    t_inv = np.linalg.inv(t)
+    exact, drifted = [], []
+    for st in oracle_states("fn", "S3"):
+        off = np.flatnonzero(st.coeffs == 0)
+        if off.size < 2:
+            continue
+        w = st.coeffs.copy()
+        w[off[:2]] = 1e-10, -1e-10
+        exact.append(st.coeffs @ t_inv)
+        drifted.append(w @ t_inv)
+    snapped = _snap_to_states(g, qg.gns(g), np.array(drifted), 1e-7)
+    assert len(snapped) == 5
+    assert np.abs(snapped - np.array(exact)).max() <= 1e-13
+
+
 IDEMPOTENT_COUNTS = {"Z2": 2, "Z3": 2, "Z4": 3, "Z2xZ2": 5, "S3": 6, "D4": 10, "Q8": 6}
 
 
@@ -315,7 +363,8 @@ def _reference_polish(d, w_p, z, t0, tol, max_iter):
 
 def _solver_starts_for(g, starts=500):
     w_p, z = _constraint_chart(g)
-    return w_p, z, _solver_starts(g, SolveConfig(starts=starts, seed=0), z, w_p)
+    cfg = SolveConfig(starts=starts, seed=0)
+    return w_p, z, _solver_starts(g, cfg, z, w_p, qg.gns(g))
 
 
 @pytest.mark.parametrize("kind,name", [("fn", "S3"), ("ga", "D4"), ("fn", "S4")])
