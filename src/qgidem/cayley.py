@@ -201,41 +201,52 @@ def is_subgroup(ct: CayleyTable, subset) -> bool:
     return True
 
 
+def _closure(ct: CayleyTable, mask: np.ndarray) -> np.ndarray:
+    """Boolean mask of the subgroup generated by the elements of ``mask``.
+
+    Each round adds inverses and all products of members; a set holding
+    words of length up to L then holds those up to 2L, so about
+    log2(order) rounds of |members|^2 table lookups suffice.
+    """
+    mask = mask.copy()
+    mask[ct.identity] = True
+    while True:
+        mask[ct.inverse[mask]] = True
+        idx = np.flatnonzero(mask)
+        grown = mask.copy()
+        grown[ct.table[np.ix_(idx, idx)]] = True
+        if np.array_equal(grown, mask):
+            return mask
+        mask = grown
+
+
 def generated_subgroup(ct: CayleyTable, generators) -> tuple[int, ...]:
     """Closure of a set of elements under the group operation."""
-    members = {ct.identity}
-    members.update(int(g) for g in generators)
-    frontier = list(members)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(members):
-                for c in (ct.mul(a, b), ct.mul(b, a), ct.inv(a)):
-                    if c not in members:
-                        members.add(c)
-                        new.append(c)
-        frontier = new
-    return tuple(sorted(members))
+    mask = np.zeros(ct.order, dtype=bool)
+    mask[[int(g) for g in generators]] = True
+    return tuple(int(x) for x in np.flatnonzero(_closure(ct, mask)))
 
 
 def all_subgroups(ct: CayleyTable) -> list[tuple[int, ...]]:
     """Every subgroup, as sorted index tuples, found by closure extension."""
-    trivial = (ct.identity,)
-    found = {trivial}
+    trivial = np.zeros(ct.order, dtype=bool)
+    trivial[ct.identity] = True
+    found = {trivial.tobytes(): trivial}
     frontier = [trivial]
     while frontier:
         nxt = []
         for sub in frontier:
-            members = set(sub)
-            for g in range(ct.order):
-                if g in members:
-                    continue
-                new = generated_subgroup(ct, members | {g})
-                if new not in found:
-                    found.add(new)
+            for g in np.flatnonzero(~sub):
+                grown = sub.copy()
+                grown[g] = True
+                new = _closure(ct, grown)
+                key = new.tobytes()
+                if key not in found:
+                    found[key] = new
                     nxt.append(new)
         frontier = nxt
-    return sorted(found, key=lambda s: (len(s), s))
+    subs = [tuple(int(x) for x in np.flatnonzero(m)) for m in found.values()]
+    return sorted(subs, key=lambda s: (len(s), s))
 
 
 def is_normal_subgroup(ct: CayleyTable, subset) -> bool:

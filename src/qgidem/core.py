@@ -46,6 +46,14 @@ def frobenius(x) -> float:
     return float(np.linalg.norm(np.asarray(x).ravel()))
 
 
+def _checked_tol(tol) -> float:
+    """``tol`` as a float; a non-positive or non-finite one is an input error
+    (with ``nan`` every ``residual > tol`` test is False, so nothing fails)."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise StructuralError(f"tol must be a positive finite number, got {tol!r}")
+    return float(tol)
+
+
 def _as_complex(x, shape, name):
     arr = np.asarray(x, dtype=np.complex128)
     if arr.shape != shape:
@@ -85,10 +93,7 @@ class FiniteQuantumGroup:
         object.__setattr__(self, "counit", _as_complex(self.counit, (n,), "counit"))
         object.__setattr__(self, "antipode", _as_complex(self.antipode, (n, n), "antipode"))
         object.__setattr__(self, "haar", _as_complex(self.haar, (n,), "haar"))
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise StructuralError(
-                f"tol must be a positive finite number, got {self.tol!r}"
-            )
+        _checked_tol(self.tol)
 
     # -- pointwise operations on coordinate vectors --------------------
 
@@ -197,15 +202,67 @@ def _rank(matrix, rel_tol=1e-8):
     return int(np.sum(s > rel_tol * s[0]))
 
 
+def _full_rank_certified(t, x, rel_tol=1e-8) -> bool:
+    """True when ``x`` proves that ``_rank(t, rel_tol)`` is ``len(t)``.
+
+    With R = T X - 1, sigma_min(T) >= (1 - ||R||) / ||X|| and
+    sigma_max(T) <= ||T||_F, so ||R||_F <= 1/2 and
+    ||T||_F ||X||_F < 1 / (2 rel_tol) give sigma_min / sigma_max > rel_tol.
+    One n x n GEMM; False says nothing about the rank.
+    """
+    r = t @ x
+    r.flat[:: r.shape[0] + 1] -= 1.0
+    return frobenius(r) <= 0.5 and frobenius(t) * frobenius(x) < 0.5 / rel_tol
+
+
+# the cancellation span matrices, T[(p, q), (i, j)], and the maps that
+# invert them in a Hopf algebra with S^2 = id, X[(i, j), (r, s)]:
+#   right: e_i (x) e_j -> Delta(e_i)(e_j (x) 1),
+#          inverse a (x) b -> b_(2) (x) S^-1(b_(1)) a;
+#   left:  e_i (x) e_j -> Delta(e_i)(1 (x) e_j),
+#          inverse a (x) b -> a_(1) (x) S(a_(2)) b.
+_CANCELLATION_SPECS = {
+    "right": ("iaq,ajp->pqij", "sui,tu,trj->ijrs"),
+    "left": ("ipb,bjq->pqij", "rik,tk,tsj->ijrs"),
+}
+
+
+def _cancellation_pair(qg: FiniteQuantumGroup, side: str):
+    """(T, X) for one cancellation span, both n^2 x n^2, built in n^5."""
+    n = qg.dim
+    span, inverse = _CANCELLATION_SPECS[side]
+    t = np.einsum(span, qg.comult, qg.mult, optimize=True).reshape(n * n, n * n)
+    x = np.einsum(inverse, qg.comult, qg.antipode, qg.mult, optimize=True)
+    return t, x.reshape(n * n, n * n)
+
+
+def _cancellation_rank(qg: FiniteQuantumGroup, side: str) -> int:
+    """Rank of one cancellation span: certified full through the antipode's
+    inverse (n^5 and one n^2 x n^2 GEMM), else by SVD (``_rank``)."""
+    t, x = _cancellation_pair(qg, side)
+    if _full_rank_certified(t, x):
+        return t.shape[0]
+    del x
+    return _rank(t)
+
+
 def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationReport:
     """Check every axiom and report the max residual of each.
 
     Residuals are exact tensor identities evaluated on the basis; the
     report passes iff all residuals are within ``tol`` and both quantum
     cancellation spans have full dimension ``n^2``.
+
+    Each cancellation rank is first certified full through the explicit
+    inverse of its span map that the antipode gives (Van Daele, Trans.
+    AMS 1994): n^5 to build it and one n^2 x n^2 GEMM (n^6, BLAS-3).  Only
+    when that certificate fails (a wrong or non-Kac antipode, a deficient
+    span) is the rank taken from an SVD of the n^2 x n^2 span matrix, the
+    only path that can report a deficient rank.  The residuals cost n^6 at
+    most (the multiplicativity check is one n^2 x n^2 GEMM).
     """
     n = qg.dim
-    tol = qg.tol if tol is None else float(tol)
+    tol = qg.tol if tol is None else _checked_tol(tol)
     m, d = qg.mult, qg.comult
     u, eps, h = qg.unit, qg.counit, qg.haar
     st, s = qg.star, qg.antipode
@@ -279,10 +336,8 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
         ein("ijk,k->ij", d, h) - np.outer(h, u)
     )
 
-    # quantum cancellation laws as rank conditions
-    span_right = ein("iaq,ajp->pqij", d, m).reshape(n * n, n * n)
-    span_left = ein("ipb,bjq->pqij", d, m).reshape(n * n, n * n)
-    ranks = (_rank(span_right), _rank(span_left))
+    # quantum cancellation laws as rank conditions, one span at a time
+    ranks = (_cancellation_rank(qg, "right"), _cancellation_rank(qg, "left"))
 
     return ValidationReport(dim=n, tol=tol, residuals=r, cancellation_ranks=ranks)
 
@@ -582,9 +637,12 @@ class MultUnitary:
 
 
 def unitarity_defect(v) -> float:
+    """||V V^* - 1||, which equals ||V^* V - 1|| for a square V: both
+    products have the eigenvalues sigma_k^2.  One GEMM."""
     v = np.asarray(v)
-    eye = np.eye(v.shape[0])
-    return max(frobenius(v @ v.conj().T - eye), frobenius(v.conj().T @ v - eye))
+    p = v @ v.conj().T
+    p.flat[:: p.shape[0] + 1] -= 1
+    return frobenius(p)
 
 
 def _apply_leg(v, x, legs):
@@ -709,7 +767,7 @@ def multiplicative_unitary(
     each), which leaves one n^5 contraction over the index shared by the
     coproduct and the product: V is built in n^5.  V is then sliced against
     a basis of pi(A) once (n^5; kept on the result as ``legs``).  Above
-    n = 12 the checks cost n^6 in all: the two n^2 x n^2 products of the
+    n = 12 the checks cost n^6 in all: the one n^2 x n^2 product of the
     unitarity test and the coproduct identity evaluated on the slices,
     with the pentagon sampled at n^5 per vector; up to n = 12 the dense
     pentagon (n^8) dominates.
@@ -721,7 +779,7 @@ def multiplicative_unitary(
     determined by the axioms alone).
     """
     gd = gns(qg) if gd is None else gd
-    tol = qg.tol if tol is None else float(tol)
+    tol = qg.tol if tol is None else _checked_tol(tol)
     n = qg.dim
     # V[a, b, c, d] = sum_r left[c, a, r] right[r, d, b]
     left = np.einsum("ic,ap,ipr->car", gd.onb, gd.onb_inv, qg.comult, optimize=True)

@@ -76,6 +76,51 @@ def test_subgroup_counts(name, count):
         assert is_subgroup(ct, sub)
 
 
+def reference_all_subgroups(ct):
+    """Closure extension with element-by-element products, no numpy."""
+
+    def closure(gens):
+        members = {ct.identity} | set(gens)
+        frontier = list(members)
+        while frontier:
+            new = []
+            for a in frontier:
+                for b in list(members):
+                    for c in (ct.mul(a, b), ct.mul(b, a), ct.inv(a)):
+                        if c not in members:
+                            members.add(c)
+                            new.append(c)
+            frontier = new
+        return tuple(sorted(members))
+
+    found = {(ct.identity,)}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for g in set(range(ct.order)) - set(sub):
+                new = closure(set(sub) | {g})
+                if new not in found:
+                    found.add(new)
+                    nxt.append(new)
+        frontier = nxt
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+@pytest.mark.parametrize("name", builtin_group_names())
+def test_all_subgroups_matches_reference(name):
+    ct = builtin_group(name)
+    assert all_subgroups(ct) == reference_all_subgroups(ct)
+
+
+@pytest.mark.parametrize("k,count", [(12, 34), (16, 36)])
+def test_dihedral_subgroup_counts(k, count):
+    # D_k has tau(k) + sigma(k) subgroups: 6 + 28 for k = 12, 5 + 31 for k = 16
+    subs = all_subgroups(dihedral_group(k))
+    assert len(subs) == count
+    assert len(set(subs)) == count
+
+
 def test_generated_subgroup():
     ct = cyclic_group(6)
     assert generated_subgroup(ct, [2]) == (0, 2, 4)

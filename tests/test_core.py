@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,10 @@ import qgidem as qg
 from qgidem.core import (
     QuantumGroupError,
     StructuralError,
+    _cancellation_pair,
     _coproduct_defect_dense,
+    _full_rank_certified,
+    _rank,
     antipode_slice_defect,
     coproduct_defect,
     intertwiner_defect,
@@ -59,6 +63,73 @@ def test_cancellation_ranks_s3():
     assert report.cancellation_ranks == (36, 36)
 
 
+def reference_spans(g):
+    """The cancellation span matrices for Delta(a)(b (x) 1), Delta(a)(1 (x) b),
+    built independently of the library."""
+    n = g.dim
+    right = np.einsum("iaq,ajp->pqij", g.comult, g.mult).reshape(n * n, n * n)
+    left = np.einsum("ipb,bjq->pqij", g.comult, g.mult).reshape(n * n, n * n)
+    return right, left
+
+
+def assert_certified_ranks_match_svd(g):
+    report = qg.validate(g)
+    full = g.dim**2
+    assert report.cancellation_ranks == tuple(_rank(t) for t in reference_spans(g))
+    assert report.cancellation_ranks == (full, full)
+    for side, ref in zip(("right", "left"), reference_spans(g)):
+        t, x = _cancellation_pair(g, side)
+        assert np.abs(t - ref).max() <= 1e-14
+        # the SVD is skipped on every valid input
+        assert _full_rank_certified(t, x)
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_certified_cancellation_ranks_match_svd(kind, name):
+    assert_certified_ranks_match_svd(algebra(kind, name))
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "S4"])
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_certified_cancellation_ranks_match_svd_on_dense_basis(kind, name):
+    assert_certified_ranks_match_svd(dense_algebra(kind, name)[0])
+
+
+def test_deficient_cancellation_ranks_come_from_the_svd():
+    # the semigroup algebra of the monoid {0,1} x {0,1} under multiplication,
+    # Delta(x) = x (x) x: a bialgebra without antipode, and
+    # span{x (x) xy} has dimension sum_x |xM| = (1 + 2)^2 = 9 < 16
+    elems = [(a, b) for a in (0, 1) for b in (0, 1)]
+    n = len(elems)
+    mult = np.zeros((n, n, n))
+    comult = np.zeros((n, n, n))
+    for i, (a, b) in enumerate(elems):
+        comult[i, i, i] = 1.0
+        for j, (c, d) in enumerate(elems):
+            mult[i, j, elems.index((a * c, b * d))] = 1.0
+    monoid = qg.FiniteQuantumGroup(
+        dim=n, mult=mult, unit=basis_vector(n, elems.index((1, 1))), star=np.eye(n),
+        comult=comult, counit=np.ones(n), antipode=np.eye(n), haar=np.full(n, 1 / n),
+    )
+    report = qg.validate(monoid)
+    assert report.cancellation_ranks == (9, 9)
+    assert {"cancellation_left", "cancellation_right"} <= set(report.failures)
+    assert report.cancellation_ranks == tuple(_rank(t) for t in reference_spans(monoid))
+
+
+def test_wrong_antipode_falls_back_to_the_svd():
+    g = algebra("ga", "S3")
+    wrong = dataclasses.replace(g, antipode=np.eye(g.dim))
+    for side in ("right", "left"):
+        assert not _full_rank_certified(*_cancellation_pair(wrong, side))
+    report = qg.validate(wrong)
+    # the spans do not involve S: still full, now by SVD
+    assert report.cancellation_ranks == (36, 36)
+    assert {"antipode_left", "antipode_right"} <= set(report.failures)
+    assert not {"cancellation_left", "cancellation_right"} & set(report.failures)
+
+
 def test_invalid_haar_fails_validation():
     base = algebra("ga", "Z2")
     bad = qg.FiniteQuantumGroup(
@@ -91,14 +162,32 @@ def test_dimension_mismatch_is_structural_error():
 @pytest.mark.parametrize("tol", [np.inf, -np.inf, np.nan, 0.0, -1e-9])
 def test_non_finite_or_non_positive_tol_is_structural_error(tol):
     base = algebra("fn", "Z2")
-    with pytest.raises(StructuralError, match="tol"):
+    with pytest.raises(StructuralError, match="tol") as err:
         qg.FiniteQuantumGroup(
             dim=2, mult=base.mult, unit=base.unit, star=base.star,
             comult=base.comult, counit=base.counit, antipode=base.antipode,
             haar=base.haar, tol=tol,
         )
+    messages = {str(err.value)}
     with pytest.raises(StructuralError, match="tol"):
         qg.function_algebra(group("Z2"), tol=tol)
+    # an explicit tol to validate or multiplicative_unitary gets the same
+    # check: with nan every residual test fails in validate, and V of a
+    # broken coproduct (unitarity defect about 0.45) would be accepted
+    g = algebra("ga", "S3")
+    rng = np.random.default_rng(0)
+    broken = dataclasses.replace(g, comult=g.comult + 1e-2 * rng.standard_normal(g.comult.shape))
+    gd = qg.gns(broken)
+    with pytest.raises(QuantumGroupError, match="right-invariance defect"):
+        multiplicative_unitary(broken, gd)
+    for call in (
+        lambda: qg.validate(g, tol=tol),
+        lambda: multiplicative_unitary(broken, gd, tol=tol),
+    ):
+        with pytest.raises(StructuralError, match="tol") as err:
+            call()
+        messages.add(str(err.value))
+    assert len(messages) == 1
 
 
 def test_trivial_quantum_group():
@@ -224,6 +313,24 @@ def test_multiplicative_unitary_invariants(kind, name):
     slice_defect, span_rank = antipode_slice_defect(g, gd, mu)
     assert slice_defect < 1e-10
     assert span_rank == g.dim
+
+
+def two_sided_unitarity_defect(v):
+    eye = np.eye(v.shape[0])
+    return max(np.linalg.norm(v @ v.conj().T - eye), np.linalg.norm(v.conj().T @ v - eye))
+
+
+def test_unitarity_defect_matches_two_sided_value():
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    _, mu = gns_and_unitary("fn", "S3")
+    bent = mu.v + 1e-3 * rng.standard_normal(mu.v.shape)
+    for v in (z, bent):
+        ref = two_sided_unitarity_defect(v)
+        assert ref > 1e-3
+        assert abs(unitarity_defect(v) - ref) <= 1e-12 * ref
+    # on V itself both values are rounding, so they agree absolutely
+    assert abs(unitarity_defect(mu.v) - two_sided_unitarity_defect(mu.v)) <= 1e-12
 
 
 def test_pentagon_defect_sampled_path_agrees():
