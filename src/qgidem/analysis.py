@@ -159,10 +159,12 @@ def invariant_subalgebra(
     lw = left_slice(qg, w)
     u = orthonormal_columns(lw)
 
+    # each three-operand einsum goes pairwise through BLAS (n^4) instead of
+    # one n^5 C loop over all indices
     m = qg.mult
     cond = frobenius(
-        np.einsum("pi,qj,pqr->rij", lw, lw, m)
-        - np.einsum("rq,pi,pjq->rij", lw, lw, m)
+        np.einsum("pi,qj,pqr->rij", lw, lw, m, optimize=True)
+        - np.einsum("rq,pi,pjq->rij", lw, lw, m, optimize=True)
     )
     if cond > tol * qg.dim:
         raise QuantumGroupError(
@@ -214,6 +216,10 @@ def verify_conditional_expectation(
     the C-bimodule property, h-preservation, equality with the h-orthogonal
     projection onto C (which is the unique h-preserving expectation), and
     the splitting A = C + C_perp with C_perp = ker E = {a : h(c^* a) = 0}.
+
+    Cost: n^5 for the Choi blocks, n^6 for the eigenvalues of the
+    n^2 x n^2 Choi matrix (the dominant term), k^2 n^3 for the bimodule
+    test over the k basis vectors of C.
     """
     e = np.asarray(e, dtype=np.complex128)
     n = qg.dim
@@ -225,33 +231,18 @@ def verify_conditional_expectation(
     r["fixes_subalgebra"] = frobenius(e @ u - u)
     r["range_in_subalgebra"] = subspace_defect(e, u)
 
-    blocks = np.empty((n, n, n, n), dtype=np.complex128)
-    for i in range(n):
-        e_i = np.zeros(n)
-        e_i[i] = 1.0
-        star_i = qg.star_vec(e_i)
-        row_mat = qg.left_mult_matrix(star_i)  # column j: e_i^* e_j
-        for j in range(n):
-            blocks[i, j] = gd.rep(e @ row_mat[:, j])
+    # block (i, j) is pi(E(e_i^* e_j)); row (i, j) of _star_mult is e_i^* e_j
+    blocks = (qg._star_mult @ e.T @ gd.left_reg.reshape(n, n * n)).reshape(n, n, n, n)
     choi = blocks.transpose(0, 2, 1, 3).reshape(n * n, n * n)
     eigs = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
     r["complete_positivity"] = max(0.0, -float(eigs.min()))
 
-    bimod = 0.0
-    for i in range(u.shape[1]):
-        lm = qg.left_mult_matrix(u[:, i])
-        for j in range(u.shape[1]):
-            x = qg.right_mult_matrix(u[:, j]) @ lm
-            bimod = max(bimod, np.abs(e @ x - x @ e).max())
-    r["bimodule"] = bimod
-
+    r["bimodule"] = _bimodule_defect(qg, e, u)
     r["haar_preserving"] = float(np.abs(qg.haar @ e - qg.haar).max())
-
-    g = np.asarray(qg.haar_gram)
-    proj = u @ np.linalg.solve(u.conj().T @ g @ u, u.conj().T @ g)
-    r["haar_orthogonal_projection"] = frobenius(e - proj)
+    r["haar_orthogonal_projection"] = frobenius(e - _haar_projection(qg, u))
 
     kernel = _kernel_basis(e)
+    g = np.asarray(qg.haar_gram)
     r["kernel_haar_orthogonal"] = (
         frobenius(u.conj().T @ g @ kernel) if kernel.shape[1] else 0.0
     )
@@ -263,6 +254,20 @@ def verify_conditional_expectation(
         dim_kernel=kernel.shape[1],
         tol=tol,
     )
+
+
+def _haar_projection(qg, u) -> np.ndarray:
+    """The h-orthogonal projection onto span(u), the unique h-preserving
+    conditional expectation when span(u) is an expected subalgebra."""
+    g = np.asarray(qg.haar_gram)
+    return u @ np.linalg.solve(u.conj().T @ g @ u, u.conj().T @ g)
+
+
+def _bimodule_defect(qg, e, u) -> float:
+    """max over pairs of basis vectors c, d of C of |[e, x]| for x: a -> c a d,
+    that is, how far e is from a C-bimodule map (k^2 n^3 for k columns)."""
+    x = qg.right_mult_matrix(u.T)[None] @ qg.left_mult_matrix(u.T)[:, None]
+    return float(np.abs(e @ x - x @ e).max(initial=0.0))
 
 
 def _kernel_basis(e, rel_tol: float = 1e-9) -> np.ndarray:
@@ -290,8 +295,10 @@ def symmetry_residual(
     n^2 x n^2 GEMM with V^*, n^6.
     """
     u = orthonormal_columns(np.asarray(c_basis, dtype=np.complex128))
-    reps = [gd.rep(u[:, i]) for i in range(u.shape[1])]
-    q = orthonormal_columns(np.stack([x.ravel() for x in reps], axis=1))
+    if u.shape[1] == 0:
+        return 0.0
+    reps = np.tensordot(u, gd.left_reg, axes=(0, 0))  # reps[c] = pi(u_c)
+    q = orthonormal_columns(reps.reshape(u.shape[1], -1).T)
     legs = mu.leg_factors(gd)
     if legs.exact:
         return _symmetry_residual_factored(legs, reps, q)
@@ -396,7 +403,7 @@ def classify(
     quotient_error = None
     if ideal_ok:
         try:
-            quotient_quantum_group(qg, w, _skip_idempotent_check=True)
+            quotient_quantum_group(qg, w)
             quotient_built = True
         except QuantumGroupError as exc:
             quotient_error = str(exc)
@@ -446,12 +453,10 @@ def quotient_quantum_group(
     qg: FiniteQuantumGroup,
     omega,
     tol: float = CONSTRUCTION_TOL,
-    _skip_idempotent_check: bool = False,
 ) -> QuotientQG:
     """Quotient A by N_omega and equip the result with quantum group data."""
     w = as_coeffs(omega)
-    if not _skip_idempotent_check:
-        _require_idempotent(qg, w)
+    _require_idempotent(qg, w)
     n = qg.dim
     nsp = null_space(qg, w)
     res = ideal_residual(qg, nsp)
@@ -488,16 +493,9 @@ def quotient_quantum_group(
     # e = L_omega(g0)/omega(g0) for the first Gram-positive basis element
     # g0 with omega(g0) != 0 (falling back to the algebra unit)
     lw = left_slice(qg, w)
-    gram_w = qg.functional_gram(w)
-    e_pos = None
-    for i in range(n):
-        if gram_w[i, i].real > 1e-9 and abs(w[i]) > 1e-9:
-            basis = np.zeros(n)
-            basis[i] = 1.0
-            e_pos = lw @ basis / w[i]
-            break
-    if e_pos is None:
-        e_pos = qg.unit.astype(np.complex128)
+    gram_diag = qg.functional_gram(w).diagonal().real
+    hits = np.flatnonzero((gram_diag > 1e-9) & (np.abs(w) > 1e-9))
+    e_pos = lw[:, hits[0]] / w[hits[0]] if hits.size else qg.unit.astype(np.complex128)
     unit_b = proj @ (lw @ e_pos)
     alt_unit = proj @ qg.unit
     if np.abs(unit_b - alt_unit).max() > EQUIVALENCE_TOL:
@@ -506,16 +504,13 @@ def quotient_quantum_group(
         )
 
     # coproduct descends: (pi (x) pi) Delta kills N_omega
-    for col in range(k):
-        img = proj @ qg.comultiply(nsp[:, col]) @ proj.T
-        if frobenius(img) > EQUIVALENCE_TOL:
-            raise InternalConsistencyError(
-                f"(pi (x) pi) Delta does not vanish on the null space "
-                f"({frobenius(img):.2e}), contradicting the ideal property"
-            )
-    comult_b = np.stack(
-        [proj @ qg.comultiply(section[:, i]) @ proj.T for i in range(nb)]
-    )
+    img = np.linalg.norm(proj @ qg.comultiply(nsp.T) @ proj.T, axis=(-2, -1))
+    if np.any(img > EQUIVALENCE_TOL):
+        raise InternalConsistencyError(
+            f"(pi (x) pi) Delta does not vanish on the null space "
+            f"({img[img > EQUIVALENCE_TOL][0]:.2e}), contradicting the ideal property"
+        )
+    comult_b = proj @ qg.comultiply(section.T) @ proj.T
 
     # counit and antipode descend as well
     if k and np.abs(qg.counit @ nsp).max() > EQUIVALENCE_TOL:
@@ -601,27 +596,26 @@ def coaction_checks(
     (id (x) eps) alpha = id, the density rank
     dim span alpha(C)(1 (x) A) = dim C * dim A, and nondegeneracy
     span C A = A.
+
+    For the k basis vectors of C: k n^3 to build alpha(C) and the k n rows
+    of each span, k n^4 for the density rows, and the SVD of the
+    (k n) x n^2 density matrix, k^2 n^4 (n^6 when C = A), dominates.
     """
     n = qg.dim
     u = orthonormal_columns(np.asarray(c_basis, dtype=np.complex128))
     kdim = u.shape[1]
 
-    membership = 0.0
-    counit_law = 0.0
-    density_rows = []
-    nondeg_rows = []
-    for i in range(kdim):
-        x = qg.comultiply(u[:, i])
-        membership = max(membership, frobenius(x - u @ (u.conj().T @ x)))
-        counit_law = max(counit_law, float(np.abs(x @ qg.counit - u[:, i]).max()))
-        for j in range(n):
-            e_j = np.zeros(n)
-            e_j[j] = 1.0
-            # alpha(c)(1 (x) e_j): right multiplication on the second leg
-            density_rows.append((x @ qg.right_mult_matrix(e_j).T).ravel())
-            nondeg_rows.append(qg.left_mult_matrix(u[:, i])[:, j])
-    density_rank = int(np.linalg.matrix_rank(np.array(density_rows), tol=1e-8))
-    nondeg_rank = int(np.linalg.matrix_rank(np.array(nondeg_rows), tol=1e-8))
+    x = qg.comultiply(u.T)  # x[c] = alpha(u_c)
+    outside = x - u @ (u.conj().T @ x)
+    membership = float(np.linalg.norm(outside, axis=(-2, -1)).max(initial=0.0))
+    counit_law = float(np.abs(x @ qg.counit - u.T).max(initial=0.0))
+    # row (c, j) of density: alpha(u_c)(1 (x) e_j), from
+    # sum_q x[c, p, q] mult[q, j, r]; row (c, j) of nondeg: u_c e_j
+    density = (x.reshape(kdim * n, n) @ qg.mult.reshape(n, n * n)).reshape(kdim, n, n, n)
+    density = density.transpose(0, 2, 1, 3).reshape(kdim * n, n * n)
+    nondeg = qg.left_mult_matrix(u.T).transpose(0, 2, 1).reshape(kdim * n, n)
+    density_rank = int(np.linalg.matrix_rank(density, tol=1e-8))
+    nondeg_rank = int(np.linalg.matrix_rank(nondeg, tol=1e-8))
 
     passed = (
         membership <= tol
@@ -667,46 +661,40 @@ def build_lattice(qg: FiniteQuantumGroup, states, tol: float = CLASSIFY_TOL) -> 
     Checks reflexivity, antisymmetry (distinct comparable-both-ways states
     are a data error), transitivity, and the two-sided absorption
     omega' * omega = omega' whenever omega is below omega'.
+
+    For m states: one contraction gives every convolution omega_i * omega_j
+    (m n^3 + m^2 n^2); the order, absorption and covering relations are then
+    read from it and from m x m boolean matrix products (m^3).
     """
     states = sorted(states, key=State.sort_key)
     m = len(states)
-    leq = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(m):
-            leq[i, j] = order_leq(qg, states[i], states[j], tol)
-    for i in range(m):
-        if not leq[i, i]:
-            raise ValueError(f"state {i} is not idempotent (order not reflexive)")
-    absorption = 0.0
-    for i in range(m):
-        for j in range(m):
-            if i == j or not leq[i, j]:
-                continue
-            if leq[j, i] and np.abs(states[i].coeffs - states[j].coeffs).max() > tol:
-                raise ValueError(
-                    f"antisymmetry violation between states {i} and {j}"
-                )
-            absorption = max(
-                absorption,
-                float(
-                    np.abs(
-                        convolve(qg, states[j], states[i]) - states[j].coeffs
-                    ).max()
-                ),
-            )
-            for l in range(m):
-                if leq[j, l] and not leq[i, l]:
-                    raise ValueError("order not transitive")
-    edges = []
-    for i in range(m):
-        for j in range(m):
-            if i == j or not leq[i, j]:
-                continue
-            if any(
-                leq[i, l] and leq[l, j] and l != i and l != j for l in range(m)
-            ):
-                continue
-            edges.append((i, j))
+    w = np.array([st.coeffs for st in states]).reshape(m, qg.dim)
+    # conv[i, j] = omega_i * omega_j, for every pair at once
+    conv = np.einsum("ijk,aj,bk->abi", qg.comult, w, w, optimize=True)
+    leq = np.abs(conv - w[None]).max(axis=-1) <= tol
+    not_reflexive = np.flatnonzero(~leq.diagonal())
+    if not_reflexive.size:
+        raise ValueError(
+            f"state {not_reflexive[0]} is not idempotent (order not reflexive)"
+        )
+    strict = leq & ~np.eye(m, dtype=bool)
+    # the error raised is that of the first offending pair (i, j), i strictly
+    # below j, in row-major order; antisymmetry is tested before transitivity
+    apart = np.abs(w[:, None] - w[None]).max(axis=-1) > tol
+    antisym = strict & strict.T & apart
+    intransitive = strict & (((~leq).astype(int) @ leq.T.astype(int)) > 0)
+    bad = np.argwhere(antisym | intransitive)
+    if bad.size:
+        i, j = bad[0]
+        if antisym[i, j]:
+            raise ValueError(f"antisymmetry violation between states {i} and {j}")
+        raise ValueError("order not transitive")
+    # omega_j * omega_i = omega_j whenever i is strictly below j
+    absorbed = np.abs(conv - w[:, None]).max(axis=-1).T
+    absorption = float(absorbed[strict].max(initial=0.0))
+    # (i, j) covers unless some l sits strictly between them
+    between = (strict.astype(int) @ strict.astype(int)) > 0
+    edges = [(int(i), int(j)) for i, j in np.argwhere(strict & ~between)]
     return Lattice(
         states=states, leq=leq, hasse_edges=edges, absorption_residual=absorption
     )
@@ -746,28 +734,19 @@ def multiplicative_domain_check(
     w = as_coeffs(omega)
     _require_idempotent(qg, w)
     u = orthonormal_columns(left_slice(qg, w))
-    worst = 0.0
-    for i in range(u.shape[1]):
-        c = u[:, i]
-        val = np.dot(w, c)
-        right = w @ qg.right_mult_matrix(c)  # a -> omega(a c)
-        left = w @ qg.left_mult_matrix(c)  # a -> omega(c a)
-        worst = max(worst, float(np.abs(right - val * w).max()))
-        worst = max(worst, float(np.abs(left - val * w).max()))
+    expected = (w @ u)[:, None] * w  # row c: omega(c) omega
+    right = w @ qg.right_mult_matrix(u.T)  # row c: a -> omega(a c)
+    left = w @ qg.left_mult_matrix(u.T)  # row c: a -> omega(c a)
+    worst = float(max(np.abs(right - expected).max(), np.abs(left - expected).max()))
     return CheckReport(values={"max_defect": worst}, tol=tol, passed=worst <= tol)
 
 
 def omega_c_identity_residual(qg: FiniteQuantumGroup, omega) -> float:
     """max_b || omega * (omega( . b)) - omega(b) omega ||_inf over basis b."""
     w = as_coeffs(omega)
-    worst = 0.0
-    for i in range(qg.dim):
-        b = np.zeros(qg.dim)
-        b[i] = 1.0
-        shifted = np.einsum("ijk,j,k->i", qg.mult, b, w)  # a -> omega(a b)
-        lhs = convolve(qg, w, shifted)
-        worst = max(worst, float(np.abs(lhs - w[i] * w).max()))
-    return worst
+    shifted = w @ qg.right_mult_matrix(np.eye(qg.dim))  # row b: a -> omega(a e_b)
+    lhs = shifted @ left_slice(qg, w)  # row b: omega * omega( . e_b)
+    return float(np.abs(lhs - w[:, None] * w).max())
 
 
 # -- the inverse map of the state/subalgebra correspondence ---------------
@@ -788,14 +767,14 @@ def state_from_subalgebra(
         raise QuantumGroupError(
             f"subalgebra is not right invariant (residual {rinv:.2e})"
         )
-    g = np.asarray(qg.haar_gram)
-    e = u @ np.linalg.solve(u.conj().T @ g @ u, u.conj().T @ g)
-    bimod = 0.0
-    for i in range(u.shape[1]):
-        lm = qg.left_mult_matrix(u[:, i])
-        for j in range(u.shape[1]):
-            x = qg.right_mult_matrix(u[:, j]) @ lm
-            bimod = max(bimod, float(np.abs(e @ x - x @ e).max()))
+    unit = subspace_defect(qg.unit[:, None], u)
+    if unit > max(tol * qg.dim, 1e-8):
+        raise QuantumGroupError(
+            f"subspace does not contain the unit (defect {unit:.2e}); "
+            "it is not a unital subalgebra"
+        )
+    e = _haar_projection(qg, u)
+    bimod = _bimodule_defect(qg, e, u)
     if bimod > max(tol * qg.dim, 1e-8):
         raise QuantumGroupError(
             "Haar-orthogonal projection onto the subalgebra is not a bimodule "

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import analysis, serialize
-from .cayley import all_subgroups, builtin_group, builtin_group_names
+from .cayley import all_subgroups, builtin_group, builtin_group_names, is_normal_subgroup
 from .core import (
     InternalConsistencyError,
     QuantumGroupError,
@@ -133,8 +133,15 @@ def parse_input(spec: str, tol: float):
     return qg, info
 
 
+def _oracle_table(info):
+    """The Cayley table behind a builtin input, which --oracle needs."""
+    if info["cayley"] is None:
+        raise CliError("--oracle requires a builtin group input")
+    return info["cayley"]
+
+
 def _oracle_states(qg, info):
-    ct = info["cayley"]
+    ct = _oracle_table(info)
     build = subgroup_state_fn if info["kind"] == "fn" else subgroup_state_ga
     return [build(qg, ct, sub) for sub in all_subgroups(ct)]
 
@@ -173,26 +180,12 @@ def cmd_idempotents(qg, info, args):
     }
     passed = True
     if args.oracle:
-        if info["cayley"] is None:
-            raise CliError("--oracle requires a builtin group input")
         oracle = _oracle_states(qg, info)
-        dist = max(
-            (
-                min(np.abs(f.coeffs - o.coeffs).max() for o in oracle)
-                for f in found
-            ),
-            default=np.inf,
-        )
-        dist = max(
-            dist,
-            max(
-                (
-                    min(np.abs(f.coeffs - o.coeffs).max() for f in found)
-                    for o in oracle
-                ),
-                default=np.inf,
-            ),
-        )
+        # sup-norm Hausdorff distance from the found x oracle distance matrix
+        found_w = np.array([f.coeffs for f in found]).reshape(-1, qg.dim)
+        oracle_w = np.array([o.coeffs for o in oracle]).reshape(-1, qg.dim)
+        d = np.abs(found_w[:, None] - oracle_w[None]).max(axis=-1)
+        dist = max(d.min(axis=1).max(), d.min(axis=0).max()) if d.size else np.inf
         passed = len(found) == len(oracle) and dist <= 1e-7
         data["oracle"] = {
             "subgroup_count": len(oracle),
@@ -234,15 +227,12 @@ def cmd_classify(qg, info, args):
     data = {"count": len(records), "haar_count": n_haar, "states": records}
     passed = True
     if args.oracle:
-        if info["cayley"] is None:
-            raise CliError("--oracle requires a builtin group input")
-        from .cayley import is_normal_subgroup
-
-        subs = all_subgroups(info["cayley"])
+        ct = _oracle_table(info)
+        subs = all_subgroups(ct)
         expected = (
             len(subs)
             if info["kind"] == "fn"
-            else sum(is_normal_subgroup(info["cayley"], s) for s in subs)
+            else sum(is_normal_subgroup(ct, s) for s in subs)
         )
         passed = n_haar == expected and len(records) == len(subs)
         data["oracle"] = {"expected_haar": expected, "match": passed}

@@ -100,29 +100,27 @@ class FiniteQuantumGroup:
     def multiply(self, a, b):
         return np.einsum("ijk,i,j->k", self.mult, a, b)
 
-    def comultiply(self, a):
-        """Delta(a) as an n x n coefficient matrix."""
-        return np.einsum("ijk,i->jk", self.comult, a)
-
     def star_vec(self, a):
         return self.star @ np.conj(a)
-
-    def antipode_vec(self, a):
-        return self.antipode @ np.asarray(a, dtype=np.complex128)
-
-    def counit_value(self, a):
-        return complex(np.dot(self.counit, a))
 
     def haar_value(self, a):
         return complex(np.dot(self.haar, a))
 
+    # operators of an element: each takes one coordinate vector (n,) or a
+    # stack of them (..., n) and returns one matrix per vector (..., n, n),
+    # n^3 per vector
+
+    def comultiply(self, a):
+        """Delta(a) as an n x n coefficient matrix."""
+        return np.einsum("ijk,...i->...jk", self.comult, a)
+
     def left_mult_matrix(self, a):
         """Matrix of b -> a b on coordinates."""
-        return np.einsum("ijk,i->kj", self.mult, a)
+        return np.einsum("ijk,...i->...kj", self.mult, a)
 
     def right_mult_matrix(self, a):
         """Matrix of b -> b a on coordinates."""
-        return np.einsum("ijk,j->ki", self.mult, a)
+        return np.einsum("ijk,...j->...ki", self.mult, a)
 
     @cached_property
     def haar_gram(self) -> np.ndarray:
@@ -546,12 +544,7 @@ def gns(qg: FiniteQuantumGroup) -> GnsData:
     chol = np.linalg.cholesky(gram)  # gram = chol chol^H
     onb = np.linalg.inv(chol.conj().T)  # onb^H gram onb = 1
     onb_inv = chol.conj().T
-    n = qg.dim
-    left_reg = np.empty((n, n, n), dtype=np.complex128)
-    for i in range(n):
-        basis = np.zeros(n)
-        basis[i] = 1.0
-        left_reg[i] = onb_inv @ qg.left_mult_matrix(basis) @ onb
+    left_reg = onb_inv @ qg.left_mult_matrix(np.eye(qg.dim)) @ onb
     for arr in (gram, onb, onb_inv, left_reg):
         arr.setflags(write=False)
     return GnsData(gram=gram, onb=onb, onb_inv=onb_inv, left_reg=left_reg)
@@ -630,10 +623,6 @@ class MultUnitary:
         an operator on the second H and lies in pi(A)."""
         n = self.hilbert_dim
         return self.v.reshape(n, n, n, n).transpose(0, 2, 1, 3)
-
-    def first_leg_blocks(self) -> np.ndarray:
-        n = self.hilbert_dim
-        return self.v.reshape(n, n, n, n).transpose(1, 3, 0, 2)
 
 
 def unitarity_defect(v) -> float:
@@ -809,18 +798,17 @@ def antipode_slice_defect(qg: FiniteQuantumGroup, gd: GnsData, mu: MultUnitary):
 
     Slicing the first leg of V by all matrix-unit functionals yields the
     second-leg blocks; each block lifts through pi to an element of A, and
-    the lifted slices span A.  Returns (max residual, span rank).
+    the lifted slices span A.  Returns (max residual, span rank).  The n^2
+    blocks of V and of V^* lift in one GEMM against the pseudo-inverse of
+    pi (n^5); the rank is an SVD of the n^2 x n lifts (n^4).
     """
     n = qg.dim
-    blocks = mu.second_leg_blocks()
-    vstar_blocks = MultUnitary(v=mu.v.conj().T).second_leg_blocks()
-    lifted = np.empty((n * n, n), dtype=np.complex128)
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            a, res_a = gd.lift(blocks[i, j])
-            b, res_b = gd.lift(vstar_blocks[i, j])
-            worst = max(worst, res_a, res_b)
-            worst = max(worst, frobenius(qg.antipode_vec(a) - b))
-            lifted[i * n + j] = a
-    return worst, _rank(lifted)
+    v = np.stack([mu.v, mu.v.conj().T]).reshape(2, n, n, n, n)
+    blocks = v.transpose(0, 1, 3, 2, 4).reshape(2, n * n, n * n)  # [V or V^*, (i, j), :]
+    lifts = blocks @ gd._rep_pinv.T
+    rebuilt = lifts @ gd.left_reg.reshape(n, n * n)
+    worst = max(
+        float(np.linalg.norm(rebuilt - blocks, axis=-1).max()),
+        float(np.linalg.norm(lifts[0] @ qg.antipode.T - lifts[1], axis=-1).max()),
+    )
+    return worst, _rank(lifts[0])

@@ -136,9 +136,9 @@ def state_to_dict(state: State) -> dict:
     return {"coeffs": _vector_out(state.coeffs), "qg_hash": content_hash(state.qg)}
 
 
-def state_from_dict(data: dict, qg: FiniteQuantumGroup, check_hash: bool = True) -> State:
+def state_from_dict(data: dict, qg: FiniteQuantumGroup) -> State:
     coeffs = _vector_in(data["coeffs"], qg.dim, "coeffs")
-    if check_hash and "qg_hash" in data and data["qg_hash"] != content_hash(qg):
+    if "qg_hash" in data and data["qg_hash"] != content_hash(qg):
         raise ValueError(
             "state was serialized against a different quantum group "
             "(content hash mismatch)"

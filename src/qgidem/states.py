@@ -48,9 +48,6 @@ class State:
     def value(self, a) -> complex:
         return complex(np.dot(self.coeffs, a))
 
-    def gram(self) -> np.ndarray:
-        return self.qg.functional_gram(self.coeffs)
-
     def convolve(self, other: "State") -> "State":
         if other.qg is not self.qg:
             raise ValueError("convolution requires the same parent quantum group")
@@ -573,10 +570,9 @@ def recover_slice(qg: FiniteQuantumGroup, t, tol: float = 1e-9) -> State | None:
     """
     t = np.asarray(t, dtype=np.complex128)
     n = qg.dim
-    for k in range(n):
-        rk = qg.comult[:, :, k].T  # R_{f_k}[j, i] = comult[i, j, k]
-        if np.abs(t @ rk - rk @ t).max() > tol:
-            return None
+    r = qg.comult.transpose(2, 1, 0)  # r[k] = R_{f_k}: r[k, j, i] = comult[i, j, k]
+    if np.abs(t @ r - r @ t).max() > tol:
+        return None
     mu = qg.counit @ t
     defect = np.abs(t - left_slice(qg, mu)).max()
     if defect > max(tol, 1e-12) * 10 * n:

@@ -1,0 +1,464 @@
+"""The stacked operator calls against the per-basis-vector loops they replaced.
+
+Each ``loop_*`` function below is the earlier implementation, kept as the
+reference: residuals must agree to 1e-12, and ranks, flags, Hasse edges and
+raised error types exactly.  The inputs are the subgroup states of
+fn:/ga: x {S3, Q8, D4}, in the group basis and in a dense basis
+(``helpers.dense_algebra``), plus fn:/ga:S4 for the lattice and coactions.
+"""
+
+import numpy as np
+import pytest
+
+import qgidem as qg
+from qgidem.analysis import (
+    build_lattice,
+    coaction_checks,
+    invariant_subalgebra,
+    multiplicative_domain_check,
+    omega_c_identity_residual,
+    orthonormal_columns,
+    quotient_quantum_group,
+    state_from_subalgebra,
+    subspace_defect,
+    symmetry_residual,
+    verify_conditional_expectation,
+)
+from qgidem.core import (
+    InternalConsistencyError,
+    MultUnitary,
+    QuantumGroupError,
+    _rank,
+    antipode_slice_defect,
+    frobenius,
+)
+from qgidem.states import (
+    State,
+    convolve,
+    left_slice,
+    random_state,
+    recover_slice,
+    right_slice,
+)
+
+from helpers import (
+    algebra,
+    basis_vector,
+    dense_algebra,
+    gns_and_unitary,
+    group,
+    oracle_states,
+    right_regular_twist,
+)
+
+CASES = [
+    (kind, name, dense)
+    for kind in ("fn", "ga")
+    for name in ("S3", "Q8", "D4")
+    for dense in (False, True)
+]
+
+
+def case(kind, name, dense):
+    """(g, states): the algebra, in the group or a dense basis, and its
+    subgroup states carried to that basis."""
+    if not dense:
+        return algebra(kind, name), [st.coeffs for st in oracle_states(kind, name)]
+    g, t = dense_algebra(kind, name)
+    ti = np.linalg.inv(t)
+    return g, [st.coeffs @ ti for st in oracle_states(kind, name)]
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, QuantumGroupError) as exc:
+        return exc
+
+
+# -- the earlier loops -----------------------------------------------------
+
+
+def loop_left_reg(g, gd):
+    n = g.dim
+    left_reg = np.empty((n, n, n), dtype=np.complex128)
+    for i in range(n):
+        left_reg[i] = gd.onb_inv @ g.left_mult_matrix(basis_vector(n, i)) @ gd.onb
+    return left_reg
+
+
+def loop_antipode_slice_defect(g, gd, mu):
+    n = g.dim
+    blocks = mu.second_leg_blocks()
+    vstar_blocks = mu.v.conj().T.reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    lifted = np.empty((n * n, n), dtype=np.complex128)
+    worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            a, res_a = gd.lift(blocks[i, j])
+            b, res_b = gd.lift(vstar_blocks[i, j])
+            worst = max(worst, res_a, res_b)
+            worst = max(worst, frobenius(g.antipode @ a - b))
+            lifted[i * n + j] = a
+    return worst, _rank(lifted)
+
+
+def loop_bimodule(g, e, u):
+    bimod = 0.0
+    for i in range(u.shape[1]):
+        lm = g.left_mult_matrix(u[:, i])
+        for j in range(u.shape[1]):
+            x = g.right_mult_matrix(u[:, j]) @ lm
+            bimod = max(bimod, float(np.abs(e @ x - x @ e).max()))
+    return bimod
+
+
+def loop_choi_blocks(g, gd, e):
+    n = g.dim
+    blocks = np.empty((n, n, n, n), dtype=np.complex128)
+    for i in range(n):
+        row_mat = g.left_mult_matrix(g.star_vec(basis_vector(n, i)))
+        for j in range(n):
+            blocks[i, j] = gd.rep(e @ row_mat[:, j])
+    return blocks
+
+
+def loop_expectation_residuals(g, gd, e, c_basis):
+    """complete_positivity, bimodule and haar_orthogonal_projection."""
+    n = g.dim
+    u = orthonormal_columns(c_basis)
+    choi = loop_choi_blocks(g, gd, e).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    eigs = np.linalg.eigvalsh((choi + choi.conj().T) / 2)
+    gram = np.asarray(g.haar_gram)
+    proj = u @ np.linalg.solve(u.conj().T @ gram @ u, u.conj().T @ gram)
+    return {
+        "complete_positivity": max(0.0, -float(eigs.min())),
+        "bimodule": loop_bimodule(g, e, u),
+        "haar_orthogonal_projection": frobenius(e - proj),
+    }
+
+
+def loop_state_from_subalgebra(g, c_basis, tol=1e-10):
+    u = orthonormal_columns(np.asarray(c_basis, dtype=np.complex128))
+    rinv = subspace_defect(np.einsum("ijk,ic->kjc", g.comult, u), u)
+    if rinv > max(tol * g.dim, 1e-8):
+        raise QuantumGroupError(f"subalgebra is not right invariant (residual {rinv:.2e})")
+    gram = np.asarray(g.haar_gram)
+    e = u @ np.linalg.solve(u.conj().T @ gram @ u, u.conj().T @ gram)
+    bimod = loop_bimodule(g, e, u)
+    if bimod > max(tol * g.dim, 1e-8):
+        raise QuantumGroupError(f"not a bimodule map (residual {bimod:.2e})")
+    w = g.counit @ e
+    if not qg.is_idempotent(g, w, 1e-8):
+        raise InternalConsistencyError("counit . E_C failed the idempotent-state test")
+    return State(g, w)
+
+
+def loop_conditional_defect(g, lw):
+    m = g.mult
+    return frobenius(
+        np.einsum("pi,qj,pqr->rij", lw, lw, m) - np.einsum("rq,pi,pjq->rij", lw, lw, m)
+    )
+
+
+def loop_coaction_values(g, c_basis):
+    n = g.dim
+    u = orthonormal_columns(np.asarray(c_basis, dtype=np.complex128))
+    membership = counit_law = 0.0
+    density_rows, nondeg_rows = [], []
+    for i in range(u.shape[1]):
+        x = g.comultiply(u[:, i])
+        membership = max(membership, frobenius(x - u @ (u.conj().T @ x)))
+        counit_law = max(counit_law, float(np.abs(x @ g.counit - u[:, i]).max()))
+        for j in range(n):
+            density_rows.append((x @ g.right_mult_matrix(basis_vector(n, j)).T).ravel())
+            nondeg_rows.append(g.left_mult_matrix(u[:, i])[:, j])
+    return {
+        "membership_residual": membership,
+        "counit_residual": counit_law,
+        "density_rank": int(np.linalg.matrix_rank(np.array(density_rows), tol=1e-8)),
+        "density_rank_expected": u.shape[1] * n,
+        "nondegeneracy_rank": int(np.linalg.matrix_rank(np.array(nondeg_rows), tol=1e-8)),
+    }
+
+
+def loop_multiplicative_domain(g, w):
+    u = orthonormal_columns(left_slice(g, w))
+    worst = 0.0
+    for i in range(u.shape[1]):
+        c = u[:, i]
+        val = np.dot(w, c)
+        worst = max(worst, float(np.abs(w @ g.right_mult_matrix(c) - val * w).max()))
+        worst = max(worst, float(np.abs(w @ g.left_mult_matrix(c) - val * w).max()))
+    return worst
+
+
+def loop_omega_c_identity(g, w):
+    worst = 0.0
+    for i in range(g.dim):
+        shifted = np.einsum("ijk,j,k->i", g.mult, basis_vector(g.dim, i), w)
+        lhs = convolve(g, w, shifted)
+        worst = max(worst, float(np.abs(lhs - w[i] * w).max()))
+    return worst
+
+
+def loop_quotient_comult(g, q):
+    proj, section = q.projection, q.section
+    return np.stack(
+        [proj @ g.comultiply(section[:, i]) @ proj.T for i in range(section.shape[1])]
+    )
+
+
+def loop_build_lattice(g, states, tol=1e-8):
+    """(states, leq, edges, absorption) by the pair-by-pair scan."""
+    states = sorted(states, key=State.sort_key)
+    m = len(states)
+
+    def leq_pair(a, b):
+        return bool(np.abs(convolve(g, a.coeffs, b.coeffs) - b.coeffs).max() <= tol)
+
+    leq = np.array([[leq_pair(a, b) for b in states] for a in states], dtype=bool)
+    leq = leq.reshape(m, m)
+    for i in range(m):
+        if not leq[i, i]:
+            raise ValueError(f"state {i} is not idempotent (order not reflexive)")
+    absorption = 0.0
+    for i in range(m):
+        for j in range(m):
+            if i == j or not leq[i, j]:
+                continue
+            if leq[j, i] and np.abs(states[i].coeffs - states[j].coeffs).max() > tol:
+                raise ValueError(f"antisymmetry violation between states {i} and {j}")
+            conv = convolve(g, states[j].coeffs, states[i].coeffs)
+            absorption = max(absorption, float(np.abs(conv - states[j].coeffs).max()))
+            for l in range(m):
+                if leq[j, l] and not leq[i, l]:
+                    raise ValueError("order not transitive")
+    edges = []
+    for i in range(m):
+        for j in range(m):
+            if i == j or not leq[i, j]:
+                continue
+            if any(leq[i, l] and leq[l, j] and l != i and l != j for l in range(m)):
+                continue
+            edges.append((i, j))
+    return states, leq, edges, absorption
+
+
+def loop_recover_slice(g, t, tol=1e-9):
+    for k in range(g.dim):
+        rk = g.comult[:, :, k].T
+        if np.abs(t @ rk - rk @ t).max() > tol:
+            return None
+    return g.counit @ t
+
+
+# -- comparisons -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind,name,dense", CASES)
+def test_stacked_operators_match_one_vector_calls(kind, name, dense):
+    g, _ = case(kind, name, dense)
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((3, g.dim)) + 1j * rng.standard_normal((3, g.dim))
+    for op in (g.left_mult_matrix, g.right_mult_matrix, g.comultiply):
+        stacked = op(a)
+        assert stacked.shape == (3, g.dim, g.dim)
+        for row, mat in zip(a, stacked):
+            assert np.abs(mat - op(row)).max() <= 1e-12
+    gd = qg.gns(g)
+    assert np.array_equal(gd.left_reg, loop_left_reg(g, gd))
+
+
+@pytest.mark.parametrize("kind,name,dense", CASES)
+def test_antipode_slice_defect_matches_loop(kind, name, dense):
+    g, _ = case(kind, name, dense)
+    gd = qg.gns(g)
+    mu = qg.multiplicative_unitary(g, gd)
+    worst, rank = antipode_slice_defect(g, gd, mu)
+    ref_worst, ref_rank = loop_antipode_slice_defect(g, gd, mu)
+    assert abs(worst - ref_worst) <= 1e-12
+    assert rank == ref_rank == g.dim
+    # a V whose second leg leaves pi(A): its blocks do not lift
+    twisted = MultUnitary(v=right_regular_twist(g, gd, mu, 1))
+    worst, rank = antipode_slice_defect(g, gd, twisted)
+    ref_worst, ref_rank = loop_antipode_slice_defect(g, gd, twisted)
+    assert abs(worst - ref_worst) <= 1e-12 * max(1.0, ref_worst)
+    assert rank == ref_rank
+    if not twisted.leg_factors(gd).exact:  # the twisted second leg leaves pi(A)
+        assert ref_worst > 0.1
+
+
+@pytest.mark.parametrize("kind,name,dense", CASES)
+def test_expectation_and_state_from_subalgebra_match_loops(kind, name, dense):
+    g, states = case(kind, name, dense)
+    gd = qg.gns(g)
+    rng = np.random.default_rng(3)
+    oblique = np.outer(g.unit, g.counit)  # a projection, but not h-preserving
+    for w in states:
+        sub = invariant_subalgebra(g, w)
+        assert loop_conditional_defect(g, sub.exp) <= 1e-10 * g.dim
+        generic = rng.standard_normal((g.dim, g.dim))  # no expectation at all
+        for e, c_basis in [
+            (sub.exp, sub.basis),
+            (oblique, g.unit[:, None]),
+            (generic, sub.basis),
+        ]:
+            rep = verify_conditional_expectation(g, e, c_basis, gd=gd)
+            for key, ref in loop_expectation_residuals(g, gd, e, c_basis).items():
+                assert abs(rep.residuals[key] - ref) <= 1e-12, key
+        got = outcome(state_from_subalgebra, g, sub.basis)
+        ref = outcome(loop_state_from_subalgebra, g, sub.basis)
+        assert type(got) is type(ref) is State
+        assert np.abs(got.coeffs - ref.coeffs).max() <= 1e-12
+    # the line through e_1 + e_2 is not right invariant
+    line = (basis_vector(g.dim, 1) + basis_vector(g.dim, 2))[:, None]
+    got = outcome(state_from_subalgebra, g, line)
+    ref = outcome(loop_state_from_subalgebra, g, line)
+    assert type(got) is type(ref) is QuantumGroupError and "right invariant" in str(got)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_state_from_subalgebra_rejects_a_non_expected_subspace_as_the_loop(dense):
+    # on S3 the complement of the sign function is right invariant and holds
+    # the unit, but it is no algebra, and E is no bimodule map
+    g, _ = case("fn", "S3", dense)
+    t = dense_algebra("fn", "S3")[1] if dense else np.eye(6)
+    a3 = next(sub for sub in qg.all_subgroups(qg.builtin_group("S3")) if len(sub) == 3)
+    sign = np.where(np.isin(np.arange(6), a3), 1.0, -1.0)
+    c_basis = t @ np.linalg.svd(sign[None])[2][1:].T
+    got = outcome(state_from_subalgebra, g, c_basis)
+    ref = outcome(loop_state_from_subalgebra, g, c_basis)
+    assert type(got) is type(ref) is QuantumGroupError and "bimodule" in str(got)
+
+
+@pytest.mark.parametrize("kind,name,dense", CASES)
+def test_identities_and_quotients_match_loops(kind, name, dense):
+    g, states = case(kind, name, dense)
+    rng = np.random.default_rng(2)
+    generic = random_state(g, rng).coeffs
+    for w in states + [generic]:
+        assert abs(omega_c_identity_residual(g, w) - loop_omega_c_identity(g, w)) <= 1e-12
+        got = outcome(multiplicative_domain_check, g, w)
+        if w is generic:
+            assert type(got) is ValueError  # not idempotent, as before
+            continue
+        assert abs(got.values["max_defect"] - loop_multiplicative_domain(g, w)) <= 1e-12
+        q = outcome(quotient_quantum_group, g, w)
+        if isinstance(q, Exception):
+            assert type(q) is QuantumGroupError and "not an ideal" in str(q)
+            continue
+        assert np.abs(q.quotient.comult - loop_quotient_comult(g, q)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind,name,dense", CASES)
+def test_coaction_checks_match_loop(kind, name, dense):
+    g, states = case(kind, name, dense)
+    for c_basis in [left_slice(g, w) for w in states] + [np.eye(g.dim)[:, :2]]:
+        assert_coaction_matches(g, c_basis)
+
+
+def assert_coaction_matches(g, c_basis):
+    got = coaction_checks(g, c_basis).values
+    ref = loop_coaction_values(g, c_basis)
+    assert got.keys() == ref.keys()
+    for key, value in ref.items():
+        if isinstance(value, int):
+            assert got[key] == value, key
+        else:
+            assert abs(got[key] - value) <= 1e-12, key
+
+
+def test_coaction_nondegeneracy_spans_the_products_u_c_a():
+    # span{u_c e_j} is spanned by the columns of the matrices of a -> u_c a;
+    # for this basis of ga:S3 their rows span more
+    g = algebra("ga", "S3")
+    c_basis = np.array([[0, 1, 1, 1, 1, 0], [1, -1, 0, 0, -1, 1]], dtype=float).T
+    assert_coaction_matches(g, c_basis)
+    assert coaction_checks(g, c_basis).values["nondegeneracy_rank"] == 3
+
+
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_coaction_checks_match_loop_on_s4(kind):
+    g, states = case(kind, "S4", False)
+    for w in states[::5]:  # 6 of the 30 subgroups, orders 1 to 24
+        assert_coaction_matches(g, left_slice(g, w))
+
+
+def assert_lattice_matches(g, states, tol=1e-8):
+    got = outcome(build_lattice, g, states, tol)
+    ref = outcome(loop_build_lattice, g, states, tol)
+    if isinstance(ref, Exception):
+        assert type(got) is type(ref) and str(got) == str(ref)
+        return
+    ref_states, leq, edges, absorption = ref
+    assert [st.coeffs.tobytes() for st in got.states] == [
+        st.coeffs.tobytes() for st in ref_states
+    ]
+    assert np.array_equal(got.leq, leq)
+    assert got.hasse_edges == edges
+    assert all(type(i) is int and type(j) is int for i, j in got.hasse_edges)
+    assert abs(got.absorption_residual - absorption) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,name,dense", CASES + [("fn", "S4", False), ("ga", "S4", False)])
+def test_build_lattice_matches_loop(kind, name, dense):
+    g, states = case(kind, name, dense)
+    assert_lattice_matches(g, [State(g, w) for w in states])
+
+
+@pytest.mark.parametrize("name", ["S3", "D4"])
+def test_build_lattice_errors_match_loop(name):
+    g, states = case("fn", name, False)
+    states = [State(g, w) for w in states]
+    # a non-idempotent state is not below itself
+    uniform = np.full(g.dim, 1 / g.dim) + 0.01 * np.arange(g.dim)
+    assert_lattice_matches(g, states + [State(g, uniform)])
+    # coarse tolerances make distinct states comparable both ways, or the
+    # order intransitive; the first offending pair decides the message
+    raised = set()
+    for tol in (0.05, 0.2, 0.34, 0.4, 0.5, 0.6, 0.7, 0.9):
+        assert_lattice_matches(g, states, tol)
+        got = outcome(build_lattice, g, states, tol)
+        if isinstance(got, Exception):
+            raised.add(str(got).split(" ")[0])
+    assert raised == {"antisymmetry", "order"}
+
+
+@pytest.mark.parametrize("kind,name,dense", CASES)
+def test_recover_slice_matches_loop(kind, name, dense):
+    g, states = case(kind, name, dense)
+    for w in states:
+        for t in (left_slice(g, w), right_slice(g, w)):
+            got = recover_slice(g, t)
+            ref = loop_recover_slice(g, t)
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                assert np.abs(got.coeffs - ref).max() <= 1e-12
+
+
+# -- subspaces without the unit, empty bases ----------------------------------
+
+
+def test_state_from_subalgebra_rejects_a_subspace_without_the_unit():
+    # the empty subspace, the functions of sum zero on S3, and the line
+    # through a group element other than the identity in ga:S3 are right
+    # invariant, but hold no unit: a malformed input, not an internal error
+    fn, ga = algebra("fn", "S3"), algebra("ga", "S3")
+    other = next(i for i in range(6) if i != group("S3").identity)
+    for g, c_basis in [
+        (fn, np.zeros((6, 0))),
+        (fn, np.eye(6)[:, :1] - np.eye(6)[:, 1:]),
+        (ga, basis_vector(6, other)[:, None]),
+    ]:
+        with pytest.raises(QuantumGroupError, match="unit") as info:
+            state_from_subalgebra(g, c_basis)
+        assert not isinstance(info.value, InternalConsistencyError)
+
+
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_symmetry_residual_of_an_empty_basis_is_zero(kind):
+    g = algebra(kind, "S3")
+    gd, mu = gns_and_unitary(kind, "S3")
+    assert symmetry_residual(g, gd, mu, np.zeros((6, 0))) == 0.0
