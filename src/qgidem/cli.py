@@ -310,7 +310,7 @@ def cmd_walk(qg, info, args):
         w0 = _vector_state(qg, a)
     walk = cesaro_walk(qg, w0, args.steps)
     checkpoints = sorted(
-        {1, 2, 4, 8, *(2**k for k in range(4, 32) if 2**k <= args.steps), args.steps}
+        {*(2**k for k in range(32) if 2**k <= args.steps), args.steps}
     )
     lines = [f"cesaro walk for {args.steps} step(s):"]
     diag = []

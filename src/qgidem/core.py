@@ -13,6 +13,15 @@ Conventions (fixed once, used everywhere):
   ``omega(e_i) = w[i]``;
 * elements of ``A (x) A`` are ``n x n`` coefficient matrices ``X[p, q]``.
 
+Each structure tensor is stored as float64 when its imaginary part is
+exactly zero and as complex128 otherwise (``FiniteQuantumGroup``).  The
+derived data (the Haar Gram, the GNS basis, V and its slices, quotients)
+take the result type of the tensors they come from, so an input with real
+structure constants runs its products in real BLAS: half the bytes and a
+quarter of the flops of the complex ones.  Where a real matrix meets a
+complex operand (states, sampled vectors) :func:`_real_matmul` applies it
+as one real product.
+
 All residual norms are Frobenius norms unless a sup-norm is stated.
 Multiplier algebras, affiliated elements and modular elements are trivial
 at finite dimension (``M(A) = A``, every affiliated element is bounded,
@@ -54,13 +63,32 @@ def _checked_tol(tol) -> float:
     return float(tol)
 
 
-def _as_complex(x, shape, name):
+def _as_tensor(x, shape, name):
+    """x as a read-only contiguous array: float64 when its imaginary part is
+    exactly zero, complex128 otherwise."""
     arr = np.asarray(x, dtype=np.complex128)
     if arr.shape != shape:
         raise StructuralError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not arr.imag.any():
+        arr = arr.real
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
+
+
+def _real_matmul(m, x):
+    """``m @ x`` for a real matrix m, as one real product when x is complex.
+
+    Given a complex x, numpy casts a real m to complex (a copy of m) and
+    runs a complex product with 4x the flops.  Here the real and imaginary
+    parts of x are read as interleaved columns of one real matrix instead,
+    so m is used as stored.  x is a matrix (q, k) or a stack of them
+    (..., q, k); a complex m, or a real x, gives the plain product.
+    """
+    if np.iscomplexobj(m) or not np.iscomplexobj(x):
+        return m @ x
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    return (m @ x.view(np.float64)).view(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -68,7 +96,10 @@ class FiniteQuantumGroup:
     """A finite-dimensional Hopf *-algebra with a faithful invariant state.
 
     Instances are immutable; operations on them are pure functions, so a
-    quantum group may be shared freely across threads.
+    quantum group may be shared freely across threads.  Each tensor is
+    stored as float64 when its imaginary part is exactly zero (every
+    ``function_algebra`` and ``group_algebra`` and their duals) and as
+    complex128 otherwise; the values are the same either way.
     """
 
     dim: int
@@ -86,13 +117,13 @@ class FiniteQuantumGroup:
         if n <= 0:
             raise StructuralError("dim must be a positive integer")
         object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "mult", _as_complex(self.mult, (n, n, n), "mult"))
-        object.__setattr__(self, "unit", _as_complex(self.unit, (n,), "unit"))
-        object.__setattr__(self, "star", _as_complex(self.star, (n, n), "star"))
-        object.__setattr__(self, "comult", _as_complex(self.comult, (n, n, n), "comult"))
-        object.__setattr__(self, "counit", _as_complex(self.counit, (n,), "counit"))
-        object.__setattr__(self, "antipode", _as_complex(self.antipode, (n, n), "antipode"))
-        object.__setattr__(self, "haar", _as_complex(self.haar, (n,), "haar"))
+        object.__setattr__(self, "mult", _as_tensor(self.mult, (n, n, n), "mult"))
+        object.__setattr__(self, "unit", _as_tensor(self.unit, (n,), "unit"))
+        object.__setattr__(self, "star", _as_tensor(self.star, (n, n), "star"))
+        object.__setattr__(self, "comult", _as_tensor(self.comult, (n, n, n), "comult"))
+        object.__setattr__(self, "counit", _as_tensor(self.counit, (n,), "counit"))
+        object.__setattr__(self, "antipode", _as_tensor(self.antipode, (n, n), "antipode"))
+        object.__setattr__(self, "haar", _as_tensor(self.haar, (n,), "haar"))
         _checked_tol(self.tol)
 
     # -- pointwise operations on coordinate vectors --------------------
@@ -154,7 +185,8 @@ class FiniteQuantumGroup:
         of ``star`` with ``mult``.
         """
         w = np.asarray(w)
-        return (w @ self._star_mult.T).reshape(w.shape[:-1] + (self.dim, self.dim))
+        g = _real_matmul(self._star_mult, w.reshape(-1, self.dim).T).T
+        return np.ascontiguousarray(g).reshape(w.shape[:-1] + (self.dim, self.dim))
 
 
 @dataclass
@@ -257,7 +289,9 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
     when that certificate fails (a wrong or non-Kac antipode, a deficient
     span) is the rank taken from an SVD of the n^2 x n^2 span matrix, the
     only path that can report a deficient rank.  The residuals cost n^6 at
-    most (the multiplicativity check is one n^2 x n^2 GEMM).
+    most (the multiplicativity check is one n^2 x n^2 GEMM).  The exponents
+    do not depend on the dtype; for real structure tensors every product
+    runs in real BLAS (dgemm, a quarter of the flops of zgemm).
     """
     n = qg.dim
     tol = qg.tol if tol is None else _checked_tol(tol)
@@ -511,7 +545,7 @@ class GnsData:
         g = self._hs_basis
         gmat = g.reshape(n, n * n)
         g_adj = np.conj(g.transpose(0, 2, 1))
-        gamma = np.empty((n, n, n), dtype=np.complex128)
+        gamma = np.empty((n, n, n), dtype=g.dtype)
         err_sq = 0.0
         for k in range(n):  # one k at a time keeps the memory at n^3
             prods = (g[k] @ g_adj).reshape(n, n * n)  # g_k g_l^*
@@ -526,12 +560,6 @@ class GnsData:
     def _rep_pinv(self) -> np.ndarray:
         cols = self.left_reg.reshape(self.dim, -1).T
         return np.linalg.pinv(cols)
-
-    def lift(self, x):
-        """Invert pi on its range: return (a, residual) with pi(a) ~ x."""
-        a = self._rep_pinv @ np.asarray(x, dtype=np.complex128).ravel()
-        residual = frobenius(self.rep(a) - x)
-        return a, residual
 
 
 def gns(qg: FiniteQuantumGroup) -> GnsData:
@@ -580,7 +608,7 @@ def second_leg_factors(gd: GnsData, v) -> LegFactors:
     gmat = g.reshape(n, n * n)
     v = np.asarray(v)
     v4 = v.reshape(n, n, n, n)
-    factors = np.empty((n, n, n), dtype=np.complex128)  # [k, a, c]
+    factors = np.empty((n, n, n), dtype=np.result_type(v, g))  # [k, a, c]
     rem_sq = 0.0
     for a in range(n):
         rows = v4[a].transpose(1, 0, 2).reshape(n, n * n)  # [c, (b, d)]
@@ -639,7 +667,7 @@ def _apply_leg(v, x, legs):
     n = x.shape[0]
     perm = list(legs) + [k for k in range(3) if k not in legs] + [3]
     xt = np.transpose(x, perm).reshape(n * n, -1)
-    yt = (v @ xt).reshape(x.shape)
+    yt = _real_matmul(v, xt).reshape(x.shape)
     return np.transpose(yt, np.argsort(perm))
 
 
@@ -648,29 +676,33 @@ def pentagon_defect(v, max_dense_dim: int = 2000, rng=None) -> float:
 
     Dense evaluation when n^3 is small (both sides applied to the n^3 x n^3
     identity, a batch of n^3 vectors); otherwise both sides are applied to
-    eight normalised complex Gaussian vectors of H (x) H (x) H (full
-    vectors, not product vectors) with the same contraction, n^5 each.  The
-    sampled value is the largest of those eight norms, a lower bound of the
-    operator norm of the difference and so of the dense value.
+    a batch of eight normalised complex Gaussian vectors of H (x) H (x) H
+    (full vectors, not product vectors) with the same contraction, n^5
+    each.  The sampled value is the largest of those eight norms, a lower
+    bound of the operator norm of the difference and so of the dense value.
+    A real V stays real: it meets the complex vectors through
+    :func:`_real_matmul`, one real GEMM per leg with no complex copy of V.
     """
     v = np.asarray(v)
     n = int(round(np.sqrt(v.shape[0])))
 
-    def defect(x):
+    def difference(x):
+        # the last leg (0, 1) leaves lhs contiguous, so it takes the
+        # difference in place
         lhs = _apply_leg(v, _apply_leg(v, _apply_leg(v, x, (1, 2)), (0, 2)), (0, 1))
-        rhs = _apply_leg(v, _apply_leg(v, x, (0, 1)), (1, 2))
-        return frobenius(lhs - rhs)
+        lhs -= _apply_leg(v, _apply_leg(v, x, (0, 1)), (1, 2))
+        return lhs.reshape(n**3, -1)
 
     if n**3 <= max_dense_dim:
-        return defect(np.eye(n**3).reshape(n, n, n, n**3))
+        return frobenius(difference(np.eye(n**3).reshape(n, n, n, n**3)))
 
     rng = np.random.default_rng(0) if rng is None else rng
-    worst = 0.0
-    for _ in range(8):
-        x = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-        x /= frobenius(x)
-        worst = max(worst, defect(x[..., None]))
-    return worst
+    x = np.stack(
+        [rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n)) for _ in range(8)],
+        axis=-1,
+    )
+    x /= np.linalg.norm(x.reshape(n**3, 8), axis=0)
+    return float(np.linalg.norm(difference(x), axis=0).max())
 
 
 def coproduct_defect(qg: FiniteQuantumGroup, gd: GnsData, v) -> float:
@@ -759,7 +791,9 @@ def multiplicative_unitary(
     n = 12 the checks cost n^6 in all: the one n^2 x n^2 product of the
     unitarity test and the coproduct identity evaluated on the slices,
     with the pentagon sampled at n^5 per vector; up to n = 12 the dense
-    pentagon (n^8) dominates.
+    pentagon (n^8) dominates.  V has the result type of ``gd`` and the
+    structure tensors, so for real inputs V, its slices and every check
+    run in real BLAS, with the same exponents.
 
     A failure of unitarity or the pentagon signals that the supplied Haar
     functional is not right invariant; the defect is surfaced, never

@@ -124,11 +124,19 @@ def cayley_from_dict(data: dict) -> CayleyTable:
 
 
 def content_hash(qg: FiniteQuantumGroup) -> str:
-    """Stable digest of the structure tensors (rounded to 12 decimals)."""
+    """Stable digest of the structure tensors (rounded to 12 decimals).
+
+    Each tensor is hashed as complex128 whatever its storage dtype, and
+    adding 0.0 turns each -0.0 into 0.0 (rounding a tiny negative entry
+    gives -0.0, and a JSON round trip drops the zero entries of a tensor),
+    so the digest depends on the values alone.
+    """
     h = hashlib.sha256()
     h.update(str(qg.dim).encode())
     for arr in (qg.mult, qg.comult, qg.unit, qg.counit, qg.haar, qg.star, qg.antipode):
-        h.update(np.ascontiguousarray(np.round(arr, 12)).tobytes())
+        rounded = np.round(arr, 12)
+        rounded += 0.0
+        h.update(np.ascontiguousarray(rounded, dtype=np.complex128).tobytes())
     return h.hexdigest()
 
 

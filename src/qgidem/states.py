@@ -19,6 +19,7 @@ from .core import (
     FiniteQuantumGroup,
     GnsData,
     InternalConsistencyError,
+    _real_matmul,
     gns,
 )
 
@@ -166,8 +167,10 @@ def _vector_state(qg: FiniteQuantumGroup, a) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.complex128)
     n = qg.dim
-    a_star = np.conj(a) @ qg.star.T
-    w = _rows((a_star @ qg._haar_triple).reshape(a.shape[:-1] + (n, n)), a)
+    rows = a.reshape(-1, n)
+    a_star = _real_matmul(qg.star, np.conj(rows).T)  # [p, row]
+    triple = np.ascontiguousarray(_real_matmul(qg._haar_triple.T, a_star).T)
+    w = _rows(triple.reshape(-1, n, n), rows).reshape(a.shape)
     return w / (w @ qg.unit)[..., None]
 
 
@@ -221,7 +224,8 @@ def _cesaro_probe(qg, ws, k: int = 32):
     ``n^2`` per power).
     """
     n = qg.dim
-    steps = (ws @ qg.comult.reshape(n * n, n).T).reshape(-1, n, n)
+    steps = _real_matmul(qg.comult.reshape(n * n, n), ws.T).T
+    steps = np.ascontiguousarray(steps).reshape(-1, n, n)
     power = ws[..., None].copy()
     acc = ws.copy()
     nu_k = None
@@ -240,7 +244,7 @@ def _generated_support(qg, idxs) -> np.ndarray:
     elements; for a function algebra it is the chosen point set itself.
     """
     n = qg.dim
-    s = np.zeros(n, dtype=np.complex128)
+    s = np.zeros(n)
     s[list(idxs)] = 1.0
     mask = np.abs(s) > 1e-9
     times_s = qg.right_mult_matrix(s)
@@ -330,7 +334,7 @@ def _rows(matrix, ws) -> np.ndarray:
     A stacked mat-vec gives each row the same bits whatever the batch holds,
     which a single matrix product over all rows does not.
     """
-    return (matrix @ ws[..., None])[..., 0]
+    return _real_matmul(matrix, ws[..., None])[..., 0]
 
 
 def _square(d, ws) -> np.ndarray:
@@ -548,7 +552,8 @@ def cesaro_walk(qg: FiniteQuantumGroup, mu, n: int) -> list[State]:
     if n < 1:
         raise ValueError("n must be >= 1")
     w = as_coeffs(mu)
-    step = np.einsum("ijk,k->ij", qg.comult, w)  # nu -> nu * mu
+    # the step nu -> nu * mu
+    step = _rows(qg.comult.reshape(-1, qg.dim), w).reshape(qg.dim, qg.dim)
     power = w.copy()
     acc = w.copy()
     out = [State(qg, acc.copy())]

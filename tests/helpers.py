@@ -58,6 +58,13 @@ def right_regular_twist(g, gd, mu, s):
     return np.kron(np.eye(g.dim), u) @ mu.v
 
 
+def lift(gd, x):
+    """Invert pi on its range: (a, residual) with pi(a) ~ x, through the
+    pseudo-inverse of pi."""
+    a = gd._rep_pinv @ np.asarray(x).ravel()
+    return a, float(np.linalg.norm(gd.rep(a) - x))
+
+
 def non_associative_case(kind, name, size=1e-3, seed=0):
     """(g, gd, v): algebra(kind, name) with its product perturbed by a seeded
     Gaussian of scale ``size``, and v = sum_r X_r (x) pi(e_r) for random X_r.

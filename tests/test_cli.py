@@ -178,6 +178,23 @@ def test_walk_command(capsys, tmp_path):
     assert "extrapolated limit point is an idempotent state" in out
 
 
+@pytest.mark.parametrize("steps", range(1, 10))
+def test_walk_checkpoints_stop_at_steps(capsys, steps):
+    # the powers of two up to --steps, then --steps itself
+    expected = sorted({2**k for k in range(4) if 2**k <= steps} | {steps})
+    code, out, err = run(capsys, "walk", "fn:Z4", "--steps", str(steps))
+    assert code in (0, 1) and err == ""
+    ks = [int(line.split("k=")[1].split()[0]) for line in out.splitlines() if "k=" in line]
+    assert ks == expected
+    code_json, out_json, _ = run(
+        capsys, "walk", "fn:Z4", "--steps", str(steps), "--format", "json"
+    )
+    report = json.loads(out_json)
+    assert code_json == code and report["passed"] == (code == 0)
+    assert report["data"]["steps"] == steps
+    assert [d["k"] for d in report["data"]["diagnostics"]] == expected
+
+
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run(

@@ -26,6 +26,7 @@ from helpers import (
     basis_vector,
     dense_algebra,
     gns_and_unitary,
+    lift,
     non_associative_case,
     group,
     right_regular_twist,
@@ -279,7 +280,7 @@ def test_gns_representation_properties():
     assert np.allclose(gd.rep(a) @ gd.vector(b), gd.vector(g.multiply(a, b)))
     assert np.allclose(gd.rep(a).conj().T, gd.rep(g.star_vec(a)))
     assert np.allclose(gd.rep(g.unit), np.eye(6))
-    lifted, residual = gd.lift(gd.rep(a))
+    lifted, residual = lift(gd, gd.rep(a))
     assert residual < 1e-10 and np.allclose(lifted, a)
 
 
@@ -470,6 +471,27 @@ def test_coproduct_defect_memory_on_d16():
     # the dense check held about 80 MiB here (V^* and two n^2 x n^2
     # products); the factored one keeps about three n^4 arrays
     assert peak <= 80 * 2**20
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_validate_and_unitary_memory_on_d12():
+    small = algebra("fn", "S3")  # warm imports and einsum paths
+    multiplicative_unitary(small, qg.gns(small))
+    g = qg.function_algebra(qg.dihedral_group(12))  # n = 24, fresh caches
+    gd = qg.gns(g)
+    # real tensors keep every n^2 x n^2 product in float64: validate peaks
+    # near 13 MiB and V near 11 MiB, against 26 and 17 MiB in complex128
+    assert _traced_peak(qg.validate, g) <= 18 * 2**20
+    assert _traced_peak(multiplicative_unitary, g, gd) <= 13 * 2**20
 
 
 def test_multiplicative_unitary_flags_noninvariant_haar():

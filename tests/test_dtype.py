@@ -1,0 +1,138 @@
+"""The storage dtype rule and the real and complex paths it selects.
+
+A structure tensor is stored as float64 when its imaginary part is exactly
+zero and as complex128 otherwise; derived data (GNS basis, V, its slices,
+quotients) follow.  A diagonal phase basis change gives a complex twin of
+each real input, on which the same checks run in complex arithmetic: their
+residuals, ranks and verdicts must agree with the real ones.
+"""
+
+import numpy as np
+import pytest
+
+import qgidem as qg
+from qgidem.analysis import classify, quotient_quantum_group
+from qgidem.core import (
+    _real_matmul,
+    coproduct_defect,
+    pentagon_defect,
+    unitarity_defect,
+)
+
+from helpers import algebra, change_basis, gns_and_unitary, oracle_states
+
+TENSORS = ("mult", "unit", "star", "comult", "counit", "antipode", "haar")
+TWIN_CASES = [(kind, name) for kind in ("fn", "ga") for name in ("S3", "Q8", "D4")]
+
+
+def phase_twin(kind, name, seed=0):
+    """(twin, t): algebra(kind, name) carried by t = diag(e^{i theta_k})."""
+    g = algebra(kind, name)
+    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, g.dim)
+    t = np.diag(np.exp(1j * theta))
+    return change_basis(g, t), t
+
+
+@pytest.mark.parametrize("name", qg.builtin_group_names())
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_builtin_tensors_are_real(kind, name):
+    g = algebra(kind, name)
+    for x in (g, qg.dual(g)):
+        for field in TENSORS:
+            assert getattr(x, field).dtype == np.float64, field
+
+
+@pytest.mark.parametrize("kind,name", TWIN_CASES)
+def test_builtin_gns_unitary_and_slices_are_real(kind, name):
+    gd, mu = gns_and_unitary(kind, name)
+    for arr in (gd.gram, gd.onb, gd.onb_inv, gd.left_reg, mu.v):
+        assert arr.dtype == np.float64
+    assert mu.legs.exact
+    assert mu.legs.factors.dtype == np.float64
+    assert gd._hs_structure[0].dtype == np.float64
+
+
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_builtin_quotient_tensors_are_real(kind):
+    g = algebra(kind, "S3")
+    for st in oracle_states(kind, "S3"):
+        try:
+            q = quotient_quantum_group(g, st)
+        except qg.QuantumGroupError:
+            continue  # not a Haar idempotent
+        for field in TENSORS:
+            assert getattr(q.quotient, field).dtype == np.float64, field
+
+
+def test_any_imaginary_part_keeps_a_tensor_complex():
+    g = algebra("fn", "S3")
+    mult = g.mult.astype(np.complex128)
+    mult[0, 0, 0] += 1e-300j
+    x = qg.FiniteQuantumGroup(
+        dim=g.dim, mult=mult, unit=g.unit, star=g.star, comult=g.comult,
+        counit=g.counit, antipode=g.antipode, haar=g.haar,
+    )
+    assert x.mult.dtype == np.complex128 and x.mult[0, 0, 0].imag == 1e-300
+    assert x.comult.dtype == np.float64
+    twin, _ = phase_twin("ga", "S3")
+    assert twin.mult.dtype == np.complex128
+
+
+def test_real_matmul_matches_the_complex_product():
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((5, 4))
+    x = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+    ref = m.astype(np.complex128) @ x
+    assert np.abs(_real_matmul(m, x) - ref).max() <= 1e-14
+    # a transposed (non-contiguous) operand
+    assert np.abs(_real_matmul(m, x[:, :, 0].T) - (m @ x[:, :, 0].T)).max() <= 1e-14
+    # real operands, and a complex matrix, take the plain product
+    assert _real_matmul(m, x.real).dtype == np.float64
+    mc = m + 1j * rng.standard_normal(m.shape)
+    assert np.array_equal(_real_matmul(mc, x), mc @ x)
+
+
+@pytest.mark.parametrize("kind,name", TWIN_CASES)
+def test_validate_agrees_on_the_phase_twin(kind, name):
+    g = algebra(kind, name)
+    twin, _ = phase_twin(kind, name)
+    real, cplx = qg.validate(g), qg.validate(twin)
+    assert real.passed and cplx.passed
+    assert real.cancellation_ranks == cplx.cancellation_ranks
+    assert real.residuals.keys() == cplx.residuals.keys()
+    for key in real.residuals:
+        assert abs(real.residuals[key] - cplx.residuals[key]) <= 1e-12, key
+
+
+@pytest.mark.parametrize("kind,name", TWIN_CASES)
+def test_unitary_defects_agree_on_the_phase_twin(kind, name):
+    g = algebra(kind, name)
+    gd, mu = gns_and_unitary(kind, name)
+    twin, _ = phase_twin(kind, name)
+    gd_t = qg.gns(twin)
+    mu_t = qg.multiplicative_unitary(twin, gd_t)
+    assert mu_t.v.dtype == np.complex128
+    pairs = [
+        (unitarity_defect(mu.v), unitarity_defect(mu_t.v)),
+        (pentagon_defect(mu.v), pentagon_defect(mu_t.v)),
+        # the sampled pentagon, with complex vectors meeting a real V
+        (pentagon_defect(mu.v, max_dense_dim=1), pentagon_defect(mu_t.v, max_dense_dim=1)),
+        (coproduct_defect(g, gd, mu.v), coproduct_defect(twin, gd_t, mu_t.v)),
+    ]
+    for a, b in pairs:
+        assert abs(a - b) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,name", TWIN_CASES)
+def test_classify_agrees_on_the_phase_twin(kind, name):
+    g = algebra(kind, name)
+    gd, mu = gns_and_unitary(kind, name)
+    twin, t = phase_twin(kind, name)
+    gd_t = qg.gns(twin)
+    mu_t = qg.multiplicative_unitary(twin, gd_t)
+    ti = np.linalg.inv(t)
+    for st in oracle_states(kind, name):
+        a = classify(g, st, gd=gd, mu=mu)
+        b = classify(twin, st.coeffs @ ti, gd=gd_t, mu=mu_t)
+        assert a.is_haar == b.is_haar
+        assert a.null_space_dim == b.null_space_dim

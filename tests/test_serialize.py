@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -16,7 +17,9 @@ from qgidem.serialize import (
     state_from_dict,
     state_to_dict,
 )
-from helpers import algebra, group, oracle_states
+from helpers import algebra, change_basis, group, oracle_states
+
+TENSORS = ("mult", "comult", "unit", "counit", "haar", "star", "antipode")
 
 
 @pytest.mark.parametrize("kind,name", [("fn", "S3"), ("ga", "Q8"), ("fn", "Z1")])
@@ -94,6 +97,49 @@ def test_state_round_trip_and_hash_check():
 def test_content_hash_distinguishes_structures():
     assert content_hash(algebra("fn", "S3")) != content_hash(algebra("ga", "S3"))
     assert content_hash(algebra("fn", "S3")) == content_hash(algebra("fn", "S3"))
+
+
+def test_content_hash_is_pinned():
+    # the digests of the complex128 tensors: state files saved before the
+    # tensors of real inputs were stored as float64 must still load
+    assert content_hash(algebra("fn", "S3")) == (
+        "17998ce9d55ed257d00b642a7de722fc5c677290902bed671191787024342e41"
+    )
+    h = hashlib.sha256()
+    for name in qg.builtin_group_names():
+        for kind in ("fn", "ga"):
+            g = algebra(kind, name)
+            for x in (g, qg.dual(g)):
+                h.update(content_hash(x).encode())
+    assert h.hexdigest() == (
+        "cd733236364009f482329ecf5d58a3cb60f6dcf85385d9c48a7c4adc4b8b2ad4"
+    )
+
+
+def test_content_hash_ignores_the_storage_dtype():
+    g = algebra("ga", "D4")
+    as_complex = qg.FiniteQuantumGroup(
+        dim=g.dim, tol=g.tol,
+        **{f: getattr(g, f).astype(np.complex128) for f in TENSORS},
+    )
+    assert as_complex.mult.dtype == np.float64  # the rule drops the zero part
+    assert content_hash(as_complex) == content_hash(g)
+
+
+@pytest.mark.parametrize("twist", [False, True])
+@pytest.mark.parametrize("kind,name", [("fn", "S3"), ("ga", "Q8")])
+def test_round_trip_keeps_tensors_and_dtypes(kind, name, twist):
+    g = algebra(kind, name)
+    if twist:  # a phase basis change makes the tensors complex
+        theta = np.random.default_rng(2).uniform(0.0, 2.0 * np.pi, g.dim)
+        g = change_basis(g, np.diag(np.exp(1j * theta)))
+        assert g.mult.dtype == np.complex128
+    loaded = qg_from_dict(json.loads(json.dumps(qg_to_dict(g))))
+    for field in TENSORS:
+        a, b = getattr(g, field), getattr(loaded, field)
+        assert a.dtype == b.dtype, field
+        assert np.array_equal(a, b), field
+    assert content_hash(loaded) == content_hash(g)
 
 
 def test_json_is_plain_data(tmp_path):

@@ -47,6 +47,7 @@ from helpers import (
     dense_algebra,
     gns_and_unitary,
     group,
+    lift,
     oracle_states,
     right_regular_twist,
 )
@@ -96,8 +97,8 @@ def loop_antipode_slice_defect(g, gd, mu):
     worst = 0.0
     for i in range(n):
         for j in range(n):
-            a, res_a = gd.lift(blocks[i, j])
-            b, res_b = gd.lift(vstar_blocks[i, j])
+            a, res_a = lift(gd, blocks[i, j])
+            b, res_b = lift(gd, vstar_blocks[i, j])
             worst = max(worst, res_a, res_b)
             worst = max(worst, frobenius(g.antipode @ a - b))
             lifted[i * n + j] = a

@@ -367,9 +367,7 @@ def _solver_starts_for(g, starts=500):
     return w_p, z, _solver_starts(g, cfg, z, w_p, qg.gns(g))
 
 
-@pytest.mark.parametrize("kind,name", [("fn", "S3"), ("ga", "D4"), ("fn", "S4")])
-def test_newton_batch_matches_single_start_polish(kind, name):
-    g = algebra(kind, name)
+def _check_batch_matches_single_start(g, exact):
     w_p, z, t0 = _solver_starts_for(g)
     size = _blocks(len(t0), g.dim)[0].stop
     assert size < len(t0)  # the batch spans several blocks
@@ -379,6 +377,23 @@ def test_newton_batch_matches_single_start_polish(kind, name):
         w1, res1, ok1 = _newton_polish_batch(g.comult, w_p, z, t0[b : b + 1], 1e-13, 80)
         assert np.abs(w1[0] - w[b]).max() <= 1e-12
         assert abs(res1[0] - res[b]) <= 1e-12 and ok1[0] == ok[b]
+        if exact:
+            # on real tensors every product with a start is a stacked one,
+            # so its bits do not depend on the other starts in its block
+            assert np.array_equal(w1[0], w[b]) and res1[0] == res[b]
+
+
+@pytest.mark.parametrize("kind,name", [("fn", "S3"), ("ga", "D4"), ("fn", "S4")])
+def test_newton_batch_matches_single_start_polish(kind, name):
+    g = algebra(kind, name)
+    assert g.comult.dtype == np.float64
+    _check_batch_matches_single_start(g, exact=True)
+
+
+def test_newton_batch_matches_single_start_polish_on_a_dense_basis():
+    g = dense_algebra("ga", "D4")[0]
+    assert g.comult.dtype == np.complex128
+    _check_batch_matches_single_start(g, exact=False)
 
 
 @pytest.mark.parametrize("kind,name", [("fn", "S3"), ("ga", "D4")])
