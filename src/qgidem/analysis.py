@@ -44,15 +44,20 @@ CLASSIFY_TOL = 1e-8
 EQUIVALENCE_TOL = 1e-6
 
 
+def _numerical_rank(s, rel_tol: float) -> int:
+    """How many singular values s (descending) exceed rel_tol * max(s[0], 1);
+    the floor at 1 keeps a numerically-zero matrix from reading as full rank."""
+    cutoff = rel_tol * max(float(s[0]) if s.size else 0.0, 1.0)
+    return int(np.sum(s > cutoff))
+
+
 def orthonormal_columns(m, rel_tol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis of the column space (Frobenius geometry)."""
-    m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
+    m = np.atleast_2d(np.asarray(m))
     if m.shape[1] == 0:
         return m
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    cutoff = rel_tol * max(float(s[0]) if s.size else 0.0, 1.0)
-    rank = int(np.sum(s > cutoff))
-    return u[:, :rank]
+    return u[:, : _numerical_rank(s, rel_tol)]
 
 
 def subspace_defect(images, u) -> float:
@@ -62,7 +67,7 @@ def subspace_defect(images, u) -> float:
     array; ``u`` has orthonormal columns spanning the subspace.  Zero iff
     every image lies in span(u).
     """
-    images = np.asarray(images, dtype=np.complex128)
+    images = np.asarray(images)
     if images.size == 0:
         return 0.0
     outside = images - u @ (u.conj().T @ images)
@@ -91,7 +96,7 @@ def null_space(qg: FiniteQuantumGroup, omega, tol: float = CONSTRUCTION_TOL) -> 
 
 def ideal_residual(qg: FiniteQuantumGroup, basis) -> float:
     """How far the subspace is from being a two-sided *-closed ideal."""
-    basis = np.asarray(basis, dtype=np.complex128)
+    basis = np.asarray(basis)
     if basis.shape[1] == 0:
         return 0.0
     u = orthonormal_columns(basis)
@@ -221,9 +226,9 @@ def verify_conditional_expectation(
     n^2 x n^2 Choi matrix (the dominant term), k^2 n^3 for the bimodule
     test over the k basis vectors of C.
     """
-    e = np.asarray(e, dtype=np.complex128)
+    e = np.asarray(e)
     n = qg.dim
-    u = orthonormal_columns(np.asarray(c_basis, dtype=np.complex128))
+    u = orthonormal_columns(c_basis)
     gd = gns(qg) if gd is None else gd
     r = {}
 
@@ -272,12 +277,7 @@ def _bimodule_defect(qg, e, u) -> float:
 
 def _kernel_basis(e, rel_tol: float = 1e-9) -> np.ndarray:
     _, s, vh = np.linalg.svd(e)
-    # the floor at 1 keeps a numerically-zero matrix (all singular values
-    # at rounding level) from being read as full rank; every caller works
-    # with unit-scale operators
-    cutoff = rel_tol * max(float(s[0]) if s.size else 0.0, 1.0)
-    rank = int(np.sum(s > cutoff))
-    return vh.conj().T[:, rank:]
+    return vh.conj().T[:, _numerical_rank(s, rel_tol) :]
 
 
 # -- symmetry under the dual action -------------------------------------
@@ -294,7 +294,7 @@ def symmetry_residual(
     into V's second output leg, and each basis vector of C costs one
     n^2 x n^2 GEMM with V^*, n^6.
     """
-    u = orthonormal_columns(np.asarray(c_basis, dtype=np.complex128))
+    u = orthonormal_columns(c_basis)
     if u.shape[1] == 0:
         return 0.0
     reps = np.tensordot(u, gd.left_reg, axes=(0, 0))  # reps[c] = pi(u_c)
@@ -471,7 +471,7 @@ def quotient_quantum_group(
 
     # Haar-orthonormal complement of the null space
     if k == 0:
-        comp = np.eye(n, dtype=np.complex128)
+        comp = np.eye(n)
     else:
         comp = _kernel_basis(nsp.conj().T @ g, rel_tol=1e-12)
     if comp.shape[1] != nb:
@@ -495,7 +495,7 @@ def quotient_quantum_group(
     lw = left_slice(qg, w)
     gram_diag = qg.functional_gram(w).diagonal().real
     hits = np.flatnonzero((gram_diag > 1e-9) & (np.abs(w) > 1e-9))
-    e_pos = lw[:, hits[0]] / w[hits[0]] if hits.size else qg.unit.astype(np.complex128)
+    e_pos = lw[:, hits[0]] / w[hits[0]] if hits.size else qg.unit
     unit_b = proj @ (lw @ e_pos)
     alt_unit = proj @ qg.unit
     if np.abs(unit_b - alt_unit).max() > EQUIVALENCE_TOL:
@@ -602,7 +602,7 @@ def coaction_checks(
     (k n) x n^2 density matrix, k^2 n^4 (n^6 when C = A), dominates.
     """
     n = qg.dim
-    u = orthonormal_columns(np.asarray(c_basis, dtype=np.complex128))
+    u = orthonormal_columns(c_basis)
     kdim = u.shape[1]
 
     x = qg.comultiply(u.T)  # x[c] = alpha(u_c)
@@ -761,7 +761,7 @@ def state_from_subalgebra(
     Haar-preserving conditional expectation); right invariance and the
     bimodule property are verified, not assumed.
     """
-    u = orthonormal_columns(np.asarray(c_basis, dtype=np.complex128))
+    u = orthonormal_columns(c_basis)
     rinv = right_invariance_residual(qg, u)
     if rinv > max(tol * qg.dim, 1e-8):
         raise QuantumGroupError(

@@ -13,14 +13,14 @@ Conventions (fixed once, used everywhere):
   ``omega(e_i) = w[i]``;
 * elements of ``A (x) A`` are ``n x n`` coefficient matrices ``X[p, q]``.
 
-Each structure tensor is stored as float64 when its imaginary part is
-exactly zero and as complex128 otherwise (``FiniteQuantumGroup``).  The
-derived data (the Haar Gram, the GNS basis, V and its slices, quotients)
-take the result type of the tensors they come from, so an input with real
-structure constants runs its products in real BLAS: half the bytes and a
-quarter of the flops of the complex ones.  Where a real matrix meets a
-complex operand (states, sampled vectors) :func:`_real_matmul` applies it
-as one real product.
+Structure tensors and state coefficients are stored by one rule,
+:func:`_stored`: float64 when the imaginary part is exactly zero, else
+complex128.  Derived data (GNS basis, V and its slices, null spaces,
+invariant subalgebras, quotients) take their operands' result type, so a
+real input with real states runs in real BLAS: half the bytes and a
+quarter of the flops of complex products.  Where a real matrix meets a
+complex operand (solver starts, sampled vectors) :func:`_real_matmul`
+applies it as one real product.
 
 All residual norms are Frobenius norms unless a sup-norm is stated.
 Multiplier algebras, affiliated elements and modular elements are trivial
@@ -63,17 +63,13 @@ def _checked_tol(tol) -> float:
     return float(tol)
 
 
-def _as_tensor(x, shape, name):
-    """x as a read-only contiguous array: float64 when its imaginary part is
-    exactly zero, complex128 otherwise."""
-    arr = np.asarray(x, dtype=np.complex128)
-    if arr.shape != shape:
-        raise StructuralError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not arr.imag.any():
-        arr = arr.real
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
+def _stored(x) -> np.ndarray:
+    """A contiguous copy of x: float64 when its imaginary part is exactly
+    zero, complex128 otherwise (for tensors and coefficient vectors)."""
+    arr = np.asarray(x)
+    if arr.dtype.kind == "c" and arr.imag.any():
+        return np.array(arr, dtype=np.complex128, order="C")
+    return np.array(arr.real, dtype=np.float64, order="C")
 
 
 def _real_matmul(m, x):
@@ -91,15 +87,17 @@ def _real_matmul(m, x):
     return (m @ x.view(np.float64)).view(np.complex128)
 
 
+_TENSOR_RANKS = dict(mult=3, unit=1, star=2, comult=3, counit=1, antipode=2, haar=1)
+
+
 @dataclass(frozen=True)
 class FiniteQuantumGroup:
     """A finite-dimensional Hopf *-algebra with a faithful invariant state.
 
     Instances are immutable; operations on them are pure functions, so a
-    quantum group may be shared freely across threads.  Each tensor is
-    stored as float64 when its imaginary part is exactly zero (every
-    ``function_algebra`` and ``group_algebra`` and their duals) and as
-    complex128 otherwise; the values are the same either way.
+    quantum group may be shared freely across threads.  Each tensor, like
+    each ``State``'s coefficients, is stored by :func:`_stored`: float64
+    for every ``function_algebra``, ``group_algebra`` and their duals.
     """
 
     dim: int
@@ -117,13 +115,12 @@ class FiniteQuantumGroup:
         if n <= 0:
             raise StructuralError("dim must be a positive integer")
         object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "mult", _as_tensor(self.mult, (n, n, n), "mult"))
-        object.__setattr__(self, "unit", _as_tensor(self.unit, (n,), "unit"))
-        object.__setattr__(self, "star", _as_tensor(self.star, (n, n), "star"))
-        object.__setattr__(self, "comult", _as_tensor(self.comult, (n, n, n), "comult"))
-        object.__setattr__(self, "counit", _as_tensor(self.counit, (n,), "counit"))
-        object.__setattr__(self, "antipode", _as_tensor(self.antipode, (n, n), "antipode"))
-        object.__setattr__(self, "haar", _as_tensor(self.haar, (n,), "haar"))
+        for name, rank in _TENSOR_RANKS.items():
+            arr, shape = _stored(getattr(self, name)), (n,) * rank
+            if arr.shape != shape:
+                raise StructuralError(f"{name} must have shape {shape}, got {arr.shape}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         _checked_tol(self.tol)
 
     # -- pointwise operations on coordinate vectors --------------------
@@ -474,7 +471,7 @@ def intertwiner_defect(qg1: FiniteQuantumGroup, qg2: FiniteQuantumGroup, t) -> f
     """
     if qg1.dim != qg2.dim:
         raise StructuralError("intertwiner requires equal dimensions")
-    t = np.asarray(t, dtype=np.complex128)
+    t = np.asarray(t)
     res = [
         frobenius(
             np.einsum("ijk,lk->ijl", qg1.mult, t)
@@ -516,11 +513,11 @@ class GnsData:
 
     def vector(self, a):
         """H-coordinates of Lambda(a)."""
-        return self.onb_inv @ np.asarray(a, dtype=np.complex128)
+        return self.onb_inv @ np.asarray(a)
 
     def rep(self, a):
         """The GNS representation pi(a) (faithful, unital, *-preserving)."""
-        return np.tensordot(np.asarray(a, dtype=np.complex128), self.left_reg, axes=(0, 0))
+        return np.tensordot(np.asarray(a), self.left_reg, axes=(0, 0))
 
     @cached_property
     def _hs_basis(self) -> np.ndarray:

@@ -20,29 +20,30 @@ from .core import (
     GnsData,
     InternalConsistencyError,
     _real_matmul,
+    _stored,
     gns,
 )
 
 
 def as_coeffs(x) -> np.ndarray:
-    """Coefficient vector of a State or a bare array."""
+    """Coefficient vector of a State, or of a bare array by ``core._stored``."""
     if isinstance(x, State):
         return x.coeffs
-    return np.asarray(x, dtype=np.complex128)
+    return _stored(x)
 
 
 @dataclass(frozen=True)
 class State:
-    """A functional on a quantum group, tagged with its parent."""
+    """A functional on a quantum group, tagged with its parent; ``coeffs``
+    is a read-only copy stored like the tensors (``core._stored``)."""
 
     qg: FiniteQuantumGroup
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
+        c = _stored(self.coeffs)
         if c.shape != (self.qg.dim,):
             raise ValueError(f"coefficients must have shape ({self.qg.dim},)")
-        c = np.ascontiguousarray(c)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -101,7 +102,6 @@ def _state_mask(qg: FiniteQuantumGroup, ws, tol: float, idempotent: bool) -> np.
     blocks of :func:`_blocks`, at ``n^3`` per row for the Gram and its
     eigenvalues.
     """
-    ws = np.asarray(ws, dtype=np.complex128)
     ok = np.abs(ws @ qg.unit - 1.0) <= tol
     for sl in _blocks(len(ws), qg.dim):
         w = ws[sl]
@@ -140,7 +140,7 @@ def subgroup_state_fn(qg: FiniteQuantumGroup, ct: CayleyTable, subset) -> State:
     members = sorted(set(int(x) for x in subset))
     if not is_subgroup(ct, members):
         raise ValueError(f"{members} is not a subgroup")
-    w = np.zeros(qg.dim, dtype=np.complex128)
+    w = np.zeros(qg.dim)
     w[members] = 1.0 / len(members)
     return State(qg, w)
 
@@ -154,7 +154,7 @@ def subgroup_state_ga(qg: FiniteQuantumGroup, ct: CayleyTable, subset) -> State:
     members = sorted(set(int(x) for x in subset))
     if not is_subgroup(ct, members):
         raise ValueError(f"{members} is not a subgroup")
-    w = np.zeros(qg.dim, dtype=np.complex128)
+    w = np.zeros(qg.dim)
     w[members] = 1.0
     return State(qg, w)
 
@@ -165,7 +165,7 @@ def _vector_state(qg: FiniteQuantumGroup, a) -> np.ndarray:
     omega(e_i) = sum_{p,q} (a^*)_p h(e_p e_i e_q) a_q against the cached
     Haar triple product, ``n^3`` per row.
     """
-    a = np.asarray(a, dtype=np.complex128)
+    a = np.asarray(a)
     n = qg.dim
     rows = a.reshape(-1, n)
     a_star = _real_matmul(qg.star, np.conj(rows).T)  # [p, row]
@@ -183,24 +183,25 @@ def random_state(qg: FiniteQuantumGroup, rng) -> State:
 # -- idempotent solver --------------------------------------------------
 
 
+# fixed solver settings, described in solve_idempotents and _solver_starts
+_NEWTON_TOL = 1e-10
+_DEDUP_TOL = 1e-7
+_MAX_ITER = 80
+_PERTURBATION = 1.2
+
+
 @dataclass(frozen=True)
 class SolveConfig:
-    """Multi-start Newton configuration for the idempotent equation."""
+    """Multi-start Newton budget for the idempotent equation."""
 
     starts: int = 500
     seed: int = 0
-    newton_tol: float = 1e-10
-    dedup_tol: float = 1e-7
-    max_iter: int = 80
-    perturbation: float = 1.2
 
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not (self.newton_tol > 0 and self.dedup_tol > 0):
-            raise ValueError("tolerances must be positive")
 
 
 def _constraint_chart(qg):
@@ -209,8 +210,7 @@ def _constraint_chart(qg):
     u = qg.unit
     w_p = qg.counit.copy()  # counit is unital, a convenient base point
     _, _, vh = np.linalg.svd(u[None, :])
-    z = vh[1:].conj().T if qg.dim > 1 else np.zeros((1, 0), dtype=np.complex128)
-    return w_p, np.ascontiguousarray(z)
+    return w_p, np.ascontiguousarray(vh[1:].conj().T)
 
 
 def _cesaro_probe(qg, ws, k: int = 32):
@@ -270,8 +270,9 @@ def _solver_starts(qg, cfg, z, w_p, gd):
     push the vector states of generated supports of single basis elements
     and pairs toward the idempotent set by Cesaro extrapolation; the rest
     of the budget alternates between random simplex mixtures of the
-    GNS-diagonal vector states with heterogeneous perturbation and
-    Cesaro-extrapolated equal-weight random-subset probes.
+    GNS-diagonal vector states plus a complex Gaussian of random scale up
+    to ``_PERTURBATION`` and Cesaro-extrapolated equal-weight random-subset
+    probes.
 
     The random numbers are drawn first, in a fixed order, and the probe
     masks collected; the probes are then warmed in blocks of
@@ -301,7 +302,7 @@ def _solver_starts(qg, cfg, z, w_p, gd):
         if row % 2 == 0:
             p = rng.dirichlet(np.ones(n))
             w0 = diag_states @ p
-            sigma = rng.uniform(0.0, cfg.perturbation)
+            sigma = rng.uniform(0.0, _PERTURBATION)
             w0 = w0 + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             seeds[row] = normalized(w0)
         else:
@@ -456,11 +457,12 @@ def solve_idempotents(
     equations J^* J delta = -J^* F are Levenberg-regularised with the shift
     ``1e-12 (1 + tr(J^* J) / m)``, multiplied by 100 while Cholesky fails
     (four tries), and the step is halved from 1 down to ``2^-24`` until the
-    squared residual passes an Armijo test at ``1e-4``.  Solutions with a
-    residual above ``newton_tol`` or failing the state test are discarded
-    and the rest deduplicated at ``dedup_tol`` (sup norm) in a canonical
-    order, then snapped onto the state face (:func:`_snap_to_states`) and
-    deduplicated again.
+    squared residual passes an Armijo test at ``1e-4``.  Polishing stops at
+    a residual of ``1e-13`` or after ``_MAX_ITER`` iterations; solutions
+    with a residual above ``_NEWTON_TOL`` or failing the state test are
+    discarded and the rest deduplicated at ``_DEDUP_TOL`` (sup norm) in a
+    canonical order, then snapped onto the state face
+    (:func:`_snap_to_states`) and deduplicated again.
     Deterministic for a fixed seed.  The result always contains the counit
     and the Haar state; no completeness claim is made for a general quantum
     group (the CLI reports findings as "found").
@@ -481,16 +483,16 @@ def solve_idempotents(
     gd = gns(qg)
     t0 = _solver_starts(qg, cfg, z, w_p, gd)
     solutions, residuals, _ = _newton_polish_batch(
-        qg.comult, w_p, z, t0, min(cfg.newton_tol, 1e-13), cfg.max_iter
+        qg.comult, w_p, z, t0, 1e-13, _MAX_ITER
     )
-    candidates = solutions[residuals <= cfg.newton_tol]
+    candidates = solutions[residuals <= _NEWTON_TOL]
     states = candidates[_state_mask(qg, candidates, 1e-9, idempotent=True)]
     kept = sorted((State(qg, w) for w in states), key=State.sort_key)
-    unique = _dedup(kept, cfg.dedup_tol)
+    unique = _dedup(kept, _DEDUP_TOL)
     snapped = _snap_to_states(
-        qg, gd, np.array([st.coeffs for st in unique]).reshape(-1, n), cfg.dedup_tol
+        qg, gd, np.array([st.coeffs for st in unique]).reshape(-1, n), _DEDUP_TOL
     )
-    return _dedup([State(qg, w) for w in snapped], cfg.dedup_tol)
+    return _dedup([State(qg, w) for w in snapped], _DEDUP_TOL)
 
 
 def _dedup(states: list[State], tol: float) -> list[State]:
@@ -554,9 +556,9 @@ def cesaro_walk(qg: FiniteQuantumGroup, mu, n: int) -> list[State]:
     w = as_coeffs(mu)
     # the step nu -> nu * mu
     step = _rows(qg.comult.reshape(-1, qg.dim), w).reshape(qg.dim, qg.dim)
-    power = w.copy()
+    power = w
     acc = w.copy()
-    out = [State(qg, acc.copy())]
+    out = [State(qg, acc)]
     for k in range(2, n + 1):
         power = step @ power
         acc += power
@@ -573,7 +575,7 @@ def recover_slice(qg: FiniteQuantumGroup, t, tol: float = 1e-9) -> State | None:
     Returns the recovered functional, or None when some commutator is
     nonzero.  Commutation without t = L_mu is impossible and raises.
     """
-    t = np.asarray(t, dtype=np.complex128)
+    t = np.asarray(t)
     n = qg.dim
     r = qg.comult.transpose(2, 1, 0)  # r[k] = R_{f_k}: r[k, j, i] = comult[i, j, k]
     if np.abs(t @ r - r @ t).max() > tol:

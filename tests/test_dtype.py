@@ -1,25 +1,37 @@
 """The storage dtype rule and the real and complex paths it selects.
 
-A structure tensor is stored as float64 when its imaginary part is exactly
-zero and as complex128 otherwise; derived data (GNS basis, V, its slices,
-quotients) follow.  A diagonal phase basis change gives a complex twin of
-each real input, on which the same checks run in complex arithmetic: their
-residuals, ranks and verdicts must agree with the real ones.
+A structure tensor and a state's coefficient vector are stored as float64
+when their imaginary part is exactly zero and as complex128 otherwise, by
+one rule in ``core``; derived data (GNS basis, V, its slices, invariant
+subalgebras, null spaces, quotients) follow.  A diagonal phase basis change
+gives a complex twin of each real input, on which the same checks run in
+complex arithmetic: their residuals, ranks and verdicts must agree with the
+real ones.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qgidem as qg
-from qgidem.analysis import classify, quotient_quantum_group
+from qgidem import analysis, cli, serialize
+from qgidem.analysis import (
+    classify,
+    invariant_subalgebra,
+    null_space,
+    quotient_quantum_group,
+)
 from qgidem.core import (
     _real_matmul,
     coproduct_defect,
     pentagon_defect,
     unitarity_defect,
 )
+from qgidem.states import State, as_coeffs
 
-from helpers import algebra, change_basis, gns_and_unitary, oracle_states
+from helpers import algebra, change_basis, gns_and_unitary, oracle_states, solved
 
 TENSORS = ("mult", "unit", "star", "comult", "counit", "antipode", "haar")
 TWIN_CASES = [(kind, name) for kind in ("fn", "ga") for name in ("S3", "Q8", "D4")]
@@ -55,13 +67,75 @@ def test_builtin_gns_unitary_and_slices_are_real(kind, name):
 @pytest.mark.parametrize("kind", ["fn", "ga"])
 def test_builtin_quotient_tensors_are_real(kind):
     g = algebra(kind, "S3")
+    built = 0
     for st in oracle_states(kind, "S3"):
         try:
             q = quotient_quantum_group(g, st)
         except qg.QuantumGroupError:
             continue  # not a Haar idempotent
+        built += 1
+        assert q.projection.dtype == np.float64
+        assert q.section.dtype == np.float64
+        assert q.haar_mu.coeffs.dtype == np.float64
         for field in TENSORS:
             assert getattr(q.quotient, field).dtype == np.float64, field
+    assert built
+
+
+@pytest.mark.parametrize("kind,name", [("fn", "S3"), ("ga", "S3"), ("ga", "D4"), ("ga", "Q8")])
+def test_states_on_builtin_inputs_are_real(kind, name):
+    for st in solved(kind, name) + oracle_states(kind, name):
+        assert st.coeffs.dtype == np.float64
+    g = algebra(kind, name)
+    st = solved(kind, name)[-1]
+    loaded = serialize.state_from_dict(json.loads(json.dumps(serialize.state_to_dict(st))), g)
+    assert loaded.coeffs.dtype == np.float64
+    assert np.array_equal(loaded.coeffs, st.coeffs)
+
+
+def test_cli_walk_default_start_is_real(monkeypatch, capsys):
+    starts = []
+
+    def recording_walk(g, mu, n):
+        starts.append(as_coeffs(mu))
+        return qg.cesaro_walk(g, mu, n)
+
+    monkeypatch.setattr(cli, "cesaro_walk", recording_walk)
+    assert cli.main(["walk", "fn:Z4", "--steps", "1000"]) == 0
+    capsys.readouterr()
+    assert len(starts) == 1 and starts[0].dtype == np.float64
+
+
+def test_any_imaginary_part_keeps_a_state_complex():
+    g = algebra("fn", "S3")
+    w = g.haar.astype(np.complex128)
+    assert State(g, w).coeffs.dtype == np.float64  # the rule drops the zero part
+    assert as_coeffs(w).dtype == np.float64
+    w[1] += 1e-300j
+    st = State(g, w)
+    assert st.coeffs.dtype == np.complex128 and st.coeffs[1].imag == 1e-300
+    assert as_coeffs(w).dtype == np.complex128
+    assert not st.coeffs.flags.writeable and st.coeffs is not w
+
+
+def test_state_of_the_wrong_shape_is_refused():
+    with pytest.raises(ValueError, match="shape"):
+        State(algebra("fn", "S3"), np.ones(3) / 3)
+
+
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_analysis_of_a_real_state_is_real(kind):
+    g = algebra(kind, "S3")
+    for st in oracle_states(kind, "S3"):
+        assert null_space(g, st).dtype == np.float64
+        assert invariant_subalgebra(g, st).basis.dtype == np.float64
+
+
+def test_analysis_module_leaves_the_dtype_to_core():
+    # the real/complex storage decision lives in core; analysis takes the
+    # result type of its operands
+    source = Path(analysis.__file__).read_text()
+    assert "complex128" not in source
 
 
 def test_any_imaginary_part_keeps_a_tensor_complex():
@@ -134,5 +208,7 @@ def test_classify_agrees_on_the_phase_twin(kind, name):
     for st in oracle_states(kind, name):
         a = classify(g, st, gd=gd, mu=mu)
         b = classify(twin, st.coeffs @ ti, gd=gd_t, mu=mu_t)
+        assert a.state.coeffs.dtype == np.float64
+        assert b.state.coeffs.dtype == np.complex128
         assert a.is_haar == b.is_haar
         assert a.null_space_dim == b.null_space_dim

@@ -303,8 +303,12 @@ def test_solver_dim_one():
 def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(starts=0)
-    with pytest.raises(ValueError):
-        SolveConfig(newton_tol=-1.0)
+
+
+def test_solve_config_sets_only_starts_and_seed():
+    # the Newton and dedup tolerances, the iteration cap and the start
+    # perturbation are fixed module constants, not settings
+    assert [f.name for f in dataclasses.fields(SolveConfig)] == ["starts", "seed"]
 
 
 def test_solve_config_rejects_negative_seed():
