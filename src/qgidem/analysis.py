@@ -33,6 +33,7 @@ from .core import (
 from .states import (
     State,
     as_coeffs,
+    canonical_order,
     convolve,
     idempotency_defect,
     is_idempotent,
@@ -95,17 +96,27 @@ def null_space(qg: FiniteQuantumGroup, omega, tol: float = CONSTRUCTION_TOL) -> 
 
 
 def ideal_residual(qg: FiniteQuantumGroup, basis) -> float:
-    """How far the subspace is from being a two-sided *-closed ideal."""
+    """How far the subspace is from being a two-sided *-closed ideal.
+
+    The largest Frobenius norm of (1 - u u^*) T u over the operators T:
+    left and right multiplication by each basis element e_i, and the star.
+    Rotating the orthonormal basis u of the subspace leaves each norm
+    unchanged, so the value depends on the subspace alone.
+    """
     basis = np.asarray(basis)
     if basis.shape[1] == 0:
         return 0.0
     u = orthonormal_columns(basis)
     m = qg.mult
-    return max(
-        subspace_defect(np.einsum("ijk,jc->ikc", m, u), u),  # e_i u
-        subspace_defect(np.einsum("jik,jc->ikc", m, u), u),  # u e_i
-        subspace_defect(qg.star_vec(u), u),
+    images = np.concatenate(
+        [
+            np.einsum("ijk,jc->ikc", m, u),  # e_i u
+            np.einsum("jik,jc->ikc", m, u),  # u e_i
+            qg.star_vec(u)[None],
+        ]
     )
+    outside = images - u @ (u.conj().T @ images)
+    return float(np.linalg.norm(outside, axis=(-2, -1)).max())
 
 
 def is_ideal(qg: FiniteQuantumGroup, basis, tol: float = CLASSIFY_TOL) -> bool:
@@ -666,9 +677,11 @@ def build_lattice(qg: FiniteQuantumGroup, states, tol: float = CLASSIFY_TOL) -> 
     (m n^3 + m^2 n^2); the order, absorption and covering relations are then
     read from it and from m x m boolean matrix products (m^3).
     """
-    states = sorted(states, key=State.sort_key)
+    states = list(states)
     m = len(states)
     w = np.array([st.coeffs for st in states]).reshape(m, qg.dim)
+    order = canonical_order(w)
+    states, w = [states[i] for i in order], w[order]
     # conv[i, j] = omega_i * omega_j, for every pair at once
     conv = np.einsum("ijk,aj,bk->abi", qg.comult, w, w, optimize=True)
     leq = np.abs(conv - w[None]).max(axis=-1) <= tol

@@ -102,10 +102,11 @@ def _state_mask(qg: FiniteQuantumGroup, ws, tol: float, idempotent: bool) -> np.
     blocks of :func:`_blocks`, at ``n^3`` per row for the Gram and its
     eigenvalues.
     """
-    ok = np.abs(ws @ qg.unit - 1.0) <= tol
+    ok = np.empty(len(ws), dtype=bool)
     for sl in _blocks(len(ws), qg.dim):
         w = ws[sl]
         good = ok[sl]  # a view: clearing a row of good clears it in ok
+        good[:] = np.abs(_rows(qg.unit[None], w)[:, 0] - 1.0) <= tol
         if idempotent:
             good &= np.abs(_square(qg.comult, w) - w).max(axis=-1) <= tol
         rows = np.flatnonzero(good)
@@ -237,29 +238,37 @@ def _cesaro_probe(qg, ws, k: int = 32):
     return 2.0 * (acc / (2 * k)) - nu_k
 
 
-def _generated_support(qg, idxs) -> np.ndarray:
-    """Boolean mask of basis indices reached by powers of sum(e_i, i in idxs).
+def _generated_supports(qg, combos) -> np.ndarray:
+    """Boolean masks of basis indices reached by powers of sum(e_i, i in c),
+    one row per index tuple c of combos.
 
     For a group algebra this is the subgroup generated by the chosen group
     elements; for a function algebra it is the chosen point set itself.
+    Each row runs its own power iteration, at most n normalised powers,
+    stacked over the rows still running in blocks of :func:`_blocks`: a row
+    stops when a power vanishes (peak below ``1e-12``), or when its mask
+    covers every index or stops growing.
     """
     n = qg.dim
-    s = np.zeros(n)
-    s[list(idxs)] = 1.0
+    s = np.zeros((len(combos), n))
+    for row, combo in enumerate(combos):
+        s[row, list(combo)] = 1.0
     mask = np.abs(s) > 1e-9
-    times_s = qg.right_mult_matrix(s)
-    cur = s.copy()
-    for _ in range(n):
-        cur = times_s @ cur
-        peak = np.abs(cur).max()
-        if peak < 1e-12:
-            break
-        cur /= peak
-        new = mask | (np.abs(cur) > 1e-9)
-        if new.all() or np.array_equal(new, mask):
-            mask = new
-            break
-        mask = new
+    for sl in _blocks(len(s), n):
+        times_s = qg.right_mult_matrix(s[sl])
+        block = mask[sl]  # a view: setting a row of block sets it in mask
+        live, cur = np.arange(len(block)), s[sl]
+        for _ in range(n):
+            cur = _rows(times_s[live], cur)
+            peak = np.abs(cur).max(axis=-1)
+            nonzero = peak >= 1e-12
+            live, cur = live[nonzero], cur[nonzero] / peak[nonzero, None]
+            new = block[live] | (np.abs(cur) > 1e-9)
+            grew = ~(new.all(axis=-1) | (new == block[live]).all(axis=-1))
+            block[live] = new
+            live, cur = live[grew], cur[grew]
+            if not live.size:
+                break
     return mask
 
 
@@ -275,11 +284,11 @@ def _solver_starts(qg, cfg, z, w_p, gd):
     probes.
 
     The random numbers are drawn first, in a fixed order, and the probe
-    masks collected; the probes are then warmed in blocks of
-    :func:`_blocks`.  Equal weights matter: the Cesaro limit of an
-    equal-weight subset probe keeps exactly the coefficients that sit at
-    the extreme value 1, and those form the state's multiplicative-domain
-    subgroup.
+    masks collected; each distinct mask is then warmed once, in blocks of
+    :func:`_blocks`, and copied to every row that drew it.  Equal weights
+    matter: the Cesaro limit of an equal-weight subset probe keeps exactly
+    the coefficients that sit at the extreme value 1, and those form the
+    state's multiplicative-domain subgroup.
     """
     n = qg.dim
     rng = np.random.default_rng(cfg.seed)
@@ -296,7 +305,7 @@ def _solver_starts(qg, cfg, z, w_p, gd):
     seeds[1] = qg.haar
     combos = [(i,) for i in range(n)]
     combos += [(i, j) for i in range(n) for j in range(i + 1, n)]
-    masks = [_generated_support(qg, c) for c in combos[: max(0, cfg.starts - 2) // 2]]
+    masks = list(_generated_supports(qg, combos[: max(0, cfg.starts - 2) // 2]))
     probe_rows = list(range(2, 2 + len(masks)))
     for row in range(2 + len(masks), total):
         if row % 2 == 0:
@@ -311,12 +320,16 @@ def _solver_starts(qg, cfg, z, w_p, gd):
                 mask[rng.integers(n)] = True
             masks.append(mask)
             probe_rows.append(row)
-    masks = np.array(masks, dtype=np.complex128).reshape(-1, n)
-    probe_rows = np.array(probe_rows, dtype=np.intp)
+    masks, which = np.unique(
+        np.array(masks, dtype=bool).reshape(-1, n), axis=0, return_inverse=True
+    )
+    masks = masks.astype(np.complex128)
+    warmed = np.empty_like(masks)
     for sl in _blocks(len(masks), n):
         mu = _vector_state(qg, masks[sl])
-        seeds[probe_rows[sl]] = normalized(_cesaro_probe(qg, 0.5 * (mu + eps)))
-    return (seeds - w_p) @ np.conj(z)
+        warmed[sl] = normalized(_cesaro_probe(qg, 0.5 * (mu + eps)))
+    seeds[probe_rows] = warmed[which.reshape(-1)]
+    return _rows(np.conj(z.T), seeds - w_p)
 
 
 def _blocks(count: int, n: int) -> list[slice]:
@@ -349,7 +362,8 @@ def _cholesky_each(a):
     """Lower Cholesky factors of a stack of matrices and which exist.
 
     numpy raises for the whole stack when one factorization fails; only
-    then is each matrix factorized on its own.
+    then is each matrix factorized on its own.  The solver reads only the
+    flags, as its test of positive definiteness.
     """
     try:
         return np.linalg.cholesky(a), np.ones(len(a), dtype=bool)
@@ -377,9 +391,13 @@ def _newton_polish_batch(d, w_p, z, t0, tol, max_iter):
     stop after ``max_iter`` iterations.  The Jacobian
     ``(sum_k (d[i,j,k] + d[i,k,j]) w_k - delta_ij) z`` comes from one
     precontracted ``(n m, n)`` matrix.  Per start and iteration the cost is
-    ``n^2 m`` for the Jacobian, ``n m^2`` for the normal equations, ``m^3``
-    for the factorization and ``n^3`` per residual evaluation.  Returns
-    (solutions w, sup-norm residuals, convergence flags).
+    ``n^2 m`` for the Jacobian, ``n m^2`` for the normal equations, one
+    ``m^3 / 3`` Cholesky factorization that only tests the shifted matrix
+    for positive definiteness, one ``2 m^3 / 3`` LU solve of the shifted
+    system, and ``n^3`` per residual evaluation.  Each start is polished on
+    its own bits, so equal starts give equal results; the solver passes
+    only distinct starts.  Returns (solutions w, sup-norm residuals,
+    convergence flags).
     """
     n = d.shape[0]
     m = z.shape[1]
@@ -415,10 +433,10 @@ def _newton_polish_batch(d, w_p, z, t0, tol, max_iter):
             solved = np.zeros(live.size, dtype=bool)
             pending = np.arange(live.size)
             for _ in range(4):
-                chol, ok = _cholesky_each(a[pending] + lam[pending, None, None] * eye)
-                rows, low = pending[ok], chol[ok]
-                y = np.linalg.solve(low, rhs[rows])
-                delta[rows] = np.linalg.solve(np.conj(low.swapaxes(-1, -2)), y)[..., 0]
+                shifted = a[pending] + lam[pending, None, None] * eye
+                _, ok = _cholesky_each(shifted)
+                rows = pending[ok]
+                delta[rows] = np.linalg.solve(shifted[ok], rhs[rows])[..., 0]
                 solved[rows] = True
                 pending = pending[~ok]
                 if not pending.size:
@@ -453,15 +471,16 @@ def solve_idempotents(
 
     The quadratic system {omega * omega - omega = 0, omega(1) = 1} is solved
     on the affine normalization chart w = w_p + z t (``m = n - 1``
-    unknowns).  Each start is polished by damped Gauss-Newton: the normal
-    equations J^* J delta = -J^* F are Levenberg-regularised with the shift
+    unknowns).  Each distinct start is polished once by damped
+    Gauss-Newton (equal starts give equal results): the normal equations
+    J^* J delta = -J^* F are Levenberg-regularised with the shift
     ``1e-12 (1 + tr(J^* J) / m)``, multiplied by 100 while Cholesky fails
     (four tries), and the step is halved from 1 down to ``2^-24`` until the
     squared residual passes an Armijo test at ``1e-4``.  Polishing stops at
     a residual of ``1e-13`` or after ``_MAX_ITER`` iterations; solutions
     with a residual above ``_NEWTON_TOL`` or failing the state test are
-    discarded and the rest deduplicated at ``_DEDUP_TOL`` (sup norm) in a
-    canonical order, then snapped onto the state face
+    discarded and the rest deduplicated at ``_DEDUP_TOL`` (sup norm) in
+    the order of :func:`canonical_order`, then snapped onto the state face
     (:func:`_snap_to_states`) and deduplicated again.
     Deterministic for a fixed seed.  The result always contains the counit
     and the Haar state; no completeness claim is made for a general quantum
@@ -469,10 +488,13 @@ def solve_idempotents(
 
     Starts, Newton polish and state test each run as array operations on
     blocks of ``max(1, 2**13 // n**2)`` starts, so the working set stays
-    near 2**13 complex numbers.  Per start the cost is ``n^3`` for the
-    probe and its Cesaro warm-up, ``n^3`` per Newton iteration and
-    line-search trial, and ``n^3`` for the state test; per state found the
-    snap costs one ``n x n`` eigh and one state test.
+    near 2**13 complex numbers.  Per distinct start the cost is ``n^3`` for
+    the probe and its Cesaro warm-up (once per distinct probe mask), per
+    Newton iteration ``n^3`` for the Jacobian and normal equations, one
+    ``m^3 / 3`` Cholesky test and one ``2 m^3 / 3`` LU solve, ``n^3`` per
+    line-search trial, and ``n^3`` for the state test; the dedup costs one
+    ``n``-wide distance pass over the candidates per state kept, and per
+    state found the snap costs one ``n x n`` eigh and one state test.
     """
     cfg = SolveConfig() if cfg is None else cfg
     n = qg.dim
@@ -482,28 +504,40 @@ def solve_idempotents(
     w_p, z = _constraint_chart(qg)
     gd = gns(qg)
     t0 = _solver_starts(qg, cfg, z, w_p, gd)
+    # each distinct start once, in the order of first appearance, which the
+    # stable canonical order below keeps among near-equal solutions
+    _, first = np.unique(t0, axis=0, return_index=True)
     solutions, residuals, _ = _newton_polish_batch(
-        qg.comult, w_p, z, t0, 1e-13, _MAX_ITER
+        qg.comult, w_p, z, t0[np.sort(first)], 1e-13, _MAX_ITER
     )
     candidates = solutions[residuals <= _NEWTON_TOL]
     states = candidates[_state_mask(qg, candidates, 1e-9, idempotent=True)]
-    kept = sorted((State(qg, w) for w in states), key=State.sort_key)
-    unique = _dedup(kept, _DEDUP_TOL)
+    states = states[canonical_order(states)]
     snapped = _snap_to_states(
-        qg, gd, np.array([st.coeffs for st in unique]).reshape(-1, n), _DEDUP_TOL
+        qg, gd, states[_distinct_rows(states, _DEDUP_TOL)], _DEDUP_TOL
     )
-    return _dedup([State(qg, w) for w in snapped], _DEDUP_TOL)
+    return [State(qg, w) for w in snapped[_distinct_rows(snapped, _DEDUP_TOL)]]
 
 
-def _dedup(states: list[State], tol: float) -> list[State]:
-    """The states in order, each dropped when within ``tol`` (sup norm) of
-    one kept before it."""
-    unique: list[State] = []
-    for st in states:
-        if any(np.abs(st.coeffs - seen.coeffs).max() <= tol for seen in unique):
-            continue
-        unique.append(st)
-    return unique
+def canonical_order(ws) -> np.ndarray:
+    """Indices that sort the rows of ws as ``State.sort_key`` sorts states.
+
+    Rows compare lexicographically on (re w_0, im w_0, re w_1, ...), each
+    rounded to 9 digits; the sort is stable, so tied rows keep their order.
+    """
+    c = np.round(np.asarray(ws), 9)
+    keys = np.stack([c.real, c.imag], axis=-1).reshape(len(c), 2 * c.shape[1])
+    return np.lexsort(keys.T[::-1])
+
+
+def _distinct_rows(ws, tol: float) -> np.ndarray:
+    """Indices of the rows of ws kept in order, each row dropped when within
+    ``tol`` (sup norm) of one kept before it: one distance pass per kept row."""
+    alive = np.ones(len(ws), dtype=bool)
+    for i in range(len(ws)):
+        if alive[i]:
+            alive[i + 1 :] &= np.abs(ws[i + 1 :] - ws[i]).max(axis=-1) > tol
+    return np.flatnonzero(alive)
 
 
 def _snap_to_states(

@@ -47,6 +47,7 @@ from helpers import (
     group,
     match_state,
     oracle_states,
+    random_unitary,
     right_regular_twist,
     solved,
 )
@@ -86,6 +87,23 @@ def test_is_ideal_examples():
     bad = null_space(ga, subgroup_state_ga(ga, ct, order2).coeffs)
     assert not is_ideal(ga, bad)
     assert ideal_residual(ga, bad) > 0.1
+
+
+def test_ideal_residual_does_not_depend_on_the_basis_of_the_null_space():
+    # a maximum over the columns of one orthonormal basis of N_omega would
+    # move when that basis is rotated; per-operator norms do not
+    g = algebra("ga", "S4")
+    rng = np.random.default_rng(0)
+    non_haar = 0
+    for st in oracle_states("ga", "S4"):
+        nsp = null_space(g, st)
+        value = ideal_residual(g, nsp)
+        if value <= CLASSIFY_TOL:
+            continue
+        non_haar += 1
+        rotated = nsp @ random_unitary(nsp.shape[1], rng)
+        assert abs(ideal_residual(g, rotated) - value) <= 1e-12
+    assert non_haar == 26
 
 
 # -- invariant subalgebras -----------------------------------------------
@@ -290,18 +308,19 @@ def loop_membership(x, basis):
 
 
 def loop_ideal_residual(g, basis):
+    # per operator, the Frobenius norm of its projected image of the basis
     u = orthonormal_columns(basis)
+
+    def outside(images):
+        return frobenius(images - u @ (u.conj().T @ images))
+
     worst = 0.0
     for i in range(g.dim):
         e_i = basis_vector(g.dim, i)
         left = g.left_mult_matrix(e_i) @ u
         right = g.right_mult_matrix(e_i) @ u
-        for col in range(u.shape[1]):
-            worst = max(worst, loop_membership(left[:, col], u))
-            worst = max(worst, loop_membership(right[:, col], u))
-    for col in range(u.shape[1]):
-        worst = max(worst, loop_membership(g.star_vec(u[:, col]), u))
-    return worst
+        worst = max(worst, outside(left), outside(right))
+    return max(worst, outside(g.star_vec(u)))
 
 
 def loop_algebra_residuals(g, u):

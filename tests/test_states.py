@@ -6,9 +6,11 @@ import pytest
 from scipy.linalg import cho_solve
 
 import qgidem as qg
+import qgidem.states as states_module
 from qgidem.states import (
     SolveConfig,
     State,
+    canonical_order,
     convolve,
     epsilon_state,
     haar_state,
@@ -451,6 +453,24 @@ def test_cholesky_each_flags_the_failing_matrices():
     assert ok.tolist() == [True, True]
 
 
+def test_newton_polish_receives_each_distinct_start_once(monkeypatch):
+    g = algebra("ga", "S3")
+    received = []
+
+    def record(d, w_p, z, t0, tol, max_iter):
+        received.append(t0.copy())
+        return _newton_polish_batch(d, w_p, z, t0, tol, max_iter)
+
+    monkeypatch.setattr(states_module, "_newton_polish_batch", record)
+    found = solve_idempotents(g, SolveConfig(starts=500, seed=0))
+    (t0,) = received
+    _, _, starts = _solver_starts_for(g)
+    distinct = np.unique(starts, axis=0)
+    assert len(t0) == len(distinct) < len(starts)
+    assert np.array_equal(np.unique(t0, axis=0), distinct)
+    assert len(found) == 6
+
+
 def test_solver_working_set_is_blocked():
     solve_idempotents(algebra("ga", "S3"), SolveConfig(starts=20))  # warm imports
     g = qg.group_algebra(group("S4"))  # fresh, so its caches are built inside
@@ -612,3 +632,39 @@ def test_state_sort_key_is_canonical():
     a = State(g, np.array([0.25, 0.75]))
     b = State(g, np.array([0.75, 0.25]))
     assert sorted([b, a], key=State.sort_key) == sorted([a, b], key=State.sort_key)
+
+
+def test_canonical_order_sorts_rows_as_the_state_sort_key():
+    g = algebra("fn", "Z4")
+    edge = 0.5e-9  # rounds to 0 or 1e-9 at 9 digits
+    rows = np.array(
+        [
+            [0.25, 0.25, 0.25, 0.25],
+            [0.25, 0.25, 0.25, 0.25],  # a tie with the row above
+            [0.25 + 1e-11, 0.25, 0.25, 0.25],  # equal after rounding
+            [-0.0, 1.0, 0.0, 0.0],
+            [0.0, 1.0, -0.0, 0.0],  # -0.0 and 0.0 compare equal
+            [edge - 1e-11, 0.5, 0.5, 0.0],
+            [edge + 1e-11, 0.5, 0.5, 0.0],
+            [edge, 0.5, 0.5, 0.0],
+            [-edge - 1e-11, 0.5, 0.5, 0.0],
+            [0.1234567885 + 1e-11, 0.0, 0.0, 0.0],
+            [0.1234567885 - 1e-11, 0.0, 0.0, 0.0],
+            [0.25, 0.25 + 1e-3j, 0.25, 0.25],
+            [0.25, 0.25 - 1e-3j, 0.25, 0.25],
+            [0.25 + 2e-10j, 0.25, 0.25, 0.25],
+            [0.25 + 1e-9j, 0.25, 0.25, 0.25 - 1e-9j],
+            [0.25 - 0.0j, 0.25, 0.25, 0.25],
+            # the imaginary part of w_0 decides before the real part of w_1
+            [0.5 + 1e-3j, 0.25, 0.25, 0.0],
+            [0.5, 0.5, 0.0, 0.0],
+        ]
+    )
+    # rows of a complex array that are real become float64 States
+    assert {State(g, w).coeffs.dtype for w in rows} == {
+        np.dtype(np.float64), np.dtype(np.complex128)
+    }
+    for order in (np.arange(len(rows)), np.random.default_rng(0).permutation(len(rows))):
+        want = sorted(order, key=lambda i: State(g, rows[i]).sort_key())
+        assert order[canonical_order(rows[order])].tolist() == want
+    assert canonical_order(np.zeros((0, 4))).tolist() == []
