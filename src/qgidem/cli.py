@@ -209,7 +209,7 @@ def cmd_classify(qg, info, args):
         c = analysis.classify(qg, st, gd=gd, mu=mu)
         records.append(
             {
-                "coeffs": serialize.state_to_dict(st)["coeffs"],
+                "coeffs": serialize._vector_out(st.coeffs),
                 "null_space_dim": c.null_space_dim,
                 "is_haar": c.is_haar,
                 "residuals": {

@@ -30,6 +30,7 @@ the modular element is 1) and are deliberately not represented.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -157,6 +158,18 @@ class FiniteQuantumGroup:
         g = np.einsum("pi,pjk,k->ij", self.star, self.mult, self.haar)
         g.setflags(write=False)
         return g
+
+    @cached_property
+    def _content_hash(self) -> str:
+        """The digest :func:`qgidem.serialize.content_hash` returns, computed
+        once per instance (a sha256 over every tensor)."""
+        h = hashlib.sha256()
+        h.update(str(self.dim).encode())
+        for name in ("mult", "comult", "unit", "counit", "haar", "star", "antipode"):
+            rounded = np.round(getattr(self, name), 12)
+            rounded += 0.0
+            h.update(np.ascontiguousarray(rounded, dtype=np.complex128).tobytes())
+        return h.hexdigest()
 
     @cached_property
     def _star_mult(self) -> np.ndarray:
@@ -626,11 +639,14 @@ class MultUnitary:
     V(Lambda(a) (x) Lambda(b)) = (Lambda (x) Lambda)(Delta(a)(1 (x) b)),
     so that Delta(a) = V (pi(a) (x) 1) V^* and the pentagon identity
     V12 V13 V23 = V23 V12 holds.  ``legs`` keeps the factorization that
-    :func:`multiplicative_unitary` computed, for reuse by later checks.
+    :func:`multiplicative_unitary` computed, for reuse by later checks, and
+    ``defects`` the residuals it checked (keys ``unitarity``, ``pentagon``
+    and ``coproduct``).
     """
 
     v: np.ndarray
     legs: LegFactors | None = field(default=None, repr=False, compare=False)
+    defects: dict = field(default_factory=dict, compare=False)
 
     def leg_factors(self, gd: GnsData) -> LegFactors:
         """V sliced against ``gd``'s basis of pi(A); the kept factorization
@@ -679,6 +695,8 @@ def pentagon_defect(v, max_dense_dim: int = 2000, rng=None) -> float:
     bound of the operator norm of the difference and so of the dense value.
     A real V stays real: it meets the complex vectors through
     :func:`_real_matmul`, one real GEMM per leg with no complex copy of V.
+    :func:`multiplicative_unitary` calls it only for a V whose slices it
+    cannot use (:func:`_pentagon_defect`).
     """
     v = np.asarray(v)
     n = int(round(np.sqrt(v.shape[0])))
@@ -752,6 +770,62 @@ def _coproduct_defect_factored(qg, gd, legs: LegFactors) -> float:
     return float(np.sqrt(sq.max()))
 
 
+def _pentagon_defect_factored(qg, gd, legs: LegFactors) -> tuple[float, float]:
+    """The pentagon defect of V = sum_k F_k (x) g_k, at n^5 (n^3 memory).
+
+    V12 V13 = sum_pm F_p F_m (x) g_p (x) g_m.  When V implements Delta,
+    V23 V12 V23^* = sum_k F_k (x) (pi (x) pi)Delta(g_k), which is
+    sum_pm (sum_k D[k, p, m] F_k) (x) g_p (x) g_m with
+    D[k, p, m] = sum_ijl c[k, i] comult[i, j, l] r[j, p] r[l, m], where
+    g_k = sum_i c[k, i] pi(e_i) and pi(e_j) = sum_p r[j, p] g_p.  The
+    g_p (x) g_m are orthonormal and V23 is unitary, so ||V12 V13 V23 -
+    V23 V12|| is the norm of the n^2 matrices F_p F_m - sum_k D[k, p, m]
+    F_k: per p, two GEMMs of n^4 flops.  D takes n^4 (pairwise
+    contractions).  Returns (value, weight), weight = sum_k ||F_k||
+    sum_i |c[k, i]|, the factor that carries the coproduct defect into
+    the bound of :func:`_pentagon_defect`.
+    """
+    n = qg.dim
+    g, f = legs.basis, legs.factors  # g[k, b, d], f[k, a, c]
+    gmat = g.reshape(n, n * n)
+    r = gd.left_reg.reshape(n, n * n) @ gmat.conj().T
+    c = np.linalg.inv(r)
+    d = np.einsum("ki,ijl,jp,lm->pmk", c, qg.comult, r, r, optimize=True)
+    # both terms as transposes, [(m, c), a], so neither needs a copy per p
+    f_t = np.ascontiguousarray(f.transpose(0, 2, 1))  # F_m^T: [m, c, a]
+    sq = 0.0
+    for p in range(n):
+        prods = f_t.reshape(n * n, n) @ f[p].T  # (F_p F_m)^T
+        sq += frobenius(prods - (d[p] @ f_t.reshape(n, n * n)).reshape(n * n, n)) ** 2
+    weight = float(np.linalg.norm(f.reshape(n, n * n), axis=1) @ np.abs(c).sum(axis=1))
+    return math.sqrt(sq), weight
+
+
+def _pentagon_defect(qg, gd, v, legs: LegFactors, udef, cdef, tol) -> float:
+    """The pentagon defect that :func:`multiplicative_unitary` reports.
+
+    On exact slices of a V that passes the unitarity and coproduct checks,
+    an upper bound of the dense value from the factored one (n^5);
+    otherwise :func:`pentagon_defect` (dense n^8 up to n = 12, sampled
+    above).  The factored value evaluates V' = sum_k F_k (x) g_k as if V'
+    were unitary and implemented Delta exactly.  With s = sqrt(1 + udef)
+    + remainder, a bound of ||V|| and ||V'||, u = udef + 2 s remainder, a
+    bound of ||V'^* V' - 1||, and the Frobenius norm of a one- or two-leg
+    operator on H (x) H (x) H being sqrt(n) times its own, the dense
+    defect of V' is at most s (value + weight cdef) + s^2 sqrt(n) u, and
+    V - V' moves it by at most sqrt(n) remainder (3 s^2 + 2 s).  Rounding
+    in the slicing and in the bases aside, the result is never below the
+    dense value.
+    """
+    if not (legs.exact and udef <= tol and cdef <= tol):
+        return pentagon_defect(v)
+    value, weight = _pentagon_defect_factored(qg, gd, legs)
+    rem = legs.remainder
+    s = math.sqrt(1.0 + udef) + rem
+    u = udef + 2.0 * s * rem
+    return s * (value + weight * cdef) + math.sqrt(qg.dim) * (s * s * u + rem * (3 * s * s + 2 * s))
+
+
 def _coproduct_defect_dense(qg, gd, v) -> float:
     """The coproduct defect by one n^2 x n^2 GEMM with V^* per e_i (n^7).
 
@@ -784,11 +858,17 @@ def multiplicative_unitary(
     factor is folded into the structure tensor that carries the leg (n^4
     each), which leaves one n^5 contraction over the index shared by the
     coproduct and the product: V is built in n^5.  V is then sliced against
-    a basis of pi(A) once (n^5; kept on the result as ``legs``).  Above
-    n = 12 the checks cost n^6 in all: the one n^2 x n^2 product of the
-    unitarity test and the coproduct identity evaluated on the slices,
-    with the pentagon sampled at n^5 per vector; up to n = 12 the dense
-    pentagon (n^8) dominates.  V has the result type of ``gd`` and the
+    a basis of pi(A) once (n^5; kept on the result as ``legs``), and the
+    checks cost n^6 in all at every n: the one n^2 x n^2 product of the
+    unitarity test, the coproduct identity on the slices (n^6) and the
+    pentagon on the slices (n^5, :func:`_pentagon_defect_factored`, plus
+    an explicit bound of what it drops, so the reported value is never
+    below the dense one).  The dense checks are fallbacks only: slices
+    that do not describe V send the coproduct to its n^7 loop, and those,
+    or a V that fails the unitarity or coproduct test, send the pentagon
+    to :func:`pentagon_defect` (dense n^8 up to n = 12, sampled above,
+    where it is only a lower bound).  The three defects are kept on the
+    result as ``defects``.  V has the result type of ``gd`` and the
     structure tensors, so for real inputs V, its slices and every check
     run in real BLAS, with the same exponents.
 
@@ -807,21 +887,22 @@ def multiplicative_unitary(
     v = (left.reshape(n * n, n) @ right.reshape(n, n * n)).reshape(n, n, n, n)
     v = np.ascontiguousarray(v.transpose(1, 3, 0, 2)).reshape(n * n, n * n)
     udef = unitarity_defect(v)
-    pdef = pentagon_defect(v)
+    legs = second_leg_factors(gd, v)
+    cdef = _coproduct_defect(qg, gd, v, legs)
+    pdef = _pentagon_defect(qg, gd, v, legs, udef, cdef, tol)
     if udef > tol or pdef > tol:
         raise QuantumGroupError(
             "right-invariance defect: V is not a multiplicative unitary "
             f"(unitarity {udef:.2e}, pentagon {pdef:.2e}); the Haar functional "
             "is not bi-invariant"
         )
-    legs = second_leg_factors(gd, v)
-    cdef = _coproduct_defect(qg, gd, v, legs)
     if cdef > tol:
         raise QuantumGroupError(
             f"V does not implement the coproduct (defect {cdef:.2e})"
         )
     v.setflags(write=False)
-    return MultUnitary(v=v, legs=legs)
+    defects = {"unitarity": udef, "pentagon": pdef, "coproduct": cdef}
+    return MultUnitary(v=v, legs=legs, defects=defects)
 
 
 def antipode_slice_defect(qg: FiniteQuantumGroup, gd: GnsData, mu: MultUnitary):

@@ -7,7 +7,6 @@ round-tripping, so decimal fidelity exceeds 15 significant digits.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 import numpy as np
@@ -46,11 +45,10 @@ def _matrix_in(data, n, name) -> np.ndarray:
 
 def _tensor_out(t) -> list:
     t = np.asarray(t)
-    items = []
-    for (i, j, k), z in np.ndenumerate(t):
-        if z != 0:
-            items.append([int(i), int(j), int(k), z.real, z.imag])
-    return items
+    idx = np.nonzero(t)  # row-major, the order of np.ndenumerate
+    z = t[idx]
+    cols = [a.tolist() for a in idx] + [z.real.tolist(), z.imag.tolist()]
+    return [list(entry) for entry in zip(*cols)]
 
 
 def _tensor_in(items, n, name) -> np.ndarray:
@@ -129,15 +127,10 @@ def content_hash(qg: FiniteQuantumGroup) -> str:
     Each tensor is hashed as complex128 whatever its storage dtype, and
     adding 0.0 turns each -0.0 into 0.0 (rounding a tiny negative entry
     gives -0.0, and a JSON round trip drops the zero entries of a tensor),
-    so the digest depends on the values alone.
+    so the digest depends on the values alone.  It is computed once per
+    quantum group and kept on the (immutable) instance.
     """
-    h = hashlib.sha256()
-    h.update(str(qg.dim).encode())
-    for arr in (qg.mult, qg.comult, qg.unit, qg.counit, qg.haar, qg.star, qg.antipode):
-        rounded = np.round(arr, 12)
-        rounded += 0.0
-        h.update(np.ascontiguousarray(rounded, dtype=np.complex128).tobytes())
-    return h.hexdigest()
+    return qg._content_hash
 
 
 def state_to_dict(state: State) -> dict:

@@ -58,6 +58,18 @@ def right_regular_twist(g, gd, mu, s):
     return np.kron(np.eye(g.dim), u) @ mu.v
 
 
+def first_leg_twist(g, gd, mu, a):
+    """V (u (x) 1) with u the right multiplication by a unitary element a on H.
+
+    u commutes with pi(A), so V (u (x) 1) is unitary, implements the
+    coproduct and keeps its second leg in pi(A), but breaks the pentagon
+    unless a is a scalar.  On a group algebra a may be a group element; on
+    a function algebra, a +-1 function, for which u = pi(a).
+    """
+    u = gd.onb_inv @ g.right_mult_matrix(a) @ gd.onb
+    return mu.v @ np.kron(u, np.eye(g.dim))
+
+
 def lift(gd, x):
     """Invert pi on its range: (a, residual) with pi(a) ~ x, through the
     pseudo-inverse of pi."""

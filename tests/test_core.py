@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,8 @@ from qgidem.core import (
     _cancellation_pair,
     _coproduct_defect_dense,
     _full_rank_certified,
+    _pentagon_defect,
+    _pentagon_defect_factored,
     _rank,
     antipode_slice_defect,
     coproduct_defect,
@@ -24,7 +27,9 @@ from qgidem.core import (
 from helpers import (
     algebra,
     basis_vector,
+    change_basis,
     dense_algebra,
+    first_leg_twist,
     gns_and_unitary,
     lift,
     non_associative_case,
@@ -405,6 +410,123 @@ def test_dense_pentagon_matches_kron_reference(kind, name):
         assert abs(pentagon_defect(v) - kron_pentagon_defect(v)) <= 1e-12
     # the permuted V breaks the pentagon, so the parity above is not 0 = 0
     assert pentagon_defect(second_leg_permuted(mu.v)) > 0.1
+
+
+@functools.lru_cache(maxsize=None)
+def twin_algebra(kind, name, basis):
+    """(g, t): algebra(kind, name) carried by t to another basis: none
+    (t = 1), a dense unitary (``helpers.dense_algebra``), or a seeded
+    non-unitary t, after which pi(e_i) is neither orthogonal nor of equal
+    Hilbert-Schmidt norms."""
+    base = algebra(kind, name)
+    if basis == "sparse":
+        return base, np.eye(base.dim)
+    if basis == "dense":
+        return dense_algebra(kind, name)
+    t = np.eye(base.dim) + 0.3 * np.random.default_rng(1).standard_normal((base.dim, base.dim))
+    return change_basis(base, t), t
+
+
+def unitary_twist_element(kind, name, t, s=1):
+    """A unitary a of algebra(kind, name), moved by t, that is not a scalar:
+    the group element e_s on ga:, the +-1 function 1 - 2 e_s on fn:."""
+    n = algebra(kind, name).dim
+    e_s = basis_vector(n, s)
+    return t @ (e_s if kind == "ga" else np.ones(n) - 2 * e_s)
+
+
+def checked_pentagon(g, gd, v, tol=None):
+    """The pentagon defect multiplicative_unitary would report for v."""
+    legs = second_leg_factors(gd, v)
+    udef, cdef = unitarity_defect(v), coproduct_defect(g, gd, v)
+    return _pentagon_defect(g, gd, v, legs, udef, cdef, g.tol if tol is None else tol)
+
+
+@pytest.mark.parametrize("basis", ["sparse", "dense", "skewed"])
+@pytest.mark.parametrize("kind,name", [("fn", "S3"), ("ga", "S3"), ("fn", "Q8"), ("ga", "Q8")])
+def test_factored_pentagon_matches_kron_reference(kind, name, basis, monkeypatch):
+    g, t = twin_algebra(kind, name, basis)
+    gd = qg.gns(g)
+    mu = multiplicative_unitary(g, gd)
+    ref = kron_pentagon_defect(mu.v)
+    assert abs(_pentagon_defect_factored(g, gd, mu.legs)[0] - ref) <= 1e-12
+    # the reported value carries the bound of what the slices drop: it may
+    # sit above the dense value, never below it by more than rounding
+    assert ref - 1e-14 <= mu.defects["pentagon"] <= 1e-12
+
+    twisted = first_leg_twist(g, gd, mu, unitary_twist_element(kind, name, t))
+    legs = second_leg_factors(gd, twisted)
+    assert legs.exact
+    assert unitarity_defect(twisted) < 1e-12
+    assert coproduct_defect(g, gd, twisted) < 1e-12
+    ref = kron_pentagon_defect(twisted)
+    value = _pentagon_defect_factored(g, gd, legs)[0]
+    assert value > 1
+    assert abs(value - ref) <= 1e-12 * ref
+
+    def unexpected(*args):
+        raise AssertionError("exact slices fell back to the dense pentagon")
+
+    monkeypatch.setattr(qg.core, "pentagon_defect", unexpected)
+    assert checked_pentagon(g, gd, twisted) >= ref * (1 - 1e-12)
+
+
+@pytest.mark.parametrize(
+    "case", ["permuted", "right_twist", "inner_twist", "non_associative_fn", "non_associative_ga"]
+)
+def test_pentagon_falls_back_off_the_exact_path(case, monkeypatch):
+    if case.startswith("non_associative"):
+        g, gd, v = non_associative_case(case[-2:], "S3")
+    else:
+        g = algebra("ga", "S3")
+        gd, mu = gns_and_unitary("ga", "S3")
+        twists = {
+            "permuted": second_leg_permuted,
+            "right_twist": lambda v: right_regular_twist(g, gd, mu, 1),
+            # (1 (x) pi(e_1)) V: unitary, second leg in pi(A), but it does
+            # not implement the coproduct, which the factored value assumes
+            "inner_twist": lambda v: np.kron(np.eye(g.dim), gd.left_reg[1]) @ v,
+        }
+        v = twists[case](mu.v)
+        if case == "inner_twist":
+            assert second_leg_factors(gd, v).exact and unitarity_defect(v) < 1e-12
+            assert coproduct_defect(g, gd, v) > 1
+
+    def unexpected(*args):
+        raise AssertionError("the factored pentagon ran on a V it does not describe")
+
+    monkeypatch.setattr(qg.core, "_pentagon_defect_factored", unexpected)
+    assert checked_pentagon(g, gd, v) == pentagon_defect(v)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-4])
+@pytest.mark.parametrize("kind,name", [("fn", "S3"), ("ga", "S3"), ("ga", "Q8")])
+def test_reported_pentagon_bounds_the_dense_value_on_a_perturbed_v(kind, name, eps):
+    g = algebra(kind, name)
+    gd, mu = gns_and_unitary(kind, name)
+    n = g.dim
+    # V + eps sum_r Y_r (x) pi(e_r): the slices stay exact, while V is no
+    # longer unitary nor implements the coproduct, the two things the
+    # factored value assumes
+    y = np.random.default_rng(0).standard_normal((n, n, n))
+    v = mu.v + eps * np.einsum("rac,rbd->abcd", y, gd.left_reg).reshape(n * n, n * n)
+    legs = second_leg_factors(gd, v)
+    assert legs.exact
+    ref = kron_pentagon_defect(v)
+    assert _pentagon_defect_factored(g, gd, legs)[0] < ref
+    assert ref <= checked_pentagon(g, gd, v, tol=1.0) <= 10 * ref
+
+
+@pytest.mark.parametrize("kind,name", [("fn", "S3"), ("ga", "Q8"), ("ga", "S4")])
+def test_multiplicative_unitary_keeps_its_defects(kind, name):
+    g = algebra(kind, name)
+    gd, mu = gns_and_unitary(kind, name)
+    assert set(mu.defects) == {"unitarity", "pentagon", "coproduct"}
+    assert mu.defects["unitarity"] == unitarity_defect(mu.v)
+    assert mu.defects["coproduct"] == coproduct_defect(g, gd, mu.v)
+    assert 0.0 <= mu.defects["pentagon"] <= 1e-12
+    # the residuals are data about the check, not part of V's identity
+    assert qg.MultUnitary(v=mu.v, legs=mu.legs) == mu
 
 
 @pytest.mark.parametrize("dense", [False, True])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import qgidem as qg
+from qgidem import core, serialize
 from qgidem.core import StructuralError
 from qgidem.serialize import (
     cayley_from_dict,
@@ -146,3 +148,42 @@ def test_json_is_plain_data(tmp_path):
     payload = qg_to_dict(algebra("ga", "Z4"))
     text = json.dumps(payload)
     assert "complex" not in text and "(" not in text
+
+
+def loop_tensor_out(t):
+    """Reference: the per-entry loop the triplet list was first built with."""
+    items = []
+    for (i, j, k), z in np.ndenumerate(np.asarray(t)):
+        if z != 0:
+            items.append([int(i), int(j), int(k), z.real, z.imag])
+    return items
+
+
+@pytest.mark.parametrize("case", ["fn:S4", "ga:S4", "twisted ga:S3"])
+def test_tensor_triplets_match_the_entry_loop(case, monkeypatch):
+    if case == "twisted ga:S3":  # complex entries
+        g = algebra("ga", "S3")
+        theta = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, g.dim)
+        g = change_basis(g, np.diag(np.exp(1j * theta)))
+        assert g.comult.dtype == np.complex128
+    else:
+        g = algebra(*case.split(":"))
+    text = json.dumps(qg_to_dict(g))
+    monkeypatch.setattr(serialize, "_tensor_out", loop_tensor_out)
+    assert json.dumps(qg_to_dict(g)) == text
+
+
+def test_content_hash_is_computed_once_per_quantum_group(monkeypatch):
+    g = dataclasses.replace(algebra("fn", "S3"))  # a fresh instance
+    calls, sha256 = [], hashlib.sha256
+
+    def counting_sha256(*args):
+        calls.append(args)
+        return sha256(*args)
+
+    monkeypatch.setattr(core.hashlib, "sha256", counting_sha256)
+    states = oracle_states("fn", "S3")
+    digests = {state_to_dict(qg.State(g, st.coeffs))["qg_hash"] for st in states}
+    assert content_hash(g) in digests and len(digests) == 1
+    assert len(calls) == 1
+    assert content_hash(g) == content_hash(algebra("fn", "S3"))
