@@ -25,6 +25,8 @@ from .core import (
     MultUnitary,
     QuantumGroupError,
     ValidationReport,
+    _associativity_defect,
+    _cancellation_bound,
     frobenius,
     gns,
     multiplicative_unitary,
@@ -609,8 +611,14 @@ def coaction_checks(
     span C A = A.
 
     For the k basis vectors of C: k n^3 to build alpha(C) and the k n rows
-    of each span, k n^4 for the density rows, and the SVD of the
-    (k n) x n^2 density matrix, k^2 n^4 (n^6 when C = A), dominates.
+    of the nondegeneracy span.  The density matrix is T (u (x) 1) for the
+    left cancellation span T of A and orthonormal u, so sigma_min of it is
+    at least sigma_min(T) >= (1 - bound) / ||X||_F, with the bound and the
+    inverse X of ``core._cancellation_bound`` (n^5, after the n^5
+    associativity residual it needs).  When that exceeds the absolute
+    cutoff 1e-8 the rank is k n; only otherwise are the (k n) x n^2
+    density rows built (k n^4) and their rank taken by SVD (k^2 n^4, n^6
+    when C = A).
     """
     n = qg.dim
     u = orthonormal_columns(c_basis)
@@ -620,12 +628,17 @@ def coaction_checks(
     outside = x - u @ (u.conj().T @ x)
     membership = float(np.linalg.norm(outside, axis=(-2, -1)).max(initial=0.0))
     counit_law = float(np.abs(x @ qg.counit - u.T).max(initial=0.0))
-    # row (c, j) of density: alpha(u_c)(1 (x) e_j), from
-    # sum_q x[c, p, q] mult[q, j, r]; row (c, j) of nondeg: u_c e_j
-    density = (x.reshape(kdim * n, n) @ qg.mult.reshape(n, n * n)).reshape(kdim, n, n, n)
-    density = density.transpose(0, 2, 1, 3).reshape(kdim * n, n * n)
+    bound, _, norm_x = _cancellation_bound(qg, "left", _associativity_defect(qg.mult))
+    if 1.0 - bound > 1e-8 * norm_x:
+        density_rank = kdim * n
+    else:
+        # row (c, j) of density: alpha(u_c)(1 (x) e_j), from
+        # sum_q x[c, p, q] mult[q, j, r]
+        density = (x.reshape(kdim * n, n) @ qg.mult.reshape(n, n * n)).reshape(kdim, n, n, n)
+        density = density.transpose(0, 2, 1, 3).reshape(kdim * n, n * n)
+        density_rank = int(np.linalg.matrix_rank(density, tol=1e-8))
+    # row (c, j) of nondeg: u_c e_j
     nondeg = qg.left_mult_matrix(u.T).transpose(0, 2, 1).reshape(kdim * n, n)
-    density_rank = int(np.linalg.matrix_rank(density, tol=1e-8))
     nondeg_rank = int(np.linalg.matrix_rank(nondeg, tol=1e-8))
 
     passed = (

@@ -242,48 +242,99 @@ def _rank(matrix, rel_tol=1e-8):
     return int(np.sum(s > rel_tol * s[0]))
 
 
-def _full_rank_certified(t, x, rel_tol=1e-8) -> bool:
-    """True when ``x`` proves that ``_rank(t, rel_tol)`` is ``len(t)``.
+def _associativity_defect(m) -> float:
+    """||(e_i e_j) e_l - e_i (e_j e_l)|| over the basis for the product m.
 
-    With R = T X - 1, sigma_min(T) >= (1 - ||R||) / ||X|| and
-    sigma_max(T) <= ||T||_F, so ||R||_F <= 1/2 and
-    ||T||_F ||X||_F < 1 / (2 rel_tol) give sigma_min / sigma_max > rel_tol.
-    One n x n GEMM; False says nothing about the rank.
+    Both sides are contiguous products in the layout [i, (j, l), p]: one
+    n^2 x n x n^2 GEMM and one batched n^2 x n x n matmul (n^5 each), the
+    second subtracted in place, so one n^4 array is held.  Applied to
+    ``comult.transpose(1, 2, 0)``, the product of the dual, it is the
+    coassociativity residual.
     """
-    r = t @ x
-    r.flat[:: r.shape[0] + 1] -= 1.0
-    return frobenius(r) <= 0.5 and frobenius(t) * frobenius(x) < 0.5 / rel_tol
+    m = np.ascontiguousarray(m)
+    n = m.shape[0]
+    m2 = m.reshape(n * n, n)
+    r = (m2 @ m.reshape(n, n * n)).reshape(n, n * n, n)
+    r -= m2 @ m
+    return frobenius(r)
 
 
-# the cancellation span matrices, T[(p, q), (i, j)], and the maps that
-# invert them in a Hopf algebra with S^2 = id, X[(i, j), (r, s)]:
+# the cancellation span matrices, T[(p, q), (i, j)]:
 #   right: e_i (x) e_j -> Delta(e_i)(e_j (x) 1),
-#          inverse a (x) b -> b_(2) (x) S^-1(b_(1)) a;
 #   left:  e_i (x) e_j -> Delta(e_i)(1 (x) e_j),
-#          inverse a (x) b -> a_(1) (x) S(a_(2)) b.
+# and the axes that carry comult to x[b, i, k]: the slice of Delta(e_i) at
+# e_b on the leg that is not multiplied.  With the rows of the right span
+# taken in (q, p) order, T = [L_{x[b, i]}] in n x n blocks (b, i).  In a
+# Hopf algebra with S^2 = id the inverse span map is X = [L_{S(x[i, c])}]
+# in blocks (i, c) (Van Daele, Trans. AMS 1994):
+#   right: a (x) b -> b_(2) (x) S^-1(b_(1)) a,
+#   left:  a (x) b -> a_(1) (x) S(a_(2)) b.
 _CANCELLATION_SPECS = {
-    "right": ("iaq,ajp->pqij", "sui,tu,trj->ijrs"),
-    "left": ("ipb,bjq->pqij", "rik,tk,tsj->ijrs"),
+    "right": ("iaq,ajp->pqij", (2, 0, 1)),
+    "left": ("ipb,bjq->pqij", (1, 0, 2)),
 }
 
 
-def _cancellation_pair(qg: FiniteQuantumGroup, side: str):
-    """(T, X) for one cancellation span, both n^2 x n^2, built in n^5."""
+def _cancellation_span(qg: FiniteQuantumGroup, side: str) -> np.ndarray:
+    """The n^2 x n^2 span matrix T of one side, built in n^5."""
     n = qg.dim
-    span, inverse = _CANCELLATION_SPECS[side]
-    t = np.einsum(span, qg.comult, qg.mult, optimize=True).reshape(n * n, n * n)
-    x = np.einsum(inverse, qg.comult, qg.antipode, qg.mult, optimize=True)
-    return t, x.reshape(n * n, n * n)
+    t = np.einsum(_CANCELLATION_SPECS[side][0], qg.comult, qg.mult, optimize=True)
+    return t.reshape(n * n, n * n)
 
 
-def _cancellation_rank(qg: FiniteQuantumGroup, side: str) -> int:
-    """Rank of one cancellation span: certified full through the antipode's
-    inverse (n^5 and one n^2 x n^2 GEMM), else by SVD (``_rank``)."""
-    t, x = _cancellation_pair(qg, side)
-    if _full_rank_certified(t, x):
-        return t.shape[0]
-    del x
-    return _rank(t)
+def _cancellation_bound(qg: FiniteQuantumGroup, side: str, assoc: float):
+    """(bound, ||T||_F, ||X||_F) for one cancellation span T and its inverse
+    X, with bound >= ||T X - 1||_F.
+
+    Neither T nor X is formed.  (T X)_bc = sum_i L_{x[b, i]} L_{y[i, c]}
+    with y = S(x), and L_a L_b - L_{ab} is the associativity tensor
+    contracted with a (x) b, whose norm ``assoc`` is.  So with
+    P_bc = sum_i x[b, i] y[i, c] in A and K = sum_i x[b, i] (x) y[i, c],
+
+        ||T X - 1|| <= ||[L_{P_bc - delta_bc 1}]|| + sqrt(n) ||L_1 - 1||
+                       + ||K|| assoc.
+
+    P costs n^5 (one n^2 x n x n^2 GEMM, one batched matmul, one n^4
+    array).  Every norm comes from the n x n Gram G = M M^H of a -> L_a,
+    since ||L_v||^2 = v G v^H, and ||K||^2 = tr((x^H x)(y y^H)): n^4.
+    """
+    n = qg.dim
+    m = qg.mult
+    x = np.ascontiguousarray(qg.comult.transpose(_CANCELLATION_SPECS[side][1]))
+    y = x @ qg.antipode.T  # y[i, c] = S(x[i, c])
+    # u[b, i, l] = x[b, i] e_l, then P[b, c] = sum_{i, l} y[i, c, l] u[b, i, l]
+    u = x.reshape(n * n, n) @ m.reshape(n, n * n)
+    p = np.matmul(y.transpose(1, 0, 2).reshape(n, n * n), u.reshape(n, n * n, n))
+    del u
+    p = p - np.multiply.outer(np.eye(n), qg.unit)
+    mm = m.reshape(n, n * n)
+    gram = mm @ mm.conj().T
+
+    def sq_norm(v):  # sum over the rows v of ||L_v||_F^2
+        v = v.reshape(-1, n)
+        return max(0.0, float(np.vdot(v, v @ gram).real))
+
+    xr = x.transpose(1, 0, 2).reshape(n, n * n)  # [i, (b, k)]
+    yr = y.reshape(n, n * n)  # [i, (c, l)]
+    k_sq = max(0.0, float(np.sum((xr.conj() @ xr.T) * (yr.conj() @ yr.T)).real))
+    unit_defect = frobenius(qg.left_mult_matrix(qg.unit) - np.eye(n))
+    bound = math.sqrt(sq_norm(p)) + math.sqrt(n) * unit_defect + math.sqrt(k_sq) * assoc
+    return bound, math.sqrt(sq_norm(x)), math.sqrt(sq_norm(y))
+
+
+def _cancellation_rank(qg: FiniteQuantumGroup, side: str, assoc: float, rel_tol=1e-8) -> int:
+    """Rank of one cancellation span as ``_rank`` counts it.
+
+    With R = T X - 1, sigma_min(T) >= (1 - ||R||) / ||X|| and
+    sigma_max(T) <= ||T||_F, so a bound ||R||_F <= 1/2 from
+    :func:`_cancellation_bound` (n^5) and ||T||_F ||X||_F < 1 / (2 rel_tol)
+    prove the rank full.  Otherwise T is built and the rank read off its
+    SVD (n^6), the only path that can report a deficient rank.
+    """
+    bound, norm_t, norm_x = _cancellation_bound(qg, side, assoc)
+    if bound <= 0.5 and norm_t * norm_x < 0.5 / rel_tol:
+        return qg.dim * qg.dim
+    return _rank(_cancellation_span(qg, side), rel_tol)
 
 
 def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationReport:
@@ -294,14 +345,18 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
     cancellation spans have full dimension ``n^2``.
 
     Each cancellation rank is first certified full through the explicit
-    inverse of its span map that the antipode gives (Van Daele, Trans.
-    AMS 1994): n^5 to build it and one n^2 x n^2 GEMM (n^6, BLAS-3).  Only
-    when that certificate fails (a wrong or non-Kac antipode, a deficient
-    span) is the rank taken from an SVD of the n^2 x n^2 span matrix, the
-    only path that can report a deficient rank.  The residuals cost n^6 at
-    most (the multiplicativity check is one n^2 x n^2 GEMM).  The exponents
-    do not depend on the dtype; for real structure tensors every product
-    runs in real BLAS (dgemm, a quarter of the flops of zgemm).
+    inverse X of its span map T that the antipode gives (Van Daele, Trans.
+    AMS 1994), by a bound of ||T X - 1|| from n^5 data that forms neither
+    T, X nor their product (:func:`_cancellation_bound`).  Only when that
+    certificate fails (a wrong or non-Kac antipode, a deficient or badly
+    scaled span) is the span matrix built (n^5) and its rank taken from
+    an SVD (n^6), the only path that can report a deficient rank.  The
+    residuals are contiguous products with in-place differences, n^5
+    each, except comult_multiplicative, whose one n^2 x n^2 GEMM is the
+    only n^6 term on a valid input; at most three n^4 arrays are held.
+    The exponents do not depend on the dtype; for real structure tensors
+    every product runs in real BLAS (dgemm, a quarter of the flops of
+    zgemm).
     """
     n = qg.dim
     tol = qg.tol if tol is None else _checked_tol(tol)
@@ -316,9 +371,7 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
         # default evaluates every term as one C loop over all indices
         return np.einsum(spec, *operands, optimize=True)
 
-    r["associativity"] = frobenius(
-        ein("ijk,klp->ijlp", m, m) - ein("jlk,ikp->ijlp", m, m)
-    )
+    r["associativity"] = _associativity_defect(m)
     r["unit"] = max(
         frobenius(ein("i,ijk->jk", u, m) - eye),
         frobenius(ein("j,ijk->ik", u, m) - eye),
@@ -329,22 +382,28 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
     rhs = ein("pj,qi,pqk->ijk", st, st, m)
     r["star_antimultiplicative"] = frobenius(lhs - rhs)
 
-    r["coassociativity"] = frobenius(
-        ein("ijc,jab->iabc", d, d) - ein("iak,kbc->iabc", d, d)
-    )
+    r["coassociativity"] = _associativity_defect(d.transpose(1, 2, 0))
     r["counit"] = max(
         frobenius(ein("ijk,j->ik", d, eps) - eye),
         frobenius(ein("ijk,k->ij", d, eps) - eye),
     )
     r["comult_unital"] = frobenius(ein("i,ijk->jk", u, d) - np.outer(u, u))
 
-    # Delta(e_i e_j) = Delta(e_i) Delta(e_j), as one n^2 x n^2 matrix
-    # identity: contract both quadratic sides down to matmuls so the n^6
-    # part runs in BLAS
-    lhs = ein("ijk,kpq->ipjq", m, d).reshape(n * n, n * n)
-    t1 = ein("iab,acp->ipbc", d, m).reshape(n * n, n * n)
-    u1 = ein("jce,beq->bcjq", d, m).reshape(n * n, n * n)
-    r["comult_multiplicative"] = frobenius(lhs - t1 @ u1)
+    # Delta(e_i) Delta(e_j) = sum t1[(i, p), (b, c)] u1[(b, c), (j, q)]
+    # e_p (x) e_q, with the n x n blocks t1[i, p] = d[i]^T m[:, :, p] and
+    # the rows u1[b, c, j] = d[j, c] m[b], both built contiguous (n^5);
+    # their product is the one n^6 GEMM, and Delta(e_i e_j) is subtracted
+    # from it in place
+    t1 = np.matmul(
+        np.ascontiguousarray(d.transpose(0, 2, 1))[:, None],
+        np.ascontiguousarray(m.transpose(2, 0, 1))[None],
+    ).reshape(n * n, n * n)
+    u1 = np.matmul(d.transpose(1, 0, 2).reshape(n * n, n), m).reshape(n * n, n * n)
+    diff = (t1 @ u1).reshape(n, n, n, n)
+    del t1, u1
+    diff -= (m.reshape(n * n, n) @ d.reshape(n, n * n)).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    r["comult_multiplicative"] = frobenius(diff)
+    del diff
     # Delta(a^*) = Delta(a)^{* (x) *}
     lhs = ein("li,lpq->ipq", st, d)
     rhs = ein("ijk,pj,qk->ipq", np.conj(d), st, st)
@@ -379,7 +438,8 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
     )
 
     # quantum cancellation laws as rank conditions, one span at a time
-    ranks = (_cancellation_rank(qg, "right"), _cancellation_rank(qg, "left"))
+    assoc = r["associativity"]
+    ranks = (_cancellation_rank(qg, "right", assoc), _cancellation_rank(qg, "left", assoc))
 
     return ValidationReport(dim=n, tol=tol, residuals=r, cancellation_ranks=ranks)
 

@@ -132,6 +132,14 @@ def dense_algebra(kind, name, seed=0):
     return change_basis(algebra(kind, name), t), t
 
 
+def phase_twin(kind, name, seed=0):
+    """(twin, t): algebra(kind, name) carried by t = diag(e^{i theta_k})."""
+    g = algebra(kind, name)
+    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, g.dim)
+    t = np.diag(np.exp(1j * theta))
+    return change_basis(g, t), t
+
+
 @functools.lru_cache(maxsize=None)
 def solved(kind, name, starts=500, seed=0):
     return tuple(

@@ -139,19 +139,20 @@ def test_invariant_subalgebra_rejects_non_idempotent():
 
 def test_slice_is_conditional_expectation_only_for_idempotents():
     # the L(a) L(b) = L(L(a) b) identity characterizes idempotent states
-    g = algebra("fn", "Z2")
-    m = g.mult
+    for g in (algebra("fn", "Z2"), dense_algebra("fn", "Z2")[0], dense_algebra("ga", "S3")[0]):
+        m = g.mult
 
-    def cond_defect(w):
-        lw = left_slice(g, w)
-        return np.abs(
-            np.einsum("pi,qj,pqr->rij", lw, lw, m)
-            - np.einsum("qr,pi,pjq->rij", lw, lw, m)
-        ).max()
+        def cond_defect(w):
+            lw = left_slice(g, w)
+            return np.abs(
+                np.einsum("pi,qj,pqr->rij", lw, lw, m)
+                - np.einsum("rq,pi,pjq->rij", lw, lw, m)
+            ).max()
 
-    assert cond_defect(g.haar) < 1e-14
-    assert cond_defect(g.counit) < 1e-14
-    assert cond_defect(np.array([0.7, 0.3])) > 0.1
+        assert cond_defect(g.haar) < 1e-14
+        assert cond_defect(g.counit) < 1e-14
+        # 0.4 eps + 0.6 h, [0.7, 0.3] on fn:Z2, is a state and not idempotent
+        assert cond_defect(0.4 * g.counit + 0.6 * g.haar) > 0.1
 
 
 def test_conditional_expectation_reports():

@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 import qgidem as qg
+from qgidem import analysis, core
 from qgidem.core import (
     QuantumGroupError,
     StructuralError,
-    _cancellation_pair,
+    _associativity_defect,
+    _cancellation_bound,
+    _cancellation_span,
     _coproduct_defect_dense,
-    _full_rank_certified,
     _pentagon_defect,
     _pentagon_defect_factored,
     _rank,
     antipode_slice_defect,
     coproduct_defect,
+    frobenius,
     intertwiner_defect,
     multiplicative_unitary,
     pentagon_defect,
@@ -34,6 +37,7 @@ from helpers import (
     lift,
     non_associative_case,
     group,
+    phase_twin,
     right_regular_twist,
 )
 
@@ -78,16 +82,76 @@ def reference_spans(g):
     return right, left
 
 
+# the inverse span maps a Hopf algebra with S^2 = id has, X[(i, j), (r, s)]:
+#   right: a (x) b -> b_(2) (x) S^-1(b_(1)) a;  left: a (x) b -> a_(1) (x) S(a_(2)) b
+REFERENCE_INVERSES = {"right": "sui,tu,trj->ijrs", "left": "rik,tk,tsj->ijrs"}
+
+
+def reference_certificate(g, side):
+    """(||T X - 1||_F, ||T||_F, ||X||_F) with T and X formed and multiplied
+    (one n^2 x n^2 GEMM): the certificate validate used before it bounded
+    the product from n^5 data."""
+    n = g.dim
+    t = dict(zip(("right", "left"), reference_spans(g)))[side]
+    x = np.einsum(REFERENCE_INVERSES[side], g.comult, g.antipode, g.mult, optimize=True)
+    x = x.reshape(n * n, n * n)
+    r = t @ x
+    r.flat[:: r.shape[0] + 1] -= 1.0
+    return frobenius(r), frobenius(t), frobenius(x)
+
+
+def reference_certified(g, side, rel_tol=1e-8):
+    defect, norm_t, norm_x = reference_certificate(g, side)
+    return defect <= 0.5 and norm_t * norm_x < 0.5 / rel_tol
+
+
+def certified(g, side, rel_tol=1e-8):
+    bound, norm_t, norm_x = _cancellation_bound(g, side, _associativity_defect(g.mult))
+    return bound <= 0.5 and norm_t * norm_x < 0.5 / rel_tol
+
+
+# x[b, i, k]: the slice of Delta(e_i) at e_b on the leg that is not multiplied
+REFERENCE_SLICES = {"right": "ikb->bik", "left": "ibk->bik"}
+
+
+def reference_bound(g, side, assoc):
+    """The terms of ``_cancellation_bound`` with every operator formed:
+    the blocks L_{P_bc - delta_bc 1}, L_1 and K = sum_i x[b, i] (x) y[i, c]."""
+    n = g.dim
+    ein = functools.partial(np.einsum, optimize=True)
+    x = ein(REFERENCE_SLICES[side], g.comult)
+    y = ein("tk,ick->ict", g.antipode, x)
+    k = ein("bik,icl->bkcl", x, y)
+    q = ein("bkcl,klp->bcp", k, g.mult) - ein("bc,p->bcp", np.eye(n), g.unit)
+    blocks = ein("bck,kjq->bcqj", q, g.mult)
+    unit_block = ein("k,kjq->qj", g.unit, g.mult) - np.eye(n)
+    return frobenius(blocks) + np.sqrt(n) * frobenius(unit_block) + frobenius(k) * assoc
+
+
+def assert_bound_covers_the_product(g):
+    """The n^5 bound is its terms formed, never below the dense
+    ||T X - 1||_F, and its norms are the dense ones."""
+    assoc = _associativity_defect(g.mult)
+    for side in ("right", "left"):
+        bound, norm_t, norm_x = _cancellation_bound(g, side, assoc)
+        defect, ref_t, ref_x = reference_certificate(g, side)
+        assert bound >= defect, (side, bound, defect)
+        ref_bound = reference_bound(g, side, assoc)
+        assert abs(bound - ref_bound) <= 1e-12 + 1e-10 * ref_bound, (side, bound, ref_bound)
+        assert abs(norm_t - ref_t) <= 1e-12 * ref_t
+        assert abs(norm_x - ref_x) <= 1e-12 * max(ref_x, 1.0)
+
+
 def assert_certified_ranks_match_svd(g):
     report = qg.validate(g)
     full = g.dim**2
     assert report.cancellation_ranks == tuple(_rank(t) for t in reference_spans(g))
     assert report.cancellation_ranks == (full, full)
     for side, ref in zip(("right", "left"), reference_spans(g)):
-        t, x = _cancellation_pair(g, side)
-        assert np.abs(t - ref).max() <= 1e-14
+        assert np.abs(_cancellation_span(g, side) - ref).max() <= 1e-14
         # the SVD is skipped on every valid input
-        assert _full_rank_certified(t, x)
+        assert certified(g, side) and reference_certified(g, side)
+    assert_bound_covers_the_product(g)
 
 
 @pytest.mark.parametrize("name", SMALL_GROUPS)
@@ -102,7 +166,136 @@ def test_certified_cancellation_ranks_match_svd_on_dense_basis(kind, name):
     assert_certified_ranks_match_svd(dense_algebra(kind, name)[0])
 
 
-def test_deficient_cancellation_ranks_come_from_the_svd():
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_certified_cancellation_ranks_match_svd_on_s4_and_phase_twin(kind):
+    assert_certified_ranks_match_svd(algebra(kind, "S4"))
+    assert_certified_ranks_match_svd(phase_twin(kind, "Q8")[0])
+
+
+def test_cancellation_bound_on_dense_basis_is_rounding():
+    # the bound adds up terms the dense product cancels, so it reads 3-13
+    # times the dense value (1.7e-14 to 6.7e-13 here), both at rounding level
+    for kind, name in (("fn", "S3"), ("ga", "S3"), ("fn", "S4"), ("ga", "S4")):
+        g = dense_algebra(kind, name)[0]
+        for side in ("right", "left"):
+            bound, _, _ = _cancellation_bound(g, side, _associativity_defect(g.mult))
+            assert bound <= 1e-11
+
+
+@pytest.mark.parametrize("size", [1e-10, 1e-6, 1e-2])
+@pytest.mark.parametrize("kind,name,dense", [("fn", "S3", False), ("ga", "S3", False),
+                                             ("ga", "Q8", False), ("ga", "S3", True)])
+def test_cancellation_bound_on_a_perturbed_product(kind, name, dense, size):
+    # the dense twin is complex and gets complex noise, in the coproduct too
+    base = dense_algebra(kind, name)[0] if dense else algebra(kind, name)
+    rng = np.random.default_rng(1)
+    noise = rng.standard_normal(base.mult.shape)
+    g = dataclasses.replace(base, mult=base.mult + size * noise)
+    if dense:
+        noise = rng.standard_normal((3,) + base.mult.shape)
+        g = dataclasses.replace(
+            base,
+            mult=base.mult + size * (noise[0] + 1j * noise[1]),
+            comult=base.comult + size * (noise[2] + 1j * noise[0]),
+        )
+    assert_bound_covers_the_product(g)
+    report = qg.validate(g)
+    # a failed certificate leaves the rank to the SVD, which must agree
+    assert report.cancellation_ranks == tuple(_rank(t) for t in reference_spans(g))
+    if size == 1e-10:
+        assert certified(g, "right") and certified(g, "left")
+    if size == 1e-2:
+        assert not (certified(g, "right") or certified(g, "left"))
+
+
+def test_badly_scaled_basis_leaves_the_rank_to_the_svd():
+    # ga:Z3 with one basis vector scaled by 1e-4: T X = 1 still holds to
+    # rounding, but ||T||_F ||X||_F = 2e8 exceeds 1 / (2 rel_tol), and the
+    # SVD's relative cutoff reads a deficient rank that the bound alone
+    # would have called full
+    g = change_basis(algebra("ga", "Z3"), np.diag([1.0, 1e-4, 1.0]))
+    assoc = _associativity_defect(g.mult)
+    for side in ("right", "left"):
+        bound, norm_t, norm_x = _cancellation_bound(g, side, assoc)
+        assert bound <= 0.5 and norm_t * norm_x >= 0.5 / 1e-8
+    ranks = tuple(_rank(t) for t in reference_spans(g))
+    assert ranks == (7, 7)
+    assert qg.validate(g).cancellation_ranks == ranks
+
+
+def sweedler_algebra(inverse_antipode=False):
+    """Sweedler's 4-dimensional Hopf algebra, basis 1, g, x, gx with
+    g^2 = 1, x^2 = 0, xg = -gx, Delta(g) = g (x) g, Delta(x) = x (x) 1 +
+    g (x) x: S(x) = -gx, so S^2 != id.  Its star and Haar state are
+    placeholders (the input fails those axioms)."""
+    n = 4
+    mult = np.zeros((n, n, n))
+    for j in range(n):
+        mult[0, j, j] = mult[j, 0, j] = 1.0
+    for i, j, sign, k in [(1, 1, 1, 0), (1, 2, 1, 3), (1, 3, 1, 2), (2, 1, -1, 3), (3, 1, -1, 2)]:
+        mult[i, j, k] = sign
+    comult = np.zeros((n, n, n))
+    for i, j, k in [(0, 0, 0), (1, 1, 1), (2, 2, 0), (2, 1, 2), (3, 3, 1), (3, 0, 3)]:
+        comult[i, j, k] = 1.0
+    s = np.zeros((n, n))
+    s[0, 0] = s[1, 1] = s[2, 3] = 1.0
+    s[3, 2] = -1.0
+    return qg.FiniteQuantumGroup(
+        dim=n, mult=mult, unit=basis_vector(n, 0), star=np.eye(n), comult=comult,
+        counit=np.array([1.0, 1.0, 0.0, 0.0]),
+        antipode=np.linalg.inv(s) if inverse_antipode else s, haar=basis_vector(n, 0),
+    )
+
+
+@pytest.fixture
+def rank_shapes(monkeypatch):
+    """The shapes of the matrices np.linalg.matrix_rank is called on."""
+    shapes = []
+    matrix_rank = np.linalg.matrix_rank
+
+    def recording_rank(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return matrix_rank(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", recording_rank)
+    return shapes
+
+
+def test_each_span_is_certified_by_its_own_inverse(rank_shapes):
+    # the left inverse uses S and the right one S^-1, equal for a Kac
+    # antipode; with S^2 != id each S certifies one side only, the other
+    # side's full rank comes from the SVD
+    shapes = rank_shapes
+    for inverse, certified_side in ((False, "left"), (True, "right")):
+        g = sweedler_algebra(inverse)
+        assert _associativity_defect(g.mult) == 0.0
+        assert [certified(g, side) for side in ("right", "left")] == [
+            side == certified_side for side in ("right", "left")
+        ]
+        assert_bound_covers_the_product(g)
+        assert qg.validate(g).cancellation_ranks == (16, 16)
+        # the coaction density matrix restricts the left span: only a
+        # certified left span skips its SVD
+        shapes.clear()
+        rep = analysis.coaction_checks(g, np.eye(4))
+        assert rep.values["density_rank"] == 16
+        assert ((16, 16) in shapes) == (certified_side != "left")
+
+
+def test_no_valid_builtin_input_reaches_the_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the cancellation rank was taken by SVD")
+
+    monkeypatch.setattr(core, "_rank", no_svd)
+    inputs = [algebra(kind, name) for kind in ("fn", "ga") for name in SMALL_GROUPS + ["S4"]]
+    inputs += [dense_algebra(kind, name)[0] for kind in ("fn", "ga") for name in ("S3", "Q8")]
+    inputs += [phase_twin("ga", "S3")[0], qg.dual(algebra("ga", "D4"))]
+    for g in inputs:
+        report = qg.validate(g)
+        assert report.passed and report.cancellation_ranks == (g.dim**2, g.dim**2)
+
+
+def monoid_bialgebra():
     # the semigroup algebra of the monoid {0,1} x {0,1} under multiplication,
     # Delta(x) = x (x) x: a bialgebra without antipode, and
     # span{x (x) xy} has dimension sum_x |xM| = (1 + 2)^2 = 9 < 16
@@ -114,26 +307,96 @@ def test_deficient_cancellation_ranks_come_from_the_svd():
         comult[i, i, i] = 1.0
         for j, (c, d) in enumerate(elems):
             mult[i, j, elems.index((a * c, b * d))] = 1.0
-    monoid = qg.FiniteQuantumGroup(
+    return qg.FiniteQuantumGroup(
         dim=n, mult=mult, unit=basis_vector(n, elems.index((1, 1))), star=np.eye(n),
         comult=comult, counit=np.ones(n), antipode=np.eye(n), haar=np.full(n, 1 / n),
     )
+
+
+def test_deficient_cancellation_ranks_come_from_the_svd():
+    monoid = monoid_bialgebra()
+    for side in ("right", "left"):
+        assert not certified(monoid, side)
+    assert_bound_covers_the_product(monoid)
     report = qg.validate(monoid)
     assert report.cancellation_ranks == (9, 9)
     assert {"cancellation_left", "cancellation_right"} <= set(report.failures)
     assert report.cancellation_ranks == tuple(_rank(t) for t in reference_spans(monoid))
 
 
+def test_coaction_density_rank_of_the_monoid_comes_from_the_svd(rank_shapes):
+    monoid = monoid_bialgebra()
+    n = monoid.dim
+    shapes = rank_shapes
+    rep = analysis.coaction_checks(monoid, np.eye(n))
+    assert (n * n, n * n) in shapes
+    assert rep.values["density_rank"] == 9 == _rank(reference_spans(monoid)[1])
+    assert not rep.passed
+    # a valid input certifies the density rank and takes no n^2-column SVD
+    shapes.clear()
+    g = algebra("ga", "D4")
+    rep = analysis.coaction_checks(g, np.eye(g.dim))
+    assert rep.passed and rep.values["density_rank"] == g.dim**2
+    assert all(shape[-1] != g.dim**2 for shape in shapes)
+
+
 def test_wrong_antipode_falls_back_to_the_svd():
     g = algebra("ga", "S3")
     wrong = dataclasses.replace(g, antipode=np.eye(g.dim))
     for side in ("right", "left"):
-        assert not _full_rank_certified(*_cancellation_pair(wrong, side))
+        assert not certified(wrong, side)
+        assert not reference_certified(wrong, side)
+    assert_bound_covers_the_product(wrong)
     report = qg.validate(wrong)
     # the spans do not involve S: still full, now by SVD
     assert report.cancellation_ranks == (36, 36)
     assert {"antipode_left", "antipode_right"} <= set(report.failures)
     assert not {"cancellation_left", "cancellation_right"} & set(report.failures)
+
+
+def reference_residuals(g):
+    """validate's associativity, coassociativity and comult_multiplicative
+    residuals in the einsum forms the library used before its contiguous
+    layouts."""
+    m, d, n = g.mult, g.comult, g.dim
+    ein = functools.partial(np.einsum, optimize=True)
+    lhs = ein("ijk,kpq->ipjq", m, d).reshape(n * n, n * n)
+    t1 = ein("iab,acp->ipbc", d, m).reshape(n * n, n * n)
+    u1 = ein("jce,beq->bcjq", d, m).reshape(n * n, n * n)
+    return {
+        "associativity": frobenius(ein("ijk,klp->ijlp", m, m) - ein("jlk,ikp->ijlp", m, m)),
+        "coassociativity": frobenius(ein("ijc,jab->iabc", d, d) - ein("iak,kbc->iabc", d, d)),
+        "comult_multiplicative": frobenius(lhs - t1 @ u1),
+    }
+
+
+def residual_cases():
+    cases = [(kind, name, variant) for kind in ("fn", "ga") for name in ("S3", "Q8", "S4")
+             for variant in ("sparse", "dense")]
+    return cases + [("ga", "S3", "phase"), ("fn", "Q8", "phase"),
+                    ("fn", "S3", "perturbed"), ("ga", "Q8", "perturbed")]
+
+
+@pytest.mark.parametrize("kind,name,variant", residual_cases())
+def test_residual_layouts_match_the_einsum_forms(kind, name, variant):
+    g = algebra(kind, name)
+    if variant == "dense":
+        g = dense_algebra(kind, name)[0]
+    elif variant == "phase":
+        g = phase_twin(kind, name)[0]
+    elif variant == "perturbed":
+        noise = np.random.default_rng(2).standard_normal((4,) + g.mult.shape)
+        g = dataclasses.replace(
+            g,
+            mult=g.mult + 1e-3 * (noise[0] + 1j * noise[1]),
+            comult=g.comult + 1e-3 * (noise[2] + 1j * noise[3]),
+        )
+    got = qg.validate(g).residuals
+    refs = reference_residuals(g)
+    for key, ref in refs.items():
+        assert abs(got[key] - ref) <= 1e-12, (key, got[key], ref)
+    if variant == "perturbed":
+        assert min(refs.values()) > 1e-4
 
 
 def test_invalid_haar_fails_validation():
@@ -614,6 +877,16 @@ def test_validate_and_unitary_memory_on_d12():
     # near 13 MiB and V near 11 MiB, against 26 and 17 MiB in complex128
     assert _traced_peak(qg.validate, g) <= 18 * 2**20
     assert _traced_peak(multiplicative_unitary, g, gd) <= 13 * 2**20
+
+
+def test_validate_memory_on_d16():
+    small = algebra("fn", "S3")  # warm imports and einsum paths
+    qg.validate(small)
+    g = qg.function_algebra(qg.dihedral_group(16))  # n = 32
+    # three n^4 arrays at most (the comult_multiplicative factors and their
+    # product, 8 MiB each); forming the cancellation spans, their inverses
+    # and the n^2 x n^2 certificate product held about 40 MiB
+    assert _traced_peak(qg.validate, g) <= 30 * 2**20
 
 
 def test_multiplicative_unitary_flags_noninvariant_haar():

@@ -31,18 +31,10 @@ from qgidem.core import (
 )
 from qgidem.states import State, as_coeffs
 
-from helpers import algebra, change_basis, gns_and_unitary, oracle_states, solved
+from helpers import algebra, gns_and_unitary, oracle_states, phase_twin, solved
 
 TENSORS = ("mult", "unit", "star", "comult", "counit", "antipode", "haar")
 TWIN_CASES = [(kind, name) for kind in ("fn", "ga") for name in ("S3", "Q8", "D4")]
-
-
-def phase_twin(kind, name, seed=0):
-    """(twin, t): algebra(kind, name) carried by t = diag(e^{i theta_k})."""
-    g = algebra(kind, name)
-    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, g.dim)
-    t = np.diag(np.exp(1j * theta))
-    return change_basis(g, t), t
 
 
 @pytest.mark.parametrize("name", qg.builtin_group_names())
