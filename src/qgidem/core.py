@@ -242,21 +242,68 @@ def _rank(matrix, rel_tol=1e-8):
     return int(np.sum(s > rel_tol * s[0]))
 
 
-def _associativity_defect(m) -> float:
+# no workspace: every product allocates its own result
+_NO_WORK = (None, None, None)
+
+
+def _out(buf, shape, *operands) -> np.ndarray:
+    """An uninitialised array of ``shape`` in the result type of the
+    operands, for a product to write into through ``out=``.
+
+    It is the leading bytes of the workspace ``buf`` (a 1-D array held by
+    one call) when they are enough, so a real product may use a complex
+    workspace; otherwise, or when ``buf`` is None, a new array.
+    """
+    dtype = np.result_type(*operands)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if buf is None or nbytes > buf.nbytes:
+        return np.empty(shape, dtype)
+    return buf.view(np.uint8)[:nbytes].view(dtype).reshape(shape)
+
+
+def _associativity_defect(m, work=_NO_WORK) -> float:
     """||(e_i e_j) e_l - e_i (e_j e_l)|| over the basis for the product m.
 
     Both sides are contiguous products in the layout [i, (j, l), p]: one
-    n^2 x n x n^2 GEMM and one batched n^2 x n x n matmul (n^5 each), the
-    second subtracted in place, so one n^4 array is held.  Applied to
+    n^2 x n x n^2 GEMM and one batched n^2 x n x n matmul (n^5 each),
+    written into the first two buffers of ``work`` (see :func:`_out`),
+    the second subtracted from the first in place.  Applied to
     ``comult.transpose(1, 2, 0)``, the product of the dual, it is the
     coassociativity residual.
     """
     m = np.ascontiguousarray(m)
     n = m.shape[0]
     m2 = m.reshape(n * n, n)
-    r = (m2 @ m.reshape(n, n * n)).reshape(n, n * n, n)
-    r -= m2 @ m
+    r = np.matmul(m2, m.reshape(n, n * n), out=_out(work[0], (n * n, n * n), m))
+    r -= np.matmul(m2, m, out=_out(work[1], (n, n * n, n), m)).reshape(n * n, n * n)
     return frobenius(r)
+
+
+def _comult_multiplicative_defect(m, d, work=_NO_WORK) -> float:
+    """||Delta(e_i) Delta(e_j) - Delta(e_i e_j)|| over the basis.
+
+    Delta(e_i) Delta(e_j) = sum t1[(i, p), (b, c)] u1[(b, c), (j, q)]
+    e_p (x) e_q, with the n x n blocks t1[i, p] = d[i]^T m[:, :, p] and the
+    rows u1[b, c, j] = d[j, c] m[b], both built contiguous (n^5); their
+    product is the one n^6 GEMM.  The three n^4 arrays are the buffers of
+    ``work``; Delta(e_i e_j) goes into the first once t1 is used and is
+    subtracted from the product in place.
+    """
+    n = m.shape[0]
+    shape = (n * n, n * n)
+    t1 = np.matmul(
+        np.ascontiguousarray(d.transpose(0, 2, 1))[:, None],
+        np.ascontiguousarray(m.transpose(2, 0, 1))[None],
+        out=_out(work[0], (n, n, n, n), d, m),
+    ).reshape(shape)
+    u1 = np.matmul(
+        d.transpose(1, 0, 2).reshape(n * n, n), m, out=_out(work[1], (n, n * n, n), d, m)
+    ).reshape(shape)
+    diff = np.matmul(t1, u1, out=_out(work[2], shape, d, m)).reshape(n, n, n, n)
+    del t1, u1
+    ref = np.matmul(m.reshape(n * n, n), d.reshape(n, n * n), out=_out(work[0], shape, m, d))
+    diff -= ref.reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    return frobenius(diff)
 
 
 # the cancellation span matrices, T[(p, q), (i, j)]:
@@ -282,7 +329,7 @@ def _cancellation_span(qg: FiniteQuantumGroup, side: str) -> np.ndarray:
     return t.reshape(n * n, n * n)
 
 
-def _cancellation_bound(qg: FiniteQuantumGroup, side: str, assoc: float):
+def _cancellation_bound(qg: FiniteQuantumGroup, side: str, assoc: float, work=_NO_WORK):
     """(bound, ||T||_F, ||X||_F) for one cancellation span T and its inverse
     X, with bound >= ||T X - 1||_F.
 
@@ -295,15 +342,16 @@ def _cancellation_bound(qg: FiniteQuantumGroup, side: str, assoc: float):
                        + ||K|| assoc.
 
     P costs n^5 (one n^2 x n x n^2 GEMM, one batched matmul, one n^4
-    array).  Every norm comes from the n x n Gram G = M M^H of a -> L_a,
-    since ||L_v||^2 = v G v^H, and ||K||^2 = tr((x^H x)(y y^H)): n^4.
+    array, the first buffer of ``work``: see :func:`_out`).  Every norm
+    comes from the n x n Gram G = M M^H of a -> L_a, since
+    ||L_v||^2 = v G v^H, and ||K||^2 = tr((x^H x)(y y^H)): n^4.
     """
     n = qg.dim
     m = qg.mult
     x = np.ascontiguousarray(qg.comult.transpose(_CANCELLATION_SPECS[side][1]))
     y = x @ qg.antipode.T  # y[i, c] = S(x[i, c])
     # u[b, i, l] = x[b, i] e_l, then P[b, c] = sum_{i, l} y[i, c, l] u[b, i, l]
-    u = x.reshape(n * n, n) @ m.reshape(n, n * n)
+    u = np.matmul(x.reshape(n * n, n), m.reshape(n, n * n), out=_out(work[0], (n**2, n**2), x, m))
     p = np.matmul(y.transpose(1, 0, 2).reshape(n, n * n), u.reshape(n, n * n, n))
     del u
     p = p - np.multiply.outer(np.eye(n), qg.unit)
@@ -322,7 +370,9 @@ def _cancellation_bound(qg: FiniteQuantumGroup, side: str, assoc: float):
     return bound, math.sqrt(sq_norm(x)), math.sqrt(sq_norm(y))
 
 
-def _cancellation_rank(qg: FiniteQuantumGroup, side: str, assoc: float, rel_tol=1e-8) -> int:
+def _cancellation_rank(
+    qg: FiniteQuantumGroup, side: str, assoc: float, rel_tol=1e-8, work=_NO_WORK
+) -> int:
     """Rank of one cancellation span as ``_rank`` counts it.
 
     With R = T X - 1, sigma_min(T) >= (1 - ||R||) / ||X|| and
@@ -331,7 +381,7 @@ def _cancellation_rank(qg: FiniteQuantumGroup, side: str, assoc: float, rel_tol=
     prove the rank full.  Otherwise T is built and the rank read off its
     SVD (n^6), the only path that can report a deficient rank.
     """
-    bound, norm_t, norm_x = _cancellation_bound(qg, side, assoc)
+    bound, norm_t, norm_x = _cancellation_bound(qg, side, assoc, work)
     if bound <= 0.5 and norm_t * norm_x < 0.5 / rel_tol:
         return qg.dim * qg.dim
     return _rank(_cancellation_span(qg, side), rel_tol)
@@ -353,10 +403,19 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
     an SVD (n^6), the only path that can report a deficient rank.  The
     residuals are contiguous products with in-place differences, n^5
     each, except comult_multiplicative, whose one n^2 x n^2 GEMM is the
-    only n^6 term on a valid input; at most three n^4 arrays are held.
-    The exponents do not depend on the dtype; for real structure tensors
-    every product runs in real BLAS (dgemm, a quarter of the flops of
-    zgemm).
+    only n^6 term on a valid input.  One workspace, three n^4 buffers in
+    the result type of ``mult`` and ``comult`` allocated as one array, is
+    made per call: the associativity, coassociativity and
+    comult_multiplicative products and the certificates' P write into it
+    through ``out=`` (a real product into the leading bytes of a complex
+    buffer, :func:`_out`), so the memory is not faulted in again for each
+    residual.  As one block it is also the allocation that glibc's malloc
+    keeps on its heap after the first call, where three separate buffers
+    are returned to the system and faulted in again by every call.
+    Nothing outlives the call, so a quantum group stays shareable across
+    threads.  The exponents do not depend on the dtype; for real structure
+    tensors every product runs in real BLAS (dgemm, a quarter of the flops
+    of zgemm).
     """
     n = qg.dim
     tol = qg.tol if tol is None else _checked_tol(tol)
@@ -371,7 +430,10 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
         # default evaluates every term as one C loop over all indices
         return np.einsum(spec, *operands, optimize=True)
 
-    r["associativity"] = _associativity_defect(m)
+    # the n^4 products of the residuals and certificates below write into
+    # the three rows of this workspace, held for this call only
+    work = np.empty((3, n**4), np.result_type(m, d))
+    r["associativity"] = _associativity_defect(m, work)
     r["unit"] = max(
         frobenius(ein("i,ijk->jk", u, m) - eye),
         frobenius(ein("j,ijk->ik", u, m) - eye),
@@ -382,28 +444,14 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
     rhs = ein("pj,qi,pqk->ijk", st, st, m)
     r["star_antimultiplicative"] = frobenius(lhs - rhs)
 
-    r["coassociativity"] = _associativity_defect(d.transpose(1, 2, 0))
+    r["coassociativity"] = _associativity_defect(d.transpose(1, 2, 0), work)
     r["counit"] = max(
         frobenius(ein("ijk,j->ik", d, eps) - eye),
         frobenius(ein("ijk,k->ij", d, eps) - eye),
     )
     r["comult_unital"] = frobenius(ein("i,ijk->jk", u, d) - np.outer(u, u))
 
-    # Delta(e_i) Delta(e_j) = sum t1[(i, p), (b, c)] u1[(b, c), (j, q)]
-    # e_p (x) e_q, with the n x n blocks t1[i, p] = d[i]^T m[:, :, p] and
-    # the rows u1[b, c, j] = d[j, c] m[b], both built contiguous (n^5);
-    # their product is the one n^6 GEMM, and Delta(e_i e_j) is subtracted
-    # from it in place
-    t1 = np.matmul(
-        np.ascontiguousarray(d.transpose(0, 2, 1))[:, None],
-        np.ascontiguousarray(m.transpose(2, 0, 1))[None],
-    ).reshape(n * n, n * n)
-    u1 = np.matmul(d.transpose(1, 0, 2).reshape(n * n, n), m).reshape(n * n, n * n)
-    diff = (t1 @ u1).reshape(n, n, n, n)
-    del t1, u1
-    diff -= (m.reshape(n * n, n) @ d.reshape(n, n * n)).reshape(n, n, n, n).transpose(0, 2, 1, 3)
-    r["comult_multiplicative"] = frobenius(diff)
-    del diff
+    r["comult_multiplicative"] = _comult_multiplicative_defect(m, d, work)
     # Delta(a^*) = Delta(a)^{* (x) *}
     lhs = ein("li,lpq->ipq", st, d)
     rhs = ein("ijk,pj,qk->ipq", np.conj(d), st, st)
@@ -439,7 +487,7 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
 
     # quantum cancellation laws as rank conditions, one span at a time
     assoc = r["associativity"]
-    ranks = (_cancellation_rank(qg, "right", assoc), _cancellation_rank(qg, "left", assoc))
+    ranks = tuple(_cancellation_rank(qg, side, assoc, work=work) for side in ("right", "left"))
 
     return ValidationReport(dim=n, tol=tol, residuals=r, cancellation_ranks=ranks)
 
@@ -805,8 +853,13 @@ def _coproduct_defect_factored(qg, gd, legs: LegFactors) -> float:
     (``GnsData._hs_structure``; ``legs.exact`` says it is one).  With
     g orthonormal the defect for e_i is the norm of the n matrices
     D_m = sum_kl gamma[m, k, l] F_k pi(e_i) F_l^* - (id (x) tr(g_m^* .))
-    (pi (x) pi)Delta(e_i).  For each m one (n x n^2)(n^2 x n^2) GEMM gives
-    D_m for every e_i at once.
+    (pi (x) pi)Delta(e_i).  The m are taken in blocks of n // 4: one
+    (b n x n^2)(n^2 x n^2) GEMM gives D_m for a block of b values of m and
+    every e_i at once, and the reference term, formed for the block by one
+    GEMM in the same layout, is subtracted from it in place.  Besides the
+    n^4 array pi(e_i) F_l^* (one batched matmul, built in the layout the
+    GEMM reads) a block holds two arrays of b n^3 = n^4 / 4 entries at a
+    time; a block of all n would hold n^4 each for little gain.
     """
     n = qg.dim
     g, f = legs.basis, legs.factors  # g[k, b, d], f[k, a, c]
@@ -814,19 +867,32 @@ def _coproduct_defect_factored(qg, gd, legs: LegFactors) -> float:
     reg = gd.left_reg  # reg[i, x, y] = pi(e_i)
     reg_flat = reg.reshape(n, n * n)
     gamma = gd._hs_structure[0]
-    # pi(e_i) F_l^* as z[(l, x), (i, c)]
-    w = reg.reshape(n * n, n) @ np.conj(f).reshape(n * n, n).T  # [(i, x), (l, c)]
-    z = np.ascontiguousarray(w.reshape(n, n, n, n).transpose(2, 1, 0, 3)).reshape(n * n, n * n)
-    del w
-    # (pi (x) pi)Delta(e_i) = sum_{p,m} coef[i, p, m] pi(e_p) (x) g_m
-    coef = qg.comult @ (gmat.conj() @ reg_flat.T).T
+    # pi(e_i) F_l^* as z[(l, x), (i, c)]: per l, reg[x, i, y] @ conj(F_l)^T
+    reg_xi = np.ascontiguousarray(reg.transpose(1, 0, 2)).reshape(n * n, n)
+    z = np.matmul(reg_xi, np.conj(f).transpose(0, 2, 1)).reshape(n * n, n * n)
+    # (pi (x) pi)Delta(e_i) = sum_{p,m} coef[m, i, p] pi(e_p) (x) g_m, in
+    # the result type of the products, which the difference is taken in
+    coef = (qg.comult @ (gmat.conj() @ reg_flat.T).T).transpose(2, 0, 1)
+    coef = np.ascontiguousarray(coef, dtype=np.result_type(coef, z, gamma))
     sq = np.zeros(n)
-    for m in range(n):
-        h = np.tensordot(gamma[m], f, axes=(0, 0))  # sum_k gamma[m,k,l] F_k: [l, a, x]
-        d = h.transpose(1, 0, 2).reshape(n, n * n) @ z  # [a, (i, c)]
-        ref = (coef[:, :, m] @ reg_flat).reshape(n, n, n)  # [i, a, c]
-        diff = d.reshape(n, n, n).transpose(1, 0, 2) - ref
-        sq += np.sum(diff.real**2 + diff.imag**2, axis=(1, 2))
+    step = max(1, n // 4)
+    for start in range(0, n, step):
+        block = slice(start, min(n, start + step))
+        b = block.stop - start
+        # sum_k gamma[m, k, l] F_k as h[(m, a), (l, x)]
+        h = np.tensordot(gamma[block], f, axes=(1, 0))  # [m, l, a, x]
+        h = np.ascontiguousarray(h.transpose(0, 2, 1, 3)).reshape(b * n, n * n)
+        d = (h @ z).reshape(b, n, n, n)  # [m, a, i, c]
+        del h
+        diff = (coef[block].reshape(b * n, n) @ reg_flat).reshape(b, n, n, n)  # [m, i, a, c]
+        diff -= d.transpose(0, 2, 1, 3)
+        del d
+        if np.iscomplexobj(diff):
+            diff = diff.real**2 + diff.imag**2
+        else:
+            np.square(diff, out=diff)
+        for row in diff.sum(axis=(2, 3)):  # m in order
+            sq += row
     return float(np.sqrt(sq.max()))
 
 
@@ -917,11 +983,14 @@ def multiplicative_unitary(
     Lambda(e_i) (x) Lambda(e_j) -> Delta(e_i)(1 (x) e_j).  Each one-leg
     factor is folded into the structure tensor that carries the leg (n^4
     each), which leaves one n^5 contraction over the index shared by the
-    coproduct and the product: V is built in n^5.  V is then sliced against
-    a basis of pi(A) once (n^5; kept on the result as ``legs``), and the
-    checks cost n^6 in all at every n: the one n^2 x n^2 product of the
-    unitarity test, the coproduct identity on the slices (n^6) and the
-    pentagon on the slices (n^5, :func:`_pentagon_defect_factored`, plus
+    coproduct and the product: a batched matmul of n^2 n x n products
+    that writes each block of V in place, so V is built in n^5 with no
+    transposed n^4 copy.  V is then sliced against a basis of pi(A) once
+    (n^5; kept on the result as ``legs``), and the checks cost n^6 in all
+    at every n.  Only two products are n^6: the one n^2 x n^2 product of
+    the unitarity test and the coproduct identity on the slices (blocked
+    GEMMs, :func:`_coproduct_defect_factored`); the pentagon is checked
+    on the slices at n^5 (:func:`_pentagon_defect_factored`, plus
     an explicit bound of what it drops, so the reported value is never
     below the dense one).  The dense checks are fallbacks only: slices
     that do not describe V send the coproduct to its n^7 loop, and those,
@@ -941,11 +1010,12 @@ def multiplicative_unitary(
     gd = gns(qg) if gd is None else gd
     tol = qg.tol if tol is None else _checked_tol(tol)
     n = qg.dim
-    # V[a, b, c, d] = sum_r left[c, a, r] right[r, d, b]
-    left = np.einsum("ic,ap,ipr->car", gd.onb, gd.onb_inv, qg.comult, optimize=True)
-    right = np.einsum("rjq,jd,bq->rdb", qg.mult, gd.onb, gd.onb_inv, optimize=True)
-    v = (left.reshape(n * n, n) @ right.reshape(n, n * n)).reshape(n, n, n, n)
-    v = np.ascontiguousarray(v.transpose(1, 3, 0, 2)).reshape(n * n, n * n)
+    # V[a, b, c, d] = sum_r left[a, c, r] right[b, r, d]: the (c, d) block
+    # of each (a, b) is one n x n product, written straight into V
+    left = np.einsum("ic,ap,ipr->acr", gd.onb, gd.onb_inv, qg.comult, optimize=True)
+    right = np.einsum("rjq,jd,bq->brd", qg.mult, gd.onb, gd.onb_inv, optimize=True)
+    left, right = np.ascontiguousarray(left), np.ascontiguousarray(right)
+    v = np.matmul(left[:, None], right[None]).reshape(n * n, n * n)
     udef = unitarity_defect(v)
     legs = second_leg_factors(gd, v)
     cdef = _coproduct_defect(qg, gd, v, legs)

@@ -14,6 +14,7 @@ from qgidem.core import (
     _cancellation_bound,
     _cancellation_span,
     _coproduct_defect_dense,
+    _out,
     _pentagon_defect,
     _pentagon_defect_factored,
     _rank,
@@ -374,7 +375,8 @@ def residual_cases():
     cases = [(kind, name, variant) for kind in ("fn", "ga") for name in ("S3", "Q8", "S4")
              for variant in ("sparse", "dense")]
     return cases + [("ga", "S3", "phase"), ("fn", "Q8", "phase"),
-                    ("fn", "S3", "perturbed"), ("ga", "Q8", "perturbed")]
+                    ("fn", "S3", "perturbed"), ("ga", "Q8", "perturbed"),
+                    ("ga", "S3", "complex_comult"), ("fn", "Q8", "complex_mult")]
 
 
 @pytest.mark.parametrize("kind,name,variant", residual_cases())
@@ -384,19 +386,30 @@ def test_residual_layouts_match_the_einsum_forms(kind, name, variant):
         g = dense_algebra(kind, name)[0]
     elif variant == "phase":
         g = phase_twin(kind, name)[0]
-    elif variant == "perturbed":
+    elif variant != "sparse":
+        # complex noise in both tensors, or in one while the other stays
+        # real, so validate's workspace is complex and some products real
         noise = np.random.default_rng(2).standard_normal((4,) + g.mult.shape)
+        mult = g.mult + 1e-3 * (noise[0] + 1j * noise[1])
+        comult = g.comult + 1e-3 * (noise[2] + 1j * noise[3])
         g = dataclasses.replace(
             g,
-            mult=g.mult + 1e-3 * (noise[0] + 1j * noise[1]),
-            comult=g.comult + 1e-3 * (noise[2] + 1j * noise[3]),
+            mult=g.mult if variant == "complex_comult" else mult,
+            comult=g.comult if variant == "complex_mult" else comult,
         )
+        assert (g.mult.dtype.kind, g.comult.dtype.kind) == {
+            "perturbed": ("c", "c"), "complex_comult": ("f", "c"), "complex_mult": ("c", "f")
+        }[variant]
     got = qg.validate(g).residuals
     refs = reference_residuals(g)
     for key, ref in refs.items():
         assert abs(got[key] - ref) <= 1e-12, (key, got[key], ref)
-    if variant == "perturbed":
-        assert min(refs.values()) > 1e-4
+    if variant in ("perturbed", "complex_mult"):
+        assert refs["associativity"] > 1e-4
+    if variant in ("perturbed", "complex_comult"):
+        assert refs["coassociativity"] > 1e-4
+    if variant in ("perturbed", "complex_comult", "complex_mult"):
+        assert refs["comult_multiplicative"] > 1e-4
 
 
 def test_invalid_haar_fails_validation():
@@ -883,10 +896,57 @@ def test_validate_memory_on_d16():
     small = algebra("fn", "S3")  # warm imports and einsum paths
     qg.validate(small)
     g = qg.function_algebra(qg.dihedral_group(16))  # n = 32
-    # three n^4 arrays at most (the comult_multiplicative factors and their
-    # product, 8 MiB each); forming the cancellation spans, their inverses
-    # and the n^2 x n^2 certificate product held about 40 MiB
+    # the three n^4 buffers of the workspace (8 MiB each); forming the
+    # cancellation spans, their inverses and the n^2 x n^2 certificate
+    # product held about 40 MiB
     assert _traced_peak(qg.validate, g) <= 30 * 2**20
+
+
+def test_multiplicative_unitary_memory_on_d16():
+    small = algebra("fn", "S3")  # warm imports and einsum paths
+    multiplicative_unitary(small, qg.gns(small))
+    g = qg.function_algebra(qg.dihedral_group(16))  # n = 32, fresh caches
+    gd = qg.gns(g)
+    # four n^4 float64 arrays (8 MiB each); V, pi(e_i) F_l^* of the
+    # coproduct check and its blocks of n^4 / 4 entries peak near 24 MiB
+    assert _traced_peak(multiplicative_unitary, g, gd) <= 32 * 2**20
+
+
+@pytest.mark.parametrize("kind,k", [("fn", 16), ("ga", 12)])
+def test_valid_inputs_never_reach_the_dense_fallbacks(kind, k, monkeypatch):
+    # the fallbacks give the same values at n^7 (coproduct), n^8 or a
+    # sampled lower bound (pentagon) and n^6 (cancellation SVD), so only
+    # this test sees a valid input leave the fast paths
+    def fallback(*args, **kwargs):
+        raise AssertionError("dense fallback taken on a valid input")
+
+    for name in ("_coproduct_defect_dense", "pentagon_defect", "_cancellation_span"):
+        monkeypatch.setattr(core, name, fallback)
+    ct = qg.dihedral_group(k)
+    g = qg.function_algebra(ct) if kind == "fn" else qg.group_algebra(ct)
+    report = qg.validate(g)
+    assert report.passed and report.cancellation_ranks == (g.dim**2,) * 2
+    mu = multiplicative_unitary(g)
+    assert max(mu.defects.values()) <= g.tol
+
+
+def test_workspace_of_the_wrong_dtype_is_never_cast_into():
+    g = phase_twin("ga", "S3")[0]  # complex mult
+    n = g.dim
+    real, cplx = np.empty((3, n**4)), np.empty((3, n**4), dtype=np.complex128)
+    # a real product uses the leading bytes of a complex buffer; a complex
+    # one does not fit a real buffer and gets its own array
+    view = _out(cplx[0], (n * n, n * n), np.float64)
+    assert view.dtype == np.float64 and np.shares_memory(view, cplx[0])
+    fresh = _out(real[0], (n * n, n * n), g.mult)
+    assert fresh.dtype == np.complex128 and not np.shares_memory(fresh, real)
+    assert _out(None, (2, 3), np.float64).shape == (2, 3)
+    assert not np.shares_memory(_out(real[0, :5], (2, 3), np.float64), real)
+    noise = np.random.default_rng(4).standard_normal((2,) + g.mult.shape)
+    for m in (g.mult + 1e-2 * (noise[0] + 1j * noise[1]), 1e-2 * noise[0]):
+        ref = _associativity_defect(m)
+        assert ref > 1e-5
+        assert _associativity_defect(m, real) == _associativity_defect(m, cplx) == ref
 
 
 def test_multiplicative_unitary_flags_noninvariant_haar():

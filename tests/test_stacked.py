@@ -6,7 +6,11 @@ raised error types exactly.  The inputs are the subgroup states of
 fn:/ga: x {S3, Q8, D4}, in the group basis and in a dense basis
 (``helpers.dense_algebra``), plus fn:/ga:S4 for the lattice and coactions
 and for the solver's start supports, canonical order and deduplication.
+The blocked coproduct check of V runs on fn:/ga: x {S3, Q8, S4} in both
+bases, a complex phase twin and fn:D7 (n = 14, a short last block).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from qgidem.core import (
     InternalConsistencyError,
     MultUnitary,
     QuantumGroupError,
+    _coproduct_defect_factored,
     _rank,
     antipode_slice_defect,
     frobenius,
@@ -58,6 +63,7 @@ from helpers import (
     group,
     lift,
     oracle_states,
+    phase_twin,
     right_regular_twist,
 )
 
@@ -112,6 +118,26 @@ def loop_antipode_slice_defect(g, gd, mu):
             worst = max(worst, frobenius(g.antipode @ a - b))
             lifted[i * n + j] = a
     return worst, _rank(lifted)
+
+
+def loop_coproduct_defect_factored(g, gd, legs):
+    n = g.dim
+    f = legs.factors
+    gmat = legs.basis.reshape(n, n * n)
+    reg = gd.left_reg
+    reg_flat = reg.reshape(n, n * n)
+    gamma = gd._hs_structure[0]
+    w = reg.reshape(n * n, n) @ np.conj(f).reshape(n * n, n).T  # [(i, x), (l, c)]
+    z = np.ascontiguousarray(w.reshape(n, n, n, n).transpose(2, 1, 0, 3)).reshape(n * n, n * n)
+    coef = g.comult @ (gmat.conj() @ reg_flat.T).T
+    sq = np.zeros(n)
+    for m in range(n):
+        h = np.tensordot(gamma[m], f, axes=(0, 0))  # [l, a, x]
+        d = h.transpose(1, 0, 2).reshape(n, n * n) @ z  # [a, (i, c)]
+        ref = (coef[:, :, m] @ reg_flat).reshape(n, n, n)  # [i, a, c]
+        diff = d.reshape(n, n, n).transpose(1, 0, 2) - ref
+        sq += np.sum(diff.real**2 + diff.imag**2, axis=(1, 2))
+    return float(np.sqrt(sq.max()))
 
 
 def loop_bimodule(g, e, u):
@@ -550,3 +576,35 @@ def test_sort_and_dedup_match_loop(kind, name, dense):
         assert [State(g, x).coeffs.tobytes() for x in got] == [
             st.coeffs.tobytes() for st in ref
         ]
+
+
+def coproduct_cases():
+    cases = [(kind, name, dense) for kind in ("fn", "ga") for name in ("S3", "Q8", "S4")
+             for dense in (False, True)]
+    # a complex input, and n = 14, where the last block of m is short
+    return cases + [("ga", "S3", "phase"), ("fn", "D7", False)]
+
+
+@pytest.mark.parametrize("kind,name,dense", coproduct_cases())
+def test_blocked_coproduct_defect_matches_loop(kind, name, dense):
+    if dense == "phase":
+        g = phase_twin(kind, name)[0]
+    elif name == "D7":
+        g = qg.function_algebra(qg.dihedral_group(7))
+    else:
+        g = case(kind, name, dense)[0]
+    gd = qg.gns(g)
+    legs = qg.multiplicative_unitary(g, gd).legs
+    assert legs.exact
+    got = _coproduct_defect_factored(g, gd, legs)
+    ref = loop_coproduct_defect_factored(g, gd, legs)
+    assert max(got, ref) < 1e-12
+    assert abs(got - ref) <= 1e-12 * max(ref, 1e-3)
+    # factors that no longer implement Delta: a defect far above rounding
+    rng = np.random.default_rng(3)
+    noise = rng.standard_normal((2,) + legs.factors.shape)
+    wrong = dataclasses.replace(legs, factors=legs.factors + 1e-3 * (noise[0] + 1j * noise[1]))
+    got = _coproduct_defect_factored(g, gd, wrong)
+    ref = loop_coproduct_defect_factored(g, gd, wrong)
+    assert ref > 1e-4
+    assert abs(got - ref) <= 1e-12 * ref
