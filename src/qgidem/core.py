@@ -243,7 +243,23 @@ def _rank(matrix, rel_tol=1e-8):
 
 
 # no workspace: every product allocates its own result
-_NO_WORK = (None, None, None)
+_NO_WORK = (None, None, None, None)
+
+
+def _row_blocks(n: int, parts: int) -> list:
+    """The first index in blocks of max(1, n // parts) values, as slices;
+    the last block is shorter when the step does not divide n."""
+    step = max(1, n // parts)
+    return [slice(start, min(n, start + step)) for start in range(0, n, step)]
+
+
+def _workspace(n: int, step: int, blocks: int, dtype) -> tuple:
+    """One per-call array as views: n^4 entries, then ``blocks`` blocks of
+    ``step`` n^3 (the products of ``step`` values of a first index)."""
+    full, block = n**4, step * n**3
+    buf = np.empty(full + blocks * block, dtype)
+    starts = range(full, full + blocks * block, block)
+    return (buf[:full],) + tuple(buf[start : start + block] for start in starts)
 
 
 def _out(buf, shape, *operands) -> np.ndarray:
@@ -264,19 +280,26 @@ def _out(buf, shape, *operands) -> np.ndarray:
 def _associativity_defect(m, work=_NO_WORK) -> float:
     """||(e_i e_j) e_l - e_i (e_j e_l)|| over the basis for the product m.
 
-    Both sides are contiguous products in the layout [i, (j, l), p]: one
-    n^2 x n x n^2 GEMM and one batched n^2 x n x n matmul (n^5 each),
-    written into the first two buffers of ``work`` (see :func:`_out`),
-    the second subtracted from the first in place.  Applied to
-    ``comult.transpose(1, 2, 0)``, the product of the dual, it is the
-    coassociativity residual.
+    Both sides are contiguous products in the layout [i, (j, l), p],
+    taken in row blocks of max(1, n // 4) values of i: per block one
+    b n x n x n^2 GEMM and one batched n^2 x n x n matmul (n^5 in all),
+    written into the two block buffers of ``work`` (``work[1]``,
+    ``work[2]``; see :func:`_out`), the second subtracted from the first
+    in place and the block reduced to its sum of squares before the next.
+    Without a workspace each block allocates its two arrays of b n^3
+    (n^4 / 4) entries.  Applied to ``comult.transpose(1, 2, 0)``, the
+    product of the dual, it is the coassociativity residual.
     """
     m = np.ascontiguousarray(m)
     n = m.shape[0]
-    m2 = m.reshape(n * n, n)
-    r = np.matmul(m2, m.reshape(n, n * n), out=_out(work[0], (n * n, n * n), m))
-    r -= np.matmul(m2, m, out=_out(work[1], (n, n * n, n), m)).reshape(n * n, n * n)
-    return frobenius(r)
+    m2, mm = m.reshape(n * n, n), m.reshape(n, n * n)
+    sq = 0.0
+    for rows in _row_blocks(n, 4):
+        b, lo, hi = rows.stop - rows.start, rows.start * n, rows.stop * n
+        r = np.matmul(m2[lo:hi], mm, out=_out(work[1], (b * n, n * n), m))
+        r -= np.matmul(m2, m[rows], out=_out(work[2], (b, n * n, n), m)).reshape(b * n, n * n)
+        sq += frobenius(r) ** 2
+    return math.sqrt(sq)
 
 
 def _comult_multiplicative_defect(m, d, work=_NO_WORK) -> float:
@@ -285,25 +308,32 @@ def _comult_multiplicative_defect(m, d, work=_NO_WORK) -> float:
     Delta(e_i) Delta(e_j) = sum t1[(i, p), (b, c)] u1[(b, c), (j, q)]
     e_p (x) e_q, with the n x n blocks t1[i, p] = d[i]^T m[:, :, p] and the
     rows u1[b, c, j] = d[j, c] m[b], both built contiguous (n^5); their
-    product is the one n^6 GEMM.  The three n^4 arrays are the buffers of
-    ``work``; Delta(e_i e_j) goes into the first once t1 is used and is
-    subtracted from the product in place.
+    product is the one n^6 GEMM.  u1 is the one full n^4 operand
+    (``work[0]``); t1, the product and Delta(e_i e_j) are taken in row
+    blocks of max(1, n // 4) values of i, t1 and then Delta(e_i e_j) in
+    ``work[1]``, the product in ``work[2]``, the reference subtracted in
+    place and the block reduced to its sum of squares before the next:
+    n^4 + 2 b n^3 (1.5 n^4) entries in all.
     """
     n = m.shape[0]
-    shape = (n * n, n * n)
-    t1 = np.matmul(
-        np.ascontiguousarray(d.transpose(0, 2, 1))[:, None],
-        np.ascontiguousarray(m.transpose(2, 0, 1))[None],
-        out=_out(work[0], (n, n, n, n), d, m),
-    ).reshape(shape)
     u1 = np.matmul(
-        d.transpose(1, 0, 2).reshape(n * n, n), m, out=_out(work[1], (n, n * n, n), d, m)
-    ).reshape(shape)
-    diff = np.matmul(t1, u1, out=_out(work[2], shape, d, m)).reshape(n, n, n, n)
-    del t1, u1
-    ref = np.matmul(m.reshape(n * n, n), d.reshape(n, n * n), out=_out(work[0], shape, m, d))
-    diff -= ref.reshape(n, n, n, n).transpose(0, 2, 1, 3)
-    return frobenius(diff)
+        d.transpose(1, 0, 2).reshape(n * n, n), m, out=_out(work[0], (n, n * n, n), d, m)
+    ).reshape(n * n, n * n)
+    dt = np.ascontiguousarray(d.transpose(0, 2, 1))
+    mt = np.ascontiguousarray(m.transpose(2, 0, 1))[None]
+    m2, dd = m.reshape(n * n, n), d.reshape(n, n * n)
+    sq = 0.0
+    for rows in _row_blocks(n, 4):
+        b, lo, hi = rows.stop - rows.start, rows.start * n, rows.stop * n
+        t1 = np.matmul(dt[rows, None], mt, out=_out(work[1], (b, n, n, n), d, m))
+        diff = np.matmul(
+            t1.reshape(b * n, n * n), u1, out=_out(work[2], (b * n, n * n), d, m)
+        ).reshape(b, n, n, n)
+        del t1
+        ref = np.matmul(m2[lo:hi], dd, out=_out(work[1], (b * n, n * n), m, d))
+        diff -= ref.reshape(b, n, n, n).transpose(0, 2, 1, 3)
+        sq += frobenius(diff) ** 2
+    return math.sqrt(sq)
 
 
 # the cancellation span matrices, T[(p, q), (i, j)]:
@@ -341,21 +371,26 @@ def _cancellation_bound(qg: FiniteQuantumGroup, side: str, assoc: float, work=_N
         ||T X - 1|| <= ||[L_{P_bc - delta_bc 1}]|| + sqrt(n) ||L_1 - 1||
                        + ||K|| assoc.
 
-    P costs n^5 (one n^2 x n x n^2 GEMM, one batched matmul, one n^4
-    array, the first buffer of ``work``: see :func:`_out`).  Every norm
-    comes from the n x n Gram G = M M^H of a -> L_a, since
-    ||L_v||^2 = v G v^H, and ||K||^2 = tr((x^H x)(y y^H)): n^4.
+    P costs n^5: per row block of max(1, n // 4) values of b, one
+    b n x n x n^2 GEMM into the block buffer ``work[1]`` (b n^3 entries,
+    allocated per block without a workspace; see :func:`_out`) and one
+    batched matmul that writes the block's rows of P.  Every norm comes
+    from the n x n Gram G = M M^H of a -> L_a, since ||L_v||^2 = v G v^H,
+    and ||K||^2 = tr((x^H x)(y y^H)): n^4.
     """
     n = qg.dim
     m = qg.mult
     x = np.ascontiguousarray(qg.comult.transpose(_CANCELLATION_SPECS[side][1]))
     y = x @ qg.antipode.T  # y[i, c] = S(x[i, c])
     # u[b, i, l] = x[b, i] e_l, then P[b, c] = sum_{i, l} y[i, c, l] u[b, i, l]
-    u = np.matmul(x.reshape(n * n, n), m.reshape(n, n * n), out=_out(work[0], (n**2, n**2), x, m))
-    p = np.matmul(y.transpose(1, 0, 2).reshape(n, n * n), u.reshape(n, n * n, n))
-    del u
+    x2, mm = x.reshape(n * n, n), m.reshape(n, n * n)
+    yt = y.transpose(1, 0, 2).reshape(n, n * n)
+    p = np.empty((n, n, n), np.result_type(y, x, m))
+    for rows in _row_blocks(n, 4):
+        b, lo, hi = rows.stop - rows.start, rows.start * n, rows.stop * n
+        u = np.matmul(x2[lo:hi], mm, out=_out(work[1], (b * n, n * n), x, m))
+        np.matmul(yt, u.reshape(b, n * n, n), out=p[rows])
     p = p - np.multiply.outer(np.eye(n), qg.unit)
-    mm = m.reshape(n, n * n)
     gram = mm @ mm.conj().T
 
     def sq_norm(v):  # sum over the rows v of ||L_v||_F^2
@@ -403,19 +438,20 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
     an SVD (n^6), the only path that can report a deficient rank.  The
     residuals are contiguous products with in-place differences, n^5
     each, except comult_multiplicative, whose one n^2 x n^2 GEMM is the
-    only n^6 term on a valid input.  One workspace, three n^4 buffers in
-    the result type of ``mult`` and ``comult`` allocated as one array, is
-    made per call: the associativity, coassociativity and
-    comult_multiplicative products and the certificates' P write into it
-    through ``out=`` (a real product into the leading bytes of a complex
-    buffer, :func:`_out`), so the memory is not faulted in again for each
-    residual.  As one block it is also the allocation that glibc's malloc
-    keeps on its heap after the first call, where three separate buffers
-    are returned to the system and faulted in again by every call.
-    Nothing outlives the call, so a quantum group stays shareable across
-    threads.  The exponents do not depend on the dtype; for real structure
-    tensors every product runs in real BLAS (dgemm, a quarter of the flops
-    of zgemm).
+    only n^6 term on a valid input.  The associativity, coassociativity
+    and comult_multiplicative products and the certificates' P run in row
+    blocks of b = max(1, n // 4) values of their first index, each block
+    reduced to its sum of squares (or to its rows of P) before the next.
+    One workspace in the result type of ``mult`` and ``comult`` is made
+    per call, as one array: a full n^4 buffer for the one full operand of
+    comult_multiplicative and two blocks of b n^3 entries, n^4 + 2 b n^3
+    (1.5 n^4 for n >= 4) in all.  The products write into it through
+    ``out=`` (a real product into the leading bytes of a complex buffer,
+    :func:`_out`), so the memory is not faulted in again for each
+    residual or block.  Nothing outlives the call, so a quantum group
+    stays shareable across threads.  The exponents do not depend on the
+    dtype; for real structure tensors every product runs in real BLAS
+    (dgemm, a quarter of the flops of zgemm).
     """
     n = qg.dim
     tol = qg.tol if tol is None else _checked_tol(tol)
@@ -430,9 +466,9 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
         # default evaluates every term as one C loop over all indices
         return np.einsum(spec, *operands, optimize=True)
 
-    # the n^4 products of the residuals and certificates below write into
-    # the three rows of this workspace, held for this call only
-    work = np.empty((3, n**4), np.result_type(m, d))
+    # the blocked products of the residuals and certificates below write
+    # into this workspace, held for this call only
+    work = _workspace(n, max(1, n // 4), 2, np.result_type(m, d))
     r["associativity"] = _associativity_defect(m, work)
     r["unit"] = max(
         frobenius(ein("i,ijk->jk", u, m) - eye),
@@ -657,18 +693,31 @@ class GnsData:
         g_k g_l^* = sum_m gamma[m, k, l] g_m + E_kl, and ``defect`` is the
         larger of ||E|| and the distance of the identity from span g.  It is
         rounding exactly when span g is a unital *-algebra, which holds when
-        pi is multiplicative, so for every valid input.
+        pi is multiplicative, so for every valid input.  The k are taken in
+        blocks of max(1, n // 4): one GEMM gives g_k g_l^* for the block
+        and every l, and one batched matmul their coefficients, an
+        n x n^2 x n product per k (a single wider GEMM takes another
+        OpenBLAS kernel and moves gamma, and the coproduct defect read off
+        it, by rounding).  A block holds two arrays of b n^3 (n^4 / 4)
+        entries at a time.
         """
         n = self.dim
         g = self._hs_basis
         gmat = g.reshape(n, n * n)
-        g_adj = np.conj(g.transpose(0, 2, 1))
+        gmat_c = gmat.conj()
+        g_rows = g.reshape(n * n, n)  # [(k, x), y]
+        g_adj = np.conj(g_rows).T  # [y, (l, z)]
         gamma = np.empty((n, n, n), dtype=g.dtype)
         err_sq = 0.0
-        for k in range(n):  # one k at a time keeps the memory at n^3
-            prods = (g[k] @ g_adj).reshape(n, n * n)  # g_k g_l^*
-            gamma[:, k, :] = gmat.conj() @ prods.T
-            err_sq += frobenius(prods - gamma[:, k, :].T @ gmat) ** 2
+        for ks in _row_blocks(n, 4):
+            b = ks.stop - ks.start
+            # g_k g_l^* as rows (k, l) of n^2 coordinates
+            prods = (g_rows[ks.start * n : ks.stop * n] @ g_adj).reshape(b, n, n, n)
+            prods = np.ascontiguousarray(prods.transpose(0, 2, 1, 3)).reshape(b, n, n * n)
+            coef = np.matmul(gmat_c, prods.transpose(0, 2, 1))  # [k, m, l]
+            gamma[:, ks, :] = coef.transpose(1, 0, 2)
+            prods -= np.matmul(coef.transpose(0, 2, 1), gmat)
+            err_sq += frobenius(prods) ** 2
         eye = np.eye(n).ravel()
         defect = max(math.sqrt(err_sq), frobenius(eye - (gmat.conj() @ eye) @ gmat))
         gamma.setflags(write=False)
@@ -716,23 +765,30 @@ class LegFactors:
 
 
 def second_leg_factors(gd: GnsData, v) -> LegFactors:
-    """Slice the second leg of V against ``gd._hs_basis`` (n^5, n^3 memory).
+    """Slice the second leg of V against ``gd._hs_basis`` (n^5).
 
-    V[(a, b), (c, d)] has first leg (a, c) and second leg (b, d); each row
-    a of the first leg is sliced on its own.
+    V[(a, b), (c, d)] has first leg (a, c) and second leg (b, d).  The
+    rows a of the first leg are sliced in blocks of max(1, n // 4): one
+    GEMM per block, which holds two arrays of b n^3 (n^4 / 4) entries.
     """
     n = gd.dim
     g = gd._hs_basis
     gmat = g.reshape(n, n * n)
+    gmat_h = gmat.conj().T
     v = np.asarray(v)
     v4 = v.reshape(n, n, n, n)
-    factors = np.empty((n, n, n), dtype=np.result_type(v, g))  # [k, a, c]
+    dtype = np.result_type(v, g)
+    factors = np.empty((n, n, n), dtype=dtype)  # [k, a, c]
     rem_sq = 0.0
-    for a in range(n):
-        rows = v4[a].transpose(1, 0, 2).reshape(n, n * n)  # [c, (b, d)]
-        f = rows @ gmat.conj().T  # [c, k]
-        factors[:, a, :] = f.T
-        rem_sq += frobenius(rows - f @ gmat) ** 2
+    for rows in _row_blocks(n, 4):
+        size = rows.stop - rows.start
+        block = np.empty((size, n, n, n), dtype)  # [a, c, (b, d)]
+        np.copyto(block, v4[rows].transpose(0, 2, 1, 3))
+        block = block.reshape(size * n, n * n)
+        f = block @ gmat_h  # [(a, c), k]
+        factors[:, rows, :] = f.reshape(size, n, n).transpose(2, 0, 1)
+        block -= f @ gmat
+        rem_sq += frobenius(block) ** 2
     remainder = math.sqrt(rem_sq)
     eps = np.finfo(float).eps
     exact = remainder <= 64 * eps * frobenius(v) and gd._hs_structure[1] <= 64 * eps * n
@@ -774,11 +830,13 @@ class MultUnitary:
         return self.v.reshape(n, n, n, n).transpose(0, 2, 1, 3)
 
 
-def unitarity_defect(v) -> float:
+def unitarity_defect(v, work=None) -> float:
     """||V V^* - 1||, which equals ||V^* V - 1|| for a square V: both
-    products have the eigenvalues sigma_k^2.  One GEMM."""
+    products have the eigenvalues sigma_k^2.  One GEMM, written into the
+    leading bytes of the 1-D buffer ``work`` when it is large enough
+    (:func:`_out`)."""
     v = np.asarray(v)
-    p = v @ v.conj().T
+    p = np.matmul(v, v.conj().T, out=_out(work, v.shape, v))
     p.flat[:: p.shape[0] + 1] -= 1
     return frobenius(p)
 
@@ -839,13 +897,13 @@ def coproduct_defect(qg: FiniteQuantumGroup, gd: GnsData, v) -> float:
     return _coproduct_defect(qg, gd, v, second_leg_factors(gd, v))
 
 
-def _coproduct_defect(qg, gd, v, legs: LegFactors) -> float:
+def _coproduct_defect(qg, gd, v, legs: LegFactors, work=_NO_WORK) -> float:
     if legs.exact:
-        return _coproduct_defect_factored(qg, gd, legs)
+        return _coproduct_defect_factored(qg, gd, legs, work)
     return _coproduct_defect_dense(qg, gd, v)
 
 
-def _coproduct_defect_factored(qg, gd, legs: LegFactors) -> float:
+def _coproduct_defect_factored(qg, gd, legs: LegFactors, work=_NO_WORK) -> float:
     """The coproduct defect from V = sum_k F_k (x) g_k, at n^6.
 
     V (pi(e_i) (x) 1) V^* = sum_kl F_k pi(e_i) F_l^* (x) g_k g_l^*, and
@@ -853,13 +911,16 @@ def _coproduct_defect_factored(qg, gd, legs: LegFactors) -> float:
     (``GnsData._hs_structure``; ``legs.exact`` says it is one).  With
     g orthonormal the defect for e_i is the norm of the n matrices
     D_m = sum_kl gamma[m, k, l] F_k pi(e_i) F_l^* - (id (x) tr(g_m^* .))
-    (pi (x) pi)Delta(e_i).  The m are taken in blocks of n // 4: one
-    (b n x n^2)(n^2 x n^2) GEMM gives D_m for a block of b values of m and
-    every e_i at once, and the reference term, formed for the block by one
-    GEMM in the same layout, is subtracted from it in place.  Besides the
-    n^4 array pi(e_i) F_l^* (one batched matmul, built in the layout the
-    GEMM reads) a block holds two arrays of b n^3 = n^4 / 4 entries at a
-    time; a block of all n would hold n^4 each for little gain.
+    (pi (x) pi)Delta(e_i).  The m are taken in blocks of max(1, n // 8):
+    one (b n x n^2)(n^2 x n^2) GEMM gives D_m for a block of b values of m
+    and every e_i at once, and the reference term, formed for the block
+    by one GEMM in the same layout, is subtracted from it in place.  The
+    n^4 array z = pi(e_i) F_l^* (one batched matmul, built in the layout
+    the GEMM reads) is ``work[0]``.  Per block, sum_k gamma[m, k, l] F_k
+    goes into ``work[1]``, its copy in the GEMM's layout into ``work[2]``,
+    the product into ``work[3]`` and the reference into ``work[1]`` again:
+    three buffers of b n^3 = n^4 / 8 entries, 3/8 n^4 beside z.  Without a
+    workspace z and every block are allocated here.
     """
     n = qg.dim
     g, f = legs.basis, legs.factors  # g[k, b, d], f[k, a, c]
@@ -869,22 +930,29 @@ def _coproduct_defect_factored(qg, gd, legs: LegFactors) -> float:
     gamma = gd._hs_structure[0]
     # pi(e_i) F_l^* as z[(l, x), (i, c)]: per l, reg[x, i, y] @ conj(F_l)^T
     reg_xi = np.ascontiguousarray(reg.transpose(1, 0, 2)).reshape(n * n, n)
-    z = np.matmul(reg_xi, np.conj(f).transpose(0, 2, 1)).reshape(n * n, n * n)
+    f_adj = f.conj().transpose(0, 2, 1)
+    z = np.matmul(reg_xi, f_adj, out=_out(work[0], (n, n * n, n), reg_xi, f_adj))
+    z = z.reshape(n * n, n * n)
     # (pi (x) pi)Delta(e_i) = sum_{p,m} coef[m, i, p] pi(e_p) (x) g_m, in
     # the result type of the products, which the difference is taken in
     coef = (qg.comult @ (gmat.conj() @ reg_flat.T).T).transpose(2, 0, 1)
     coef = np.ascontiguousarray(coef, dtype=np.result_type(coef, z, gamma))
+    f_rows = f.reshape(n, n * n)
     sq = np.zeros(n)
-    step = max(1, n // 4)
-    for start in range(0, n, step):
-        block = slice(start, min(n, start + step))
-        b = block.stop - start
-        # sum_k gamma[m, k, l] F_k as h[(m, a), (l, x)]
-        h = np.tensordot(gamma[block], f, axes=(1, 0))  # [m, l, a, x]
-        h = np.ascontiguousarray(h.transpose(0, 2, 1, 3)).reshape(b * n, n * n)
-        d = (h @ z).reshape(b, n, n, n)  # [m, a, i, c]
-        del h
-        diff = (coef[block].reshape(b * n, n) @ reg_flat).reshape(b, n, n, n)  # [m, i, a, c]
+    for block in _row_blocks(n, 8):
+        b = block.stop - block.start
+        # sum_k gamma[m, k, l] F_k as h[(m, a), (l, x)], from the GEMM
+        # [(m, l), k] x [k, (a, x)]
+        gam = gamma[block].transpose(0, 2, 1).reshape(b * n, n)
+        h = np.matmul(gam, f_rows, out=_out(work[1], (b * n, n * n), gam, f_rows))
+        h_ma = _out(work[2], (b, n, n, n), h)
+        np.copyto(h_ma, h.reshape(b, n, n, n).transpose(0, 2, 1, 3))
+        h_ma = h_ma.reshape(b * n, n * n)
+        d = np.matmul(h_ma, z, out=_out(work[3], (b * n, n * n), h_ma, z))
+        d = d.reshape(b, n, n, n)  # [m, a, i, c]
+        c_rows = coef[block].reshape(b * n, n)
+        diff = np.matmul(c_rows, reg_flat, out=_out(work[1], (b * n, n * n), c_rows, reg_flat))
+        diff = diff.reshape(b, n, n, n)  # [m, i, a, c]
         diff -= d.transpose(0, 2, 1, 3)
         del d
         if np.iscomplexobj(diff):
@@ -1001,6 +1069,17 @@ def multiplicative_unitary(
     structure tensors, so for real inputs V, its slices and every check
     run in real BLAS, with the same exponents.
 
+    Memory, in units of n^4 entries: besides V (1), the slicing holds two
+    blocks of 1/4 and the structure constants of pi(A) two more, both
+    freed before the workspace is made.  That one per-call workspace of
+    1 + 3 b / n (1.375 for n >= 8, blocks of b = max(1, n // 8)),
+    allocated as one array, takes in turn the unitarity product and
+    pi(e_i) F_l^* with the coproduct's blocks, which are never alive
+    together; the peak is V plus the workspace.  glibc raises its trim
+    threshold to twice the largest block it has returned to the system,
+    so in a process with no larger allocation V and the workspace stay on
+    the heap from the second call on instead of being faulted in again.
+
     A failure of unitarity or the pentagon signals that the supplied Haar
     functional is not right invariant; the defect is surfaced, never
     repaired automatically (for an h that is merely left invariant the
@@ -1016,9 +1095,14 @@ def multiplicative_unitary(
     right = np.einsum("rjq,jd,bq->brd", qg.mult, gd.onb, gd.onb_inv, optimize=True)
     left, right = np.ascontiguousarray(left), np.ascontiguousarray(right)
     v = np.matmul(left[:, None], right[None]).reshape(n * n, n * n)
-    udef = unitarity_defect(v)
     legs = second_leg_factors(gd, v)
-    cdef = _coproduct_defect(qg, gd, v, legs)
+    # the unitarity product, then pi(e_i) F_l^* and the coproduct blocks,
+    # are never alive together: they share one block, made after the
+    # slicing's own blocks are gone
+    work = _workspace(n, max(1, n // 8), 3, np.result_type(v, gd.left_reg, qg.comult))
+    udef = unitarity_defect(v, work[0])
+    cdef = _coproduct_defect(qg, gd, v, legs, work)
+    del work
     pdef = _pentagon_defect(qg, gd, v, legs, udef, cdef, tol)
     if udef > tol or pdef > tol:
         raise QuantumGroupError(

@@ -412,6 +412,101 @@ def test_residual_layouts_match_the_einsum_forms(kind, name, variant):
         assert refs["comult_multiplicative"] > 1e-4
 
 
+def single_product_associativity_defect(m):
+    """The associativity residual with each side one product over every i,
+    two n^4 arrays: the form before the row blocks."""
+    m = np.ascontiguousarray(m)
+    n = m.shape[0]
+    m2 = m.reshape(n * n, n)
+    r = m2 @ m.reshape(n, n * n)
+    r -= np.matmul(m2, m).reshape(n * n, n * n)
+    return frobenius(r)
+
+
+def single_product_comult_multiplicative_defect(m, d):
+    """The comult_multiplicative residual with t1, u1, their product and
+    Delta(e_i e_j) each one n^4 array: the form before the row blocks."""
+    n = m.shape[0]
+    shape = (n * n, n * n)
+    t1 = np.matmul(
+        np.ascontiguousarray(d.transpose(0, 2, 1))[:, None],
+        np.ascontiguousarray(m.transpose(2, 0, 1))[None],
+    ).reshape(shape)
+    u1 = np.matmul(d.transpose(1, 0, 2).reshape(n * n, n), m).reshape(shape)
+    diff = (t1 @ u1).reshape(n, n, n, n)
+    ref = m.reshape(n * n, n) @ d.reshape(n, n * n)
+    diff -= ref.reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    return frobenius(diff)
+
+
+def single_product_residuals(g):
+    return {
+        "associativity": single_product_associativity_defect(g.mult),
+        "coassociativity": single_product_associativity_defect(g.comult.transpose(1, 2, 0)),
+        "comult_multiplicative": single_product_comult_multiplicative_defect(g.mult, g.comult),
+    }
+
+
+def blocked_residual_cases():
+    # n = 1, 2, 3, 6 and 14 (D7: blocks of 3, the last one of 2)
+    groups = [("fn", "Z1"), ("ga", "Z2"), ("fn", "Z3"), ("ga", "S3"), ("fn", "D7"), ("ga", "D7")]
+    cases = [(kind, name, variant) for kind, name in groups for variant in ("sparse", "perturbed")]
+    return cases + [("fn", "S3", "dense"), ("ga", "Q8", "dense"), ("ga", "S3", "phase"),
+                    ("ga", "S3", "complex_comult"), ("fn", "Q8", "complex_mult")]
+
+
+def blocked_residual_input(kind, name, variant):
+    if name == "D7":
+        ct = qg.dihedral_group(7)
+        g = qg.function_algebra(ct) if kind == "fn" else qg.group_algebra(ct)
+    else:
+        g = algebra(kind, name)
+    rng = np.random.default_rng(6)
+    if variant == "dense":
+        return dense_algebra(kind, name)[0]
+    if variant == "phase":
+        return phase_twin(kind, name)[0]
+    if variant == "perturbed":
+        return dataclasses.replace(g, mult=g.mult + 1e-6 * rng.standard_normal(g.mult.shape))
+    if variant != "sparse":
+        noise = rng.standard_normal((2,) + g.mult.shape)
+        name = "comult" if variant == "complex_comult" else "mult"
+        moved = getattr(g, name) + 1e-3 * (noise[0] + 1j * noise[1])
+        return dataclasses.replace(g, **{name: moved})
+    return g
+
+
+@pytest.mark.parametrize("kind,name,variant", blocked_residual_cases())
+def test_blocked_residuals_match_single_products(kind, name, variant):
+    g = blocked_residual_input(kind, name, variant)
+    report = qg.validate(g)
+    refs = single_product_residuals(g)
+    for key, ref in refs.items():
+        got = report.residuals[key]
+        if ref == 0.0:
+            assert got == 0.0, (key, got)
+        else:
+            assert abs(got - ref) <= 1e-12 * ref, (key, got, ref)
+    if variant == "sparse":
+        assert set(refs.values()) == {0.0}
+    if variant in ("perturbed", "complex_mult"):
+        # a product on one basis vector is associative whatever its value
+        assert refs["associativity"] > 1e-7 or g.dim == 1
+        assert refs["comult_multiplicative"] > 1e-7
+    if variant == "complex_comult":
+        assert refs["coassociativity"] > 1e-4 and refs["comult_multiplicative"] > 1e-4
+    # the ranks, and which axioms fail, are those of the single products
+    ranks = tuple(_rank(t) for t in reference_spans(g))
+    assert report.cancellation_ranks == ranks
+    expected = qg.ValidationReport(g.dim, report.tol, {**report.residuals, **refs}, ranks)
+    assert (report.passed, report.failures) == (expected.passed, expected.failures)
+    # the helpers give the same values with and without a workspace
+    assert _associativity_defect(g.mult) == report.residuals["associativity"]
+    assert _associativity_defect(g.mult, core._workspace(g.dim, 1, 2, np.complex128)) == (
+        report.residuals["associativity"]
+    )
+
+
 def test_invalid_haar_fails_validation():
     base = algebra("ga", "Z2")
     bad = qg.FiniteQuantumGroup(
@@ -910,6 +1005,30 @@ def test_multiplicative_unitary_memory_on_d16():
     # four n^4 float64 arrays (8 MiB each); V, pi(e_i) F_l^* of the
     # coproduct check and its blocks of n^4 / 4 entries peak near 24 MiB
     assert _traced_peak(multiplicative_unitary, g, gd) <= 32 * 2**20
+
+
+def test_validate_memory_in_row_blocks():
+    small = algebra("fn", "S3")  # warm imports and einsum paths
+    qg.validate(small)
+    # the workspace is u1 (n^4) and two row blocks of n^4 / 4, 12 MiB at
+    # n = 32 (float64), and peaks near 14 MiB with the certificates' n^3
+    # arrays; three n^4 buffers peaked near 26 MiB
+    bound = 16 * 2**20
+    assert _traced_peak(qg.validate, qg.function_algebra(qg.dihedral_group(16))) <= bound
+    # n = 24: the same bound scaled by n^4 (about 4.7 MiB measured)
+    scaled = bound * (24 / 32) ** 4
+    assert _traced_peak(qg.validate, qg.function_algebra(qg.dihedral_group(12))) <= scaled
+
+
+def test_multiplicative_unitary_memory_with_one_workspace():
+    small = algebra("fn", "S3")  # warm imports and einsum paths
+    multiplicative_unitary(small, qg.gns(small))
+    g = qg.function_algebra(qg.dihedral_group(16))  # n = 32, fresh caches
+    gd = qg.gns(g)
+    # V (8 MiB) and one workspace of 1.375 n^4 (11 MiB) that the unitarity
+    # product and the coproduct's z and blocks take in turn: about 21 MiB,
+    # where V, z and three blocks of n^4 / 4 peaked near 24 MiB
+    assert _traced_peak(multiplicative_unitary, g, gd) <= 22 * 2**20
 
 
 @pytest.mark.parametrize("kind,k", [("fn", 16), ("ga", 12)])

@@ -6,11 +6,13 @@ raised error types exactly.  The inputs are the subgroup states of
 fn:/ga: x {S3, Q8, D4}, in the group basis and in a dense basis
 (``helpers.dense_algebra``), plus fn:/ga:S4 for the lattice and coactions
 and for the solver's start supports, canonical order and deduplication.
-The blocked coproduct check of V runs on fn:/ga: x {S3, Q8, S4} in both
-bases, a complex phase twin and fn:D7 (n = 14, a short last block).
+The blocked coproduct check of V, the slicing of V and the structure
+constants of pi(A) run on fn:/ga: x {S3, Q8, S4} in both bases, a complex
+phase twin and fn:D7 (n = 14, a short last block).
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -62,6 +64,7 @@ from helpers import (
     gns_and_unitary,
     group,
     lift,
+    non_associative_case,
     oracle_states,
     phase_twin,
     right_regular_twist,
@@ -138,6 +141,36 @@ def loop_coproduct_defect_factored(g, gd, legs):
         diff = d.reshape(n, n, n).transpose(1, 0, 2) - ref
         sq += np.sum(diff.real**2 + diff.imag**2, axis=(1, 2))
     return float(np.sqrt(sq.max()))
+
+
+def loop_hs_structure(gd):
+    n = gd.dim
+    g = gd._hs_basis
+    gmat = g.reshape(n, n * n)
+    g_adj = np.conj(g.transpose(0, 2, 1))
+    gamma = np.empty((n, n, n), dtype=g.dtype)
+    err_sq = 0.0
+    for k in range(n):
+        prods = (g[k] @ g_adj).reshape(n, n * n)  # g_k g_l^*
+        gamma[:, k, :] = gmat.conj() @ prods.T
+        err_sq += frobenius(prods - gamma[:, k, :].T @ gmat) ** 2
+    eye = np.eye(n).ravel()
+    return gamma, max(math.sqrt(err_sq), frobenius(eye - (gmat.conj() @ eye) @ gmat))
+
+
+def loop_second_leg_factors(gd, v):
+    """(factors, remainder), one row a of the first leg at a time."""
+    n = gd.dim
+    gmat = gd._hs_basis.reshape(n, n * n)
+    v4 = np.asarray(v).reshape(n, n, n, n)
+    factors = np.empty((n, n, n), dtype=np.result_type(v, gmat))
+    rem_sq = 0.0
+    for a in range(n):
+        rows = v4[a].transpose(1, 0, 2).reshape(n, n * n)  # [c, (b, d)]
+        f = rows @ gmat.conj().T
+        factors[:, a, :] = f.T
+        rem_sq += frobenius(rows - f @ gmat) ** 2
+    return factors, math.sqrt(rem_sq)
 
 
 def loop_bimodule(g, e, u):
@@ -608,3 +641,49 @@ def test_blocked_coproduct_defect_matches_loop(kind, name, dense):
     ref = loop_coproduct_defect_factored(g, gd, wrong)
     assert ref > 1e-4
     assert abs(got - ref) <= 1e-12 * ref
+
+
+def close(got, ref, rel=1e-12):
+    """Arrays or values equal to ``rel`` of the reference's largest entry."""
+    return np.abs(np.asarray(got) - ref).max() <= rel * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kind,name,dense", coproduct_cases())
+def test_blocked_slicing_and_structure_constants_match_loops(kind, name, dense):
+    if dense == "phase":
+        g = phase_twin(kind, name)[0]
+    elif name == "D7":
+        g = qg.function_algebra(qg.dihedral_group(7))
+    else:
+        g = case(kind, name, dense)[0]
+    gd = qg.gns(g)
+    gamma, defect = gd._hs_structure
+    ref_gamma, ref_defect = loop_hs_structure(gd)
+    assert gamma.dtype == ref_gamma.dtype and close(gamma, ref_gamma)
+    assert max(defect, ref_defect) <= 64 * np.finfo(float).eps * g.dim
+    v = qg.multiplicative_unitary(g, gd).v
+    ref_factors, ref_rem = loop_second_leg_factors(gd, v)
+    legs = qg.core.second_leg_factors(gd, v)
+    assert legs.factors.dtype == ref_factors.dtype and close(legs.factors, ref_factors)
+    assert max(legs.remainder, ref_rem) < 1e-13
+    # a V whose slices drop a term far above rounding, and complex factors
+    rng = np.random.default_rng(5)
+    noise = rng.standard_normal((2,) + v.shape)
+    moved = v + 1e-3 * (noise[0] + 1j * noise[1])
+    ref_factors, ref_rem = loop_second_leg_factors(gd, moved)
+    legs = qg.core.second_leg_factors(gd, moved)
+    assert close(legs.factors, ref_factors) and ref_rem > 1e-3
+    assert abs(legs.remainder - ref_rem) <= 1e-12 * ref_rem and not legs.exact
+
+
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_structure_constants_match_loop_when_pi_a_is_not_closed(kind):
+    g, gd, v = non_associative_case(kind, "S3")
+    gamma, defect = gd._hs_structure
+    ref_gamma, ref_defect = loop_hs_structure(gd)
+    assert close(gamma, ref_gamma)
+    assert ref_defect > 1e-6 and abs(defect - ref_defect) <= 1e-12 * ref_defect
+    ref_factors, ref_rem = loop_second_leg_factors(gd, v)
+    legs = qg.core.second_leg_factors(gd, v)
+    assert close(legs.factors, ref_factors)
+    assert max(legs.remainder, ref_rem) < 1e-13 and not legs.exact
