@@ -7,9 +7,12 @@ N_omega = {a : omega(a^* a) = 0}, the three equivalent Haar criteria
 the quotient quantum group, the partial order of idempotent states, and
 coaction checks on invariant subalgebras.
 
-Tolerance ladder: constructions verify at 1e-10, classification decides
-at 1e-8, and the three-way equivalence is cross-checked at 1e-6; each
-stage consumes the previous stage's error.
+Tolerance ladder: constructions verify at ``CONSTRUCTION_TOL`` (1e-10),
+classification decides at ``CLASSIFY_TOL`` (1e-8), and the three-way
+equivalence is cross-checked at ``EQUIVALENCE_TOL`` (1e-6); each stage
+consumes the previous stage's error.  The ladder is fixed: no function here
+takes a tolerance.  ``FiniteQuantumGroup.tol`` governs only ``validate``,
+the GNS faithfulness test and the checks of V.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .states import (
     State,
     as_coeffs,
     canonical_order,
-    convolve,
     idempotency_defect,
     is_idempotent,
     left_slice,
@@ -54,13 +56,14 @@ def _numerical_rank(s, rel_tol: float) -> int:
     return int(np.sum(s > cutoff))
 
 
-def orthonormal_columns(m, rel_tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis of the column space (Frobenius geometry)."""
+def orthonormal_columns(m) -> np.ndarray:
+    """Orthonormal basis of the column space (Frobenius geometry); singular
+    values up to 1e-9 times the largest are dropped."""
     m = np.atleast_2d(np.asarray(m))
     if m.shape[1] == 0:
         return m
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, : _numerical_rank(s, rel_tol)]
+    return u[:, : _numerical_rank(s, 1e-9)]
 
 
 def subspace_defect(images, u) -> float:
@@ -77,8 +80,8 @@ def subspace_defect(images, u) -> float:
     return float(np.linalg.norm(outside, axis=-2).max())
 
 
-def _require_idempotent(qg, w, tol=1e-8):
-    if not is_idempotent(qg, w, tol):
+def _require_idempotent(qg, w):
+    if not is_idempotent(qg, w, CLASSIFY_TOL):
         raise ValueError(
             f"not an idempotent state (defect {idempotency_defect(qg, w):.2e})"
         )
@@ -87,14 +90,14 @@ def _require_idempotent(qg, w, tol=1e-8):
 # -- null space and ideals ----------------------------------------------
 
 
-def null_space(qg: FiniteQuantumGroup, omega, tol: float = CONSTRUCTION_TOL) -> np.ndarray:
+def null_space(qg: FiniteQuantumGroup, omega) -> np.ndarray:
     """Orthonormal basis of N_omega = {a : omega(a^* a) = 0}, the kernel of
     the positive semidefinite Gram matrix omega(e_i^* e_j)."""
     g = qg.functional_gram(as_coeffs(omega))
     g = (g + g.conj().T) / 2
     eigvals, eigvecs = np.linalg.eigh(g)
     scale = max(1.0, float(np.abs(eigvals).max()))
-    return np.ascontiguousarray(eigvecs[:, np.abs(eigvals) <= tol * scale])
+    return np.ascontiguousarray(eigvecs[:, np.abs(eigvals) <= CONSTRUCTION_TOL * scale])
 
 
 def ideal_residual(qg: FiniteQuantumGroup, basis) -> float:
@@ -119,10 +122,6 @@ def ideal_residual(qg: FiniteQuantumGroup, basis) -> float:
     )
     outside = images - u @ (u.conj().T @ images)
     return float(np.linalg.norm(outside, axis=(-2, -1)).max())
-
-
-def is_ideal(qg: FiniteQuantumGroup, basis, tol: float = CLASSIFY_TOL) -> bool:
-    return ideal_residual(qg, basis) <= tol
 
 
 # -- invariant subalgebras and conditional expectations -----------------
@@ -163,9 +162,7 @@ def right_invariance_residual(qg, u) -> float:
     return subspace_defect(np.einsum("ijk,ic->kjc", qg.comult, u), u)
 
 
-def invariant_subalgebra(
-    qg: FiniteQuantumGroup, omega, tol: float = CONSTRUCTION_TOL
-) -> Subalgebra:
+def invariant_subalgebra(qg: FiniteQuantumGroup, omega) -> Subalgebra:
     """C_omega = L_omega(A), with E = L_omega as conditional expectation.
 
     Verifies L(a) L(b) = L(L(a) b) (so the range is an algebra and L a
@@ -184,14 +181,14 @@ def invariant_subalgebra(
         np.einsum("pi,qj,pqr->rij", lw, lw, m, optimize=True)
         - np.einsum("rq,pi,pjq->rij", lw, lw, m, optimize=True)
     )
-    if cond > tol * qg.dim:
+    scale = CONSTRUCTION_TOL * qg.dim
+    if cond > scale:
         raise QuantumGroupError(
             f"L_omega is not a conditional expectation (defect {cond:.2e})"
         )
     prod, star, unit = _algebra_residuals(qg, u)
     rinv = right_invariance_residual(qg, u)
     haar_pres = float(np.abs(qg.haar @ lw - qg.haar).max())
-    scale = tol * qg.dim
     return Subalgebra(
         basis=u,
         is_algebra=(prod <= scale and unit <= scale),
@@ -210,12 +207,11 @@ class ExpectationReport:
     dim_algebra: int
     dim_subalgebra: int
     dim_kernel: int
-    tol: float
     passed: bool = field(init=False)
 
     def __post_init__(self):
         self.passed = (
-            all(v <= self.tol for v in self.residuals.values())
+            all(v <= CLASSIFY_TOL for v in self.residuals.values())
             and self.dim_subalgebra + self.dim_kernel == self.dim_algebra
         )
 
@@ -224,7 +220,6 @@ def verify_conditional_expectation(
     qg: FiniteQuantumGroup,
     e,
     c_basis,
-    tol: float = CLASSIFY_TOL,
     gd: GnsData | None = None,
 ) -> ExpectationReport:
     """Check that e is the Haar-preserving conditional expectation onto C.
@@ -270,7 +265,6 @@ def verify_conditional_expectation(
         dim_algebra=n,
         dim_subalgebra=u.shape[1],
         dim_kernel=kernel.shape[1],
-        tol=tol,
     )
 
 
@@ -362,17 +356,6 @@ def _symmetry_residual_dense(v, reps, q) -> float:
     return worst
 
 
-def is_symmetric(
-    qg: FiniteQuantumGroup,
-    c_basis,
-    mu: MultUnitary,
-    tol: float = CLASSIFY_TOL,
-    gd: GnsData | None = None,
-) -> bool:
-    gd = gns(qg) if gd is None else gd
-    return symmetry_residual(qg, gd, mu, c_basis) <= tol
-
-
 # -- Haar classification -------------------------------------------------
 
 
@@ -389,7 +372,6 @@ class Classification:
 def classify(
     qg: FiniteQuantumGroup,
     omega,
-    tol: float = CLASSIFY_TOL,
     gd: GnsData | None = None,
     mu: MultUnitary | None = None,
 ) -> Classification:
@@ -409,8 +391,8 @@ def classify(
     nsp = null_space(qg, w)
     ideal_res = ideal_residual(qg, nsp)
     sym_res = symmetry_residual(qg, gd, mu, left_slice(qg, w))
-    ideal_ok = ideal_res <= tol
-    sym_ok = sym_res <= tol
+    ideal_ok = ideal_res <= CLASSIFY_TOL
+    sym_ok = sym_res <= CLASSIFY_TOL
 
     quotient_built = False
     quotient_error = None
@@ -462,11 +444,7 @@ class QuotientQG:
     report: ValidationReport
 
 
-def quotient_quantum_group(
-    qg: FiniteQuantumGroup,
-    omega,
-    tol: float = CONSTRUCTION_TOL,
-) -> QuotientQG:
+def quotient_quantum_group(qg: FiniteQuantumGroup, omega) -> QuotientQG:
     """Quotient A by N_omega and equip the result with quantum group data."""
     w = as_coeffs(omega)
     _require_idempotent(qg, w)
@@ -535,7 +513,7 @@ def quotient_quantum_group(
 
     haar_b = w @ section
     pullback_defect = np.abs(proj.T @ haar_b - w).max()
-    if pullback_defect > tol * n:
+    if pullback_defect > CONSTRUCTION_TOL * n:
         raise InternalConsistencyError(
             f"haar_mu . pi != omega (defect {pullback_defect:.2e})"
         )
@@ -570,16 +548,14 @@ def quotient_quantum_group(
 
 @dataclass
 class CheckReport:
-    """Generic report: named residuals/values plus a verdict."""
+    """Generic report: named residuals/values plus a verdict, each residual
+    judged at ``CLASSIFY_TOL``."""
 
     values: dict
-    tol: float
     passed: bool
 
 
-def homogeneous_space_check(
-    qg: FiniteQuantumGroup, omega, q: QuotientQG, tol: float = CLASSIFY_TOL
-) -> CheckReport:
+def homogeneous_space_check(qg: FiniteQuantumGroup, omega, q: QuotientQG) -> CheckReport:
     """Fixed points {a : (pi (x) id) Delta(a) = 1_B (x) a} equal L_omega(A)."""
     w = as_coeffs(omega)
     n, nb = qg.dim, q.quotient.dim
@@ -588,21 +564,18 @@ def homogeneous_space_check(
     fixed = _kernel_basis(op - target, rel_tol=1e-10)
     c = orthonormal_columns(left_slice(qg, w))
     mismatch = max(subspace_defect(fixed, c), subspace_defect(c, fixed))
-    passed = fixed.shape[1] == c.shape[1] and mismatch <= tol
+    passed = fixed.shape[1] == c.shape[1] and mismatch <= CLASSIFY_TOL
     return CheckReport(
         values={
             "fixed_point_dim": fixed.shape[1],
             "subalgebra_dim": c.shape[1],
             "span_mismatch": mismatch,
         },
-        tol=tol,
         passed=passed,
     )
 
 
-def coaction_checks(
-    qg: FiniteQuantumGroup, c_basis, tol: float = CLASSIFY_TOL
-) -> CheckReport:
+def coaction_checks(qg: FiniteQuantumGroup, c_basis) -> CheckReport:
     """The coproduct restricts to a coaction on a right-invariant expected C.
 
     Verifies alpha = Delta|_C maps C into C (x) A, the counit law
@@ -642,8 +615,8 @@ def coaction_checks(
     nondeg_rank = int(np.linalg.matrix_rank(nondeg, tol=1e-8))
 
     passed = (
-        membership <= tol
-        and counit_law <= tol
+        membership <= CLASSIFY_TOL
+        and counit_law <= CLASSIFY_TOL
         and density_rank == kdim * n
         and nondeg_rank == n
     )
@@ -655,18 +628,11 @@ def coaction_checks(
             "density_rank_expected": kdim * n,
             "nondegeneracy_rank": nondeg_rank,
         },
-        tol=tol,
         passed=passed,
     )
 
 
 # -- idempotent order and lattice ----------------------------------------
-
-
-def order_leq(qg: FiniteQuantumGroup, w1, w2, tol: float = CLASSIFY_TOL) -> bool:
-    """omega ordered below omega' iff omega * omega' = omega'."""
-    w1, w2 = as_coeffs(w1), as_coeffs(w2)
-    return bool(np.abs(convolve(qg, w1, w2) - w2).max() <= tol)
 
 
 @dataclass
@@ -679,8 +645,11 @@ class Lattice:
     absorption_residual: float
 
 
-def build_lattice(qg: FiniteQuantumGroup, states, tol: float = CLASSIFY_TOL) -> Lattice:
+def build_lattice(qg: FiniteQuantumGroup, states) -> Lattice:
     """Verify the order axioms and return the covering relations.
+
+    omega is below omega' iff omega * omega' = omega' (to ``CLASSIFY_TOL``,
+    sup norm), which ``leq[i, j]`` records for the states in canonical order.
 
     Checks reflexivity, antisymmetry (distinct comparable-both-ways states
     are a data error), transitivity, and the two-sided absorption
@@ -697,7 +666,7 @@ def build_lattice(qg: FiniteQuantumGroup, states, tol: float = CLASSIFY_TOL) -> 
     states, w = [states[i] for i in order], w[order]
     # conv[i, j] = omega_i * omega_j, for every pair at once
     conv = np.einsum("ijk,aj,bk->abi", qg.comult, w, w, optimize=True)
-    leq = np.abs(conv - w[None]).max(axis=-1) <= tol
+    leq = np.abs(conv - w[None]).max(axis=-1) <= CLASSIFY_TOL
     not_reflexive = np.flatnonzero(~leq.diagonal())
     if not_reflexive.size:
         raise ValueError(
@@ -706,7 +675,7 @@ def build_lattice(qg: FiniteQuantumGroup, states, tol: float = CLASSIFY_TOL) -> 
     strict = leq & ~np.eye(m, dtype=bool)
     # the error raised is that of the first offending pair (i, j), i strictly
     # below j, in row-major order; antisymmetry is tested before transitivity
-    apart = np.abs(w[:, None] - w[None]).max(axis=-1) > tol
+    apart = np.abs(w[:, None] - w[None]).max(axis=-1) > CLASSIFY_TOL
     antisym = strict & strict.T & apart
     intransitive = strict & (((~leq).astype(int) @ leq.T.astype(int)) > 0)
     bad = np.argwhere(antisym | intransitive)
@@ -752,9 +721,7 @@ def projection_defect(p) -> float:
     return max(frobenius(p @ p - p), frobenius(p - p.conj().T))
 
 
-def multiplicative_domain_check(
-    qg: FiniteQuantumGroup, omega, tol: float = CLASSIFY_TOL
-) -> CheckReport:
+def multiplicative_domain_check(qg: FiniteQuantumGroup, omega) -> CheckReport:
     """L_omega(A) lies in the multiplicative domain of omega:
     omega(a c) = omega(a) omega(c) = omega(c a) for all a, c in L_omega(A)."""
     w = as_coeffs(omega)
@@ -764,7 +731,7 @@ def multiplicative_domain_check(
     right = w @ qg.right_mult_matrix(u.T)  # row c: a -> omega(a c)
     left = w @ qg.left_mult_matrix(u.T)  # row c: a -> omega(c a)
     worst = float(max(np.abs(right - expected).max(), np.abs(left - expected).max()))
-    return CheckReport(values={"max_defect": worst}, tol=tol, passed=worst <= tol)
+    return CheckReport(values={"max_defect": worst}, passed=worst <= CLASSIFY_TOL)
 
 
 def omega_c_identity_residual(qg: FiniteQuantumGroup, omega) -> float:
@@ -778,9 +745,7 @@ def omega_c_identity_residual(qg: FiniteQuantumGroup, omega) -> float:
 # -- the inverse map of the state/subalgebra correspondence ---------------
 
 
-def state_from_subalgebra(
-    qg: FiniteQuantumGroup, c_basis, tol: float = CONSTRUCTION_TOL
-) -> State:
+def state_from_subalgebra(qg: FiniteQuantumGroup, c_basis) -> State:
     """The idempotent state counit . E_C of a right-invariant expected C.
 
     E_C is constructed as the Haar-orthogonal projection onto C (the unique
@@ -788,26 +753,27 @@ def state_from_subalgebra(
     bimodule property are verified, not assumed.
     """
     u = orthonormal_columns(c_basis)
+    cutoff = max(CONSTRUCTION_TOL * qg.dim, CLASSIFY_TOL)
     rinv = right_invariance_residual(qg, u)
-    if rinv > max(tol * qg.dim, 1e-8):
+    if rinv > cutoff:
         raise QuantumGroupError(
             f"subalgebra is not right invariant (residual {rinv:.2e})"
         )
     unit = subspace_defect(qg.unit[:, None], u)
-    if unit > max(tol * qg.dim, 1e-8):
+    if unit > cutoff:
         raise QuantumGroupError(
             f"subspace does not contain the unit (defect {unit:.2e}); "
             "it is not a unital subalgebra"
         )
     e = _haar_projection(qg, u)
     bimod = _bimodule_defect(qg, e, u)
-    if bimod > max(tol * qg.dim, 1e-8):
+    if bimod > cutoff:
         raise QuantumGroupError(
             "Haar-orthogonal projection onto the subalgebra is not a bimodule "
             f"map (residual {bimod:.2e}); the subalgebra is not expected"
         )
     w = qg.counit @ e
-    if not is_idempotent(qg, w, 1e-8):
+    if not is_idempotent(qg, w, CLASSIFY_TOL):
         raise InternalConsistencyError(
             "counit . E_C failed the idempotent-state test "
             f"(defect {idempotency_defect(qg, w):.2e})"

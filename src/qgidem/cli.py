@@ -15,6 +15,7 @@ numerical trouble).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -89,7 +90,9 @@ def parse_input(spec: str, tol: float):
     Returns (qg, info) where info carries the Cayley table and the
     effective kind ('fn' or 'ga') when the input is group-derived; taking
     a dual flips the kind, since the dual of a function algebra is the
-    group algebra of the same group (and vice versa).
+    group algebra of the same group (and vice versa).  ``tol`` becomes
+    ``qg.tol`` for every input, a JSON file's own ``tol`` included, so
+    ``validate`` and the checks of V run at the same tolerance.
     """
     info = {"label": spec, "kind": None, "cayley": None}
     if os.path.exists(spec) or spec.endswith(".json"):
@@ -98,7 +101,7 @@ def parse_input(spec: str, tol: float):
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read {spec!r}: {exc}") from exc
         try:
-            qg = serialize.qg_from_dict(data)
+            qg = dataclasses.replace(serialize.qg_from_dict(data), tol=tol)
         except (QuantumGroupError, ValueError, TypeError, KeyError) as exc:
             raise CliError(f"malformed quantum group in {spec!r}: {exc}") from exc
     else:

@@ -132,9 +132,6 @@ class FiniteQuantumGroup:
     def star_vec(self, a):
         return self.star @ np.conj(a)
 
-    def haar_value(self, a):
-        return complex(np.dot(self.haar, a))
-
     # operators of an element: each takes one coordinate vector (n,) or a
     # stack of them (..., n) and returns one matrix per vector (..., n, n),
     # n^3 per vector
@@ -235,11 +232,15 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _rank(matrix, rel_tol=1e-8):
+# singular values up to this share of the largest do not count to a rank
+_RANK_REL_TOL = 1e-8
+
+
+def _rank(matrix):
     if matrix.size == 0:
         return 0
     s = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(np.sum(s > _RANK_REL_TOL * s[0]))
 
 
 # no workspace: every product allocates its own result
@@ -405,21 +406,20 @@ def _cancellation_bound(qg: FiniteQuantumGroup, side: str, assoc: float, work=_N
     return bound, math.sqrt(sq_norm(x)), math.sqrt(sq_norm(y))
 
 
-def _cancellation_rank(
-    qg: FiniteQuantumGroup, side: str, assoc: float, rel_tol=1e-8, work=_NO_WORK
-) -> int:
+def _cancellation_rank(qg: FiniteQuantumGroup, side: str, assoc: float, work=_NO_WORK) -> int:
     """Rank of one cancellation span as ``_rank`` counts it.
 
     With R = T X - 1, sigma_min(T) >= (1 - ||R||) / ||X|| and
     sigma_max(T) <= ||T||_F, so a bound ||R||_F <= 1/2 from
-    :func:`_cancellation_bound` (n^5) and ||T||_F ||X||_F < 1 / (2 rel_tol)
-    prove the rank full.  Otherwise T is built and the rank read off its
-    SVD (n^6), the only path that can report a deficient rank.
+    :func:`_cancellation_bound` (n^5) and
+    ||T||_F ||X||_F < 1 / (2 ``_RANK_REL_TOL``) prove the rank full.
+    Otherwise T is built and the rank read off its SVD (n^6), the only
+    path that can report a deficient rank.
     """
     bound, norm_t, norm_x = _cancellation_bound(qg, side, assoc, work)
-    if bound <= 0.5 and norm_t * norm_x < 0.5 / rel_tol:
+    if bound <= 0.5 and norm_t * norm_x < 0.5 / _RANK_REL_TOL:
         return qg.dim * qg.dim
-    return _rank(_cancellation_span(qg, side), rel_tol)
+    return _rank(_cancellation_span(qg, side))
 
 
 def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationReport:
@@ -886,18 +886,13 @@ def pentagon_defect(v, max_dense_dim: int = 2000, rng=None) -> float:
     return float(np.linalg.norm(difference(x), axis=0).max())
 
 
-def coproduct_defect(qg: FiniteQuantumGroup, gd: GnsData, v) -> float:
+def _coproduct_defect(qg, gd, v, legs: LegFactors, work=_NO_WORK) -> float:
     """max_i || (pi (x) pi) Delta(e_i) - V (pi(e_i) (x) 1) V^* ||.
 
-    V is first sliced against a basis of pi(A) (:func:`second_leg_factors`,
-    n^5).  When the slices describe V up to rounding the identity is
-    checked on them at n^6; otherwise by one n^2 x n^2 GEMM with V^* per
-    basis element, n^7 in all.
+    When the slices ``legs`` of V (:func:`second_leg_factors`) describe V
+    up to rounding the identity is checked on them at n^6; otherwise by
+    one n^2 x n^2 GEMM with V^* per basis element, n^7 in all.
     """
-    return _coproduct_defect(qg, gd, v, second_leg_factors(gd, v))
-
-
-def _coproduct_defect(qg, gd, v, legs: LegFactors, work=_NO_WORK) -> float:
     if legs.exact:
         return _coproduct_defect_factored(qg, gd, legs, work)
     return _coproduct_defect_dense(qg, gd, v)
@@ -995,7 +990,7 @@ def _pentagon_defect_factored(qg, gd, legs: LegFactors) -> tuple[float, float]:
     return math.sqrt(sq), weight
 
 
-def _pentagon_defect(qg, gd, v, legs: LegFactors, udef, cdef, tol) -> float:
+def _pentagon_defect(qg, gd, v, legs: LegFactors, udef, cdef) -> float:
     """The pentagon defect that :func:`multiplicative_unitary` reports.
 
     On exact slices of a V that passes the unitarity and coproduct checks,
@@ -1009,9 +1004,9 @@ def _pentagon_defect(qg, gd, v, legs: LegFactors, udef, cdef, tol) -> float:
     defect of V' is at most s (value + weight cdef) + s^2 sqrt(n) u, and
     V - V' moves it by at most sqrt(n) remainder (3 s^2 + 2 s).  Rounding
     in the slicing and in the bases aside, the result is never below the
-    dense value.
+    dense value.  The factored path needs udef and cdef within ``qg.tol``.
     """
-    if not (legs.exact and udef <= tol and cdef <= tol):
+    if not (legs.exact and udef <= qg.tol and cdef <= qg.tol):
         return pentagon_defect(v)
     value, weight = _pentagon_defect_factored(qg, gd, legs)
     rem = legs.remainder
@@ -1041,11 +1036,12 @@ def _coproduct_defect_dense(qg, gd, v) -> float:
     return worst
 
 
-def multiplicative_unitary(
-    qg: FiniteQuantumGroup, gd: GnsData | None = None, tol: float | None = None
-) -> MultUnitary:
+def multiplicative_unitary(qg: FiniteQuantumGroup, gd: GnsData | None = None) -> MultUnitary:
     """Construct V and verify unitarity, the pentagon identity and
-    Delta(a) = V (a (x) 1) V^*.
+    Delta(a) = V (a (x) 1) V^*, each within ``qg.tol``.
+
+    ``qg.tol`` is the one tolerance of these checks; the CLI sets it from
+    ``--tol`` for builtin and JSON inputs alike.
 
     V = (U (x) U) T (W (x) W) with U = onb_inv, W = onb and T the matrix of
     Lambda(e_i) (x) Lambda(e_j) -> Delta(e_i)(1 (x) e_j).  Each one-leg
@@ -1060,11 +1056,13 @@ def multiplicative_unitary(
     GEMMs, :func:`_coproduct_defect_factored`); the pentagon is checked
     on the slices at n^5 (:func:`_pentagon_defect_factored`, plus
     an explicit bound of what it drops, so the reported value is never
-    below the dense one).  The dense checks are fallbacks only: slices
-    that do not describe V send the coproduct to its n^7 loop, and those,
-    or a V that fails the unitarity or coproduct test, send the pentagon
-    to :func:`pentagon_defect` (dense n^8 up to n = 12, sampled above,
-    where it is only a lower bound).  The three defects are kept on the
+    below the dense one).  The dense checks are fallbacks: slices that do
+    not describe V send the coproduct to its n^7 loop, and those, or a V
+    that fails the unitarity or coproduct test, send the pentagon to
+    :func:`pentagon_defect` (dense n^8 up to n = 12, sampled above, where
+    it is only a lower bound).  A valid input in a badly conditioned basis
+    can take them too, when rounding in V leaves a slicing remainder above
+    the cutoff of ``LegFactors.exact``.  The three defects are kept on the
     result as ``defects``.  V has the result type of ``gd`` and the
     structure tensors, so for real inputs V, its slices and every check
     run in real BLAS, with the same exponents.
@@ -1087,7 +1085,6 @@ def multiplicative_unitary(
     determined by the axioms alone).
     """
     gd = gns(qg) if gd is None else gd
-    tol = qg.tol if tol is None else _checked_tol(tol)
     n = qg.dim
     # V[a, b, c, d] = sum_r left[a, c, r] right[b, r, d]: the (c, d) block
     # of each (a, b) is one n x n product, written straight into V
@@ -1103,14 +1100,14 @@ def multiplicative_unitary(
     udef = unitarity_defect(v, work[0])
     cdef = _coproduct_defect(qg, gd, v, legs, work)
     del work
-    pdef = _pentagon_defect(qg, gd, v, legs, udef, cdef, tol)
-    if udef > tol or pdef > tol:
+    pdef = _pentagon_defect(qg, gd, v, legs, udef, cdef)
+    if udef > qg.tol or pdef > qg.tol:
         raise QuantumGroupError(
             "right-invariance defect: V is not a multiplicative unitary "
             f"(unitarity {udef:.2e}, pentagon {pdef:.2e}); the Haar functional "
             "is not bi-invariant"
         )
-    if cdef > tol:
+    if cdef > qg.tol:
         raise QuantumGroupError(
             f"V does not implement the coproduct (defect {cdef:.2e})"
         )
@@ -1118,23 +1115,3 @@ def multiplicative_unitary(
     defects = {"unitarity": udef, "pentagon": pdef, "coproduct": cdef}
     return MultUnitary(v=v, legs=legs, defects=defects)
 
-
-def antipode_slice_defect(qg: FiniteQuantumGroup, gd: GnsData, mu: MultUnitary):
-    """Check S((sigma (x) id)V) = (sigma (x) id)V^* over a spanning family.
-
-    Slicing the first leg of V by all matrix-unit functionals yields the
-    second-leg blocks; each block lifts through pi to an element of A, and
-    the lifted slices span A.  Returns (max residual, span rank).  The n^2
-    blocks of V and of V^* lift in one GEMM against the pseudo-inverse of
-    pi (n^5); the rank is an SVD of the n^2 x n lifts (n^4).
-    """
-    n = qg.dim
-    v = np.stack([mu.v, mu.v.conj().T]).reshape(2, n, n, n, n)
-    blocks = v.transpose(0, 1, 3, 2, 4).reshape(2, n * n, n * n)  # [V or V^*, (i, j), :]
-    lifts = blocks @ gd._rep_pinv.T
-    rebuilt = lifts @ gd.left_reg.reshape(n, n * n)
-    worst = max(
-        float(np.linalg.norm(rebuilt - blocks, axis=-1).max()),
-        float(np.linalg.norm(lifts[0] @ qg.antipode.T - lifts[1], axis=-1).max()),
-    )
-    return worst, _rank(lifts[0])

@@ -55,16 +55,6 @@ class State:
             raise ValueError("convolution requires the same parent quantum group")
         return State(self.qg, convolve(self.qg, self.coeffs, other.coeffs))
 
-    def right_shift(self, b) -> "State":
-        """The functional a -> omega(a b)."""
-        w = np.einsum("ijk,j,k->i", self.qg.mult, np.asarray(b), self.coeffs)
-        return State(self.qg, w)
-
-    def left_shift(self, b) -> "State":
-        """The functional a -> omega(b a)."""
-        w = np.einsum("jik,j,k->i", self.qg.mult, np.asarray(b), self.coeffs)
-        return State(self.qg, w)
-
     def sort_key(self):
         c = np.round(self.coeffs, 9) + 0.0
         return tuple(float(x) for pair in zip(c.real, c.imag) for x in pair)
@@ -583,7 +573,9 @@ def cesaro_walk(qg: FiniteQuantumGroup, mu, n: int) -> list[State]:
     """Cesaro means nu_k = (1/k) sum_{j<=k} mu^{*j} for k = 1..n.
 
     Every mean of convolution powers of a state is a state; the limit
-    points of the sequence are idempotent.
+    points of the sequence are idempotent.  The sums are kept in the result
+    type of the start and the step, so a real start on complex structure
+    tensors sums in complex128, and a real start on a real input in float64.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -591,7 +583,7 @@ def cesaro_walk(qg: FiniteQuantumGroup, mu, n: int) -> list[State]:
     # the step nu -> nu * mu
     step = _rows(qg.comult.reshape(-1, qg.dim), w).reshape(qg.dim, qg.dim)
     power = w
-    acc = w.copy()
+    acc = w.astype(np.result_type(step, w))
     out = [State(qg, acc)]
     for k in range(2, n + 1):
         power = step @ power

@@ -7,6 +7,7 @@ import numpy as np
 
 import qgidem as qg
 from qgidem.cayley import all_subgroups
+from qgidem.core import _coproduct_defect, _rank, frobenius, second_leg_factors
 from qgidem.states import (
     SolveConfig,
     solve_idempotents,
@@ -75,6 +76,36 @@ def lift(gd, x):
     pseudo-inverse of pi."""
     a = gd._rep_pinv @ np.asarray(x).ravel()
     return a, float(np.linalg.norm(gd.rep(a) - x))
+
+
+def coproduct_defect(g, gd, v):
+    """max_i || (pi (x) pi) Delta(e_i) - V (pi(e_i) (x) 1) V^* || for any v,
+    by the path :func:`qgidem.multiplicative_unitary` takes for it."""
+    return _coproduct_defect(g, gd, v, second_leg_factors(gd, v))
+
+
+def loop_antipode_slice_defect(g, gd, mu):
+    """(residual, rank) of S((sigma (x) id)V) = (sigma (x) id)V^* over the
+    matrix-unit functionals sigma, one block at a time.
+
+    Each second-leg block of V and of V^* is lifted through pi to A; the
+    residual is the largest of the lift residuals and of |S(a) - b| for
+    the lifts a of V and b of V^*, and the rank is that of the lifts of V,
+    which span A.
+    """
+    n = g.dim
+    blocks = mu.second_leg_blocks()
+    vstar_blocks = mu.v.conj().T.reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    lifted = np.empty((n * n, n), dtype=np.complex128)
+    worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            a, res_a = lift(gd, blocks[i, j])
+            b, res_b = lift(gd, vstar_blocks[i, j])
+            worst = max(worst, res_a, res_b)
+            worst = max(worst, frobenius(g.antipode @ a - b))
+            lifted[i * n + j] = a
+    return worst, _rank(lifted)
 
 
 def non_associative_case(kind, name, size=1e-3, seed=0):

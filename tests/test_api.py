@@ -1,8 +1,11 @@
-"""The public names of ``qgidem``: deleting code must not drop one."""
+"""The public names of ``qgidem``: deleting code must not drop one; and
+the signatures that say which functions take a tolerance."""
 
+import inspect
 import types
 
 import qgidem
+from qgidem import analysis, core, states
 
 PUBLIC = {
     # cayley
@@ -60,3 +63,33 @@ def test_public_names_are_pinned():
     }
     assert exported == PUBLIC
     assert isinstance(qgidem.__version__, str)
+
+
+# the analysis entry points decide at the fixed ladder of qgidem.analysis,
+# and V is checked at qg.tol: none takes a tolerance of its own.  The
+# positional order is the one the CLI and perfbench call them with.
+FIXED_LADDER = {
+    analysis.null_space: ["qg", "omega"],
+    analysis.orthonormal_columns: ["m"],
+    analysis.invariant_subalgebra: ["qg", "omega"],
+    analysis.verify_conditional_expectation: ["qg", "e", "c_basis", "gd"],
+    analysis.classify: ["qg", "omega", "gd", "mu"],
+    analysis.quotient_quantum_group: ["qg", "omega"],
+    analysis.homogeneous_space_check: ["qg", "omega", "q"],
+    analysis.coaction_checks: ["qg", "c_basis"],
+    analysis.build_lattice: ["qg", "states"],
+    analysis.multiplicative_domain_check: ["qg", "omega"],
+    analysis.state_from_subalgebra: ["qg", "c_basis"],
+    core.multiplicative_unitary: ["qg", "gd"],
+}
+
+
+def test_no_tolerance_parameter_on_the_fixed_ladder():
+    for fn, names in FIXED_LADDER.items():
+        assert list(inspect.signature(fn).parameters) == names, fn.__name__
+
+
+def test_tolerances_kept_where_callers_set_them():
+    for fn in (core.validate, states.is_state, states.is_idempotent):
+        assert "tol" in inspect.signature(fn).parameters, fn.__name__
+    assert "rel_tol" in inspect.signature(analysis._kernel_basis).parameters

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import qgidem as qg
 from qgidem import analysis
 from qgidem.analysis import quotient_quantum_group
-from qgidem.cli import main
+from qgidem.cli import main, parse_input
 from qgidem.core import InternalConsistencyError
 from qgidem.serialize import qg_to_dict, save_json, state_to_dict
 from qgidem.states import subgroup_state_fn
@@ -62,6 +63,24 @@ def test_invalid_quantum_group_file_lists_axioms(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2
     assert "haar_left_invariant" in err
+
+
+def test_tol_reaches_v_on_json_inputs(capsys, tmp_path):
+    # ga:S3 with its comultiplication moved by 1e-8 passes validate at
+    # --tol 1e-5; V must be checked at that tolerance too, not at the
+    # file's own tol of 1e-9, where its unitarity defect (4e-7) fails
+    g = algebra("ga", "S3")
+    rng = np.random.default_rng(0)
+    near = dataclasses.replace(g, comult=g.comult + 1e-8 * rng.standard_normal(g.comult.shape))
+    path = tmp_path / "near.json"
+    save_json(path, qg_to_dict(near))
+    assert json.loads(path.read_text())["tol"] == 1e-9
+    assert parse_input(str(path), 1e-5)[0].tol == 1e-5
+    assert run(capsys, "validate", str(path), "--tol", "1e-5")[0] == 0
+    code, _, err = run(capsys, "classify", str(path), "--tol", "1e-5")
+    assert code == 0, err
+    code, _, err = run(capsys, "classify", str(path))
+    assert code == 2 and "input failed validation" in err
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "0", "-1e-9"])

@@ -18,8 +18,6 @@ from qgidem.core import (
     _pentagon_defect,
     _pentagon_defect_factored,
     _rank,
-    antipode_slice_defect,
-    coproduct_defect,
     frobenius,
     intertwiner_defect,
     multiplicative_unitary,
@@ -32,13 +30,16 @@ from helpers import (
     algebra,
     basis_vector,
     change_basis,
+    coproduct_defect,
     dense_algebra,
     first_leg_twist,
     gns_and_unitary,
     lift,
+    loop_antipode_slice_defect,
     non_associative_case,
     group,
     phase_twin,
+    random_unitary,
     right_regular_twist,
 )
 
@@ -548,23 +549,19 @@ def test_non_finite_or_non_positive_tol_is_structural_error(tol):
     messages = {str(err.value)}
     with pytest.raises(StructuralError, match="tol"):
         qg.function_algebra(group("Z2"), tol=tol)
-    # an explicit tol to validate or multiplicative_unitary gets the same
-    # check: with nan every residual test fails in validate, and V of a
-    # broken coproduct (unitarity defect about 0.45) would be accepted
+    # an explicit tol to validate gets the same check: with nan every
+    # residual test fails in validate
     g = algebra("ga", "S3")
+    with pytest.raises(StructuralError, match="tol") as err:
+        qg.validate(g, tol=tol)
+    messages.add(str(err.value))
+    assert len(messages) == 1
+    # V is checked at g.tol, which the constructor has checked: a broken
+    # coproduct (unitarity defect about 0.45) is rejected
     rng = np.random.default_rng(0)
     broken = dataclasses.replace(g, comult=g.comult + 1e-2 * rng.standard_normal(g.comult.shape))
-    gd = qg.gns(broken)
     with pytest.raises(QuantumGroupError, match="right-invariance defect"):
-        multiplicative_unitary(broken, gd)
-    for call in (
-        lambda: qg.validate(g, tol=tol),
-        lambda: multiplicative_unitary(broken, gd, tol=tol),
-    ):
-        with pytest.raises(StructuralError, match="tol") as err:
-            call()
-        messages.add(str(err.value))
-    assert len(messages) == 1
+        multiplicative_unitary(broken, qg.gns(broken))
 
 
 def test_trivial_quantum_group():
@@ -589,7 +586,7 @@ def test_function_algebra_structure():
 def test_group_algebra_structure():
     g = algebra("ga", "Z2")
     assert np.allclose(g.comultiply(basis_vector(2, 1)), [[0, 0], [0, 1]])
-    assert g.haar_value(basis_vector(2, 1)) == 0
+    assert g.haar @ basis_vector(2, 1) == 0
     s3 = algebra("ga", "S3")
     # noncommutative algebra, cocommutative coproduct
     assert np.abs(s3.mult - s3.mult.transpose(1, 0, 2)).max() > 0.5
@@ -687,7 +684,7 @@ def test_multiplicative_unitary_invariants(kind, name):
     assert unitarity_defect(mu.v) < 1e-12
     assert pentagon_defect(mu.v) < 1e-12
     assert coproduct_defect(g, gd, mu.v) < 1e-10
-    slice_defect, span_rank = antipode_slice_defect(g, gd, mu)
+    slice_defect, span_rank = loop_antipode_slice_defect(g, gd, mu)
     assert slice_defect < 1e-10
     assert span_rank == g.dim
 
@@ -807,10 +804,13 @@ def unitary_twist_element(kind, name, t, s=1):
 
 
 def checked_pentagon(g, gd, v, tol=None):
-    """The pentagon defect multiplicative_unitary would report for v."""
+    """The pentagon defect multiplicative_unitary would report for v, with
+    g.tol replaced by ``tol`` when one is given."""
     legs = second_leg_factors(gd, v)
     udef, cdef = unitarity_defect(v), coproduct_defect(g, gd, v)
-    return _pentagon_defect(g, gd, v, legs, udef, cdef, g.tol if tol is None else tol)
+    if tol is not None:
+        g = dataclasses.replace(g, tol=tol)
+    return _pentagon_defect(g, gd, v, legs, udef, cdef)
 
 
 @pytest.mark.parametrize("basis", ["sparse", "dense", "skewed"])
@@ -1035,7 +1035,8 @@ def test_multiplicative_unitary_memory_with_one_workspace():
 def test_valid_inputs_never_reach_the_dense_fallbacks(kind, k, monkeypatch):
     # the fallbacks give the same values at n^7 (coproduct), n^8 or a
     # sampled lower bound (pentagon) and n^6 (cancellation SVD), so only
-    # this test sees a valid input leave the fast paths
+    # this test sees a builtin input leave the fast paths; a valid input in
+    # a badly conditioned basis does need them (the test below)
     def fallback(*args, **kwargs):
         raise AssertionError("dense fallback taken on a valid input")
 
@@ -1047,6 +1048,41 @@ def test_valid_inputs_never_reach_the_dense_fallbacks(kind, k, monkeypatch):
     assert report.passed and report.cancellation_ranks == (g.dim**2,) * 2
     mu = multiplicative_unitary(g)
     assert max(mu.defects.values()) <= g.tol
+
+
+def test_a_badly_conditioned_valid_input_needs_the_dense_fallbacks(monkeypatch):
+    # ga:S3 carried by u diag(1 .. 100) w^T: the input is valid, but
+    # rounding leaves V's slicing remainder above the cutoff of
+    # LegFactors.exact, and the factored pentagon bound, evaluated on those
+    # slices anyway, exceeds tol; only the dense paths accept V
+    base = algebra("ga", "S3")
+    n = base.dim
+    rng = np.random.default_rng(0)
+    u, w = random_unitary(n, rng), random_unitary(n, rng)
+    g = change_basis(base, u @ np.diag(np.logspace(0, 2, n)) @ w.T)
+    assert qg.validate(g).passed
+    taken = []
+
+    def recorded(name):
+        dense = getattr(core, name)
+
+        def call(*args, **kwargs):
+            taken.append(name)
+            return dense(*args, **kwargs)
+
+        return call
+
+    for name in ("_coproduct_defect_dense", "pentagon_defect"):
+        monkeypatch.setattr(core, name, recorded(name))
+    gd = qg.gns(g)
+    mu = multiplicative_unitary(g, gd)
+    assert taken == ["_coproduct_defect_dense", "pentagon_defect"]
+    assert not mu.legs.exact
+    assert mu.legs.remainder > 64 * np.finfo(float).eps * frobenius(mu.v)
+    assert max(mu.defects.values()) <= g.tol
+    exact = dataclasses.replace(mu.legs, exact=True)
+    udef, cdef = mu.defects["unitarity"], mu.defects["coproduct"]
+    assert _pentagon_defect(g, gd, mu.v, exact, udef, cdef) > g.tol
 
 
 def test_workspace_of_the_wrong_dtype_is_never_cast_into():

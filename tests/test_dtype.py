@@ -25,13 +25,20 @@ from qgidem.analysis import (
 )
 from qgidem.core import (
     _real_matmul,
-    coproduct_defect,
     pentagon_defect,
     unitarity_defect,
 )
 from qgidem.states import State, as_coeffs
 
-from helpers import algebra, gns_and_unitary, oracle_states, phase_twin, solved
+from helpers import (
+    algebra,
+    change_basis,
+    coproduct_defect,
+    gns_and_unitary,
+    oracle_states,
+    phase_twin,
+    solved,
+)
 
 TENSORS = ("mult", "unit", "star", "comult", "counit", "antipode", "haar")
 TWIN_CASES = [(kind, name) for kind in ("fn", "ga") for name in ("S3", "Q8", "D4")]
@@ -96,6 +103,41 @@ def test_cli_walk_default_start_is_real(monkeypatch, capsys):
     assert cli.main(["walk", "fn:Z4", "--steps", "1000"]) == 0
     capsys.readouterr()
     assert len(starts) == 1 and starts[0].dtype == np.float64
+
+
+def z4_phase_twin():
+    """(twin, t): fn:Z4 carried by t = diag(exp(i (0, 0.7, 1.9, 2.6))), whose
+    comultiplication is complex while its counit stays real."""
+    t = np.diag(np.exp(1j * np.array([0.0, 0.7, 1.9, 2.6])))
+    return change_basis(algebra("fn", "Z4"), t), t
+
+
+def test_cesaro_walk_of_a_real_start_on_complex_tensors():
+    g = algebra("fn", "Z4")
+    twin, t = z4_phase_twin()
+    assert twin.comult.dtype == np.complex128 and twin.counit.dtype == np.float64
+    for st in qg.cesaro_walk(twin, twin.counit, 5):  # the counit is idempotent
+        assert np.abs(st.coeffs - twin.counit).max() <= 1e-12
+    # a real start on the twin is a complex one on fn:Z4, moved by t
+    w = np.array([0.4, 0.3, 0.2, 0.1])
+    walk = qg.cesaro_walk(twin, w, 16)
+    ref = qg.cesaro_walk(g, w @ t, 16)
+    ti = np.linalg.inv(t)
+    for a, b in zip(walk, ref, strict=True):
+        assert np.abs(a.coeffs - b.coeffs @ ti).max() <= 1e-12
+    # on real tensors a real start keeps float64 sums
+    assert all(st.coeffs.dtype == np.float64 for st in qg.cesaro_walk(g, w, 16))
+
+
+def test_cli_walk_from_a_real_start_on_complex_tensors(capsys, tmp_path):
+    twin, _ = z4_phase_twin()
+    path, init = tmp_path / "twin.json", tmp_path / "eps.json"
+    serialize.save_json(path, serialize.qg_to_dict(twin))
+    serialize.save_json(init, serialize.state_to_dict(State(twin, twin.counit)))
+    code = cli.main(["walk", str(path), "--init", str(init), "--steps", "16"])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    assert "extrapolated limit point is an idempotent state" in out.out
 
 
 def test_any_imaginary_part_keeps_a_state_complex():

@@ -8,7 +8,8 @@ fn:/ga: x {S3, Q8, D4}, in the group basis and in a dense basis
 and for the solver's start supports, canonical order and deduplication.
 The blocked coproduct check of V, the slicing of V and the structure
 constants of pi(A) run on fn:/ga: x {S3, Q8, S4} in both bases, a complex
-phase twin and fn:D7 (n = 14, a short last block).
+phase twin and fn:D7 (n = 14, a short last block).  The antipode-slice
+identity of V, whose stacked form is gone, is checked by its loop alone.
 """
 
 import dataclasses
@@ -36,8 +37,6 @@ from qgidem.core import (
     MultUnitary,
     QuantumGroupError,
     _coproduct_defect_factored,
-    _rank,
-    antipode_slice_defect,
     frobenius,
 )
 from qgidem.states import (
@@ -63,7 +62,7 @@ from helpers import (
     dense_algebra,
     gns_and_unitary,
     group,
-    lift,
+    loop_antipode_slice_defect,
     non_associative_case,
     oracle_states,
     phase_twin,
@@ -105,22 +104,6 @@ def loop_left_reg(g, gd):
     for i in range(n):
         left_reg[i] = gd.onb_inv @ g.left_mult_matrix(basis_vector(n, i)) @ gd.onb
     return left_reg
-
-
-def loop_antipode_slice_defect(g, gd, mu):
-    n = g.dim
-    blocks = mu.second_leg_blocks()
-    vstar_blocks = mu.v.conj().T.reshape(n, n, n, n).transpose(0, 2, 1, 3)
-    lifted = np.empty((n * n, n), dtype=np.complex128)
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            a, res_a = lift(gd, blocks[i, j])
-            b, res_b = lift(gd, vstar_blocks[i, j])
-            worst = max(worst, res_a, res_b)
-            worst = max(worst, frobenius(g.antipode @ a - b))
-            lifted[i * n + j] = a
-    return worst, _rank(lifted)
 
 
 def loop_coproduct_defect_factored(g, gd, legs):
@@ -374,21 +357,19 @@ def test_stacked_operators_match_one_vector_calls(kind, name, dense):
 
 @pytest.mark.parametrize("kind,name,dense", CASES)
 def test_antipode_slice_defect_matches_loop(kind, name, dense):
+    # S((sigma (x) id)V) = (sigma (x) id)V^*, with lifts spanning A.  The
+    # stacked form had no caller in the package and is gone, so the loop
+    # (helpers.loop_antipode_slice_defect) is the one evaluation left.
     g, _ = case(kind, name, dense)
     gd = qg.gns(g)
     mu = qg.multiplicative_unitary(g, gd)
-    worst, rank = antipode_slice_defect(g, gd, mu)
-    ref_worst, ref_rank = loop_antipode_slice_defect(g, gd, mu)
-    assert abs(worst - ref_worst) <= 1e-12
-    assert rank == ref_rank == g.dim
+    worst, rank = loop_antipode_slice_defect(g, gd, mu)
+    assert worst <= 1e-10
+    assert rank == g.dim
     # a V whose second leg leaves pi(A): its blocks do not lift
     twisted = MultUnitary(v=right_regular_twist(g, gd, mu, 1))
-    worst, rank = antipode_slice_defect(g, gd, twisted)
-    ref_worst, ref_rank = loop_antipode_slice_defect(g, gd, twisted)
-    assert abs(worst - ref_worst) <= 1e-12 * max(1.0, ref_worst)
-    assert rank == ref_rank
-    if not twisted.leg_factors(gd).exact:  # the twisted second leg leaves pi(A)
-        assert ref_worst > 0.1
+    if not twisted.leg_factors(gd).exact:
+        assert loop_antipode_slice_defect(g, gd, twisted)[0] > 0.1
 
 
 @pytest.mark.parametrize("kind,name,dense", CASES)
@@ -488,7 +469,9 @@ def test_coaction_checks_match_loop_on_s4(kind):
 
 
 def assert_lattice_matches(g, states, tol=1e-8):
-    got = outcome(build_lattice, g, states, tol)
+    """build_lattice at the tolerance ``analysis.CLASSIFY_TOL`` has when the
+    call is made, against the loop at ``tol``."""
+    got = outcome(build_lattice, g, states)
     ref = outcome(loop_build_lattice, g, states, tol)
     if isinstance(ref, Exception):
         assert type(got) is type(ref) and str(got) == str(ref)
@@ -510,18 +493,20 @@ def test_build_lattice_matches_loop(kind, name, dense):
 
 
 @pytest.mark.parametrize("name", ["S3", "D4"])
-def test_build_lattice_errors_match_loop(name):
+def test_build_lattice_errors_match_loop(name, monkeypatch):
     g, states = case("fn", name, False)
     states = [State(g, w) for w in states]
     # a non-idempotent state is not below itself
     uniform = np.full(g.dim, 1 / g.dim) + 0.01 * np.arange(g.dim)
     assert_lattice_matches(g, states + [State(g, uniform)])
     # coarse tolerances make distinct states comparable both ways, or the
-    # order intransitive; the first offending pair decides the message
+    # order intransitive; the first offending pair decides the message.
+    # build_lattice has no tolerance argument, so the ladder is patched.
     raised = set()
     for tol in (0.05, 0.2, 0.34, 0.4, 0.5, 0.6, 0.7, 0.9):
+        monkeypatch.setattr(qg.analysis, "CLASSIFY_TOL", tol)
         assert_lattice_matches(g, states, tol)
-        got = outcome(build_lattice, g, states, tol)
+        got = outcome(build_lattice, g, states)
         if isinstance(got, Exception):
             raised.add(str(got).split(" ")[0])
     assert raised == {"antisymmetry", "order"}

@@ -131,16 +131,6 @@ def test_is_state_and_idempotency():
     assert not is_state(g, np.array([0.5, 0.3]))  # not normalized
 
 
-def test_shift_helpers():
-    g = algebra("ga", "S3")
-    rng = np.random.default_rng(8)
-    st = random_state(g, rng)
-    b = random_functional(g, rng)
-    a = random_functional(g, rng)
-    assert np.isclose(st.right_shift(b).value(a), st.value(g.multiply(a, b)))
-    assert np.isclose(st.left_shift(b).value(a), st.value(g.multiply(b, a)))
-
-
 def test_subgroup_states_fn():
     ct = group("S3")
     g = algebra("fn", "S3")
