@@ -6,10 +6,10 @@ specs like ``fn:S3``, ``ga:D4``, ``dual:fn:Z4`` (``dual:`` may be
 repeated).  Builtin groups: Z1..Z12, Z2xZ2, S3, D4, Q8, S4.
 
 Exit status is 0 iff every requested check passed: 1 when a check
-failed, 2 for a bad command line, an unreadable or invalid input or a
-failed construction, 3 when the library reports an internal
-inconsistency (a disagreement the theory rules out, which flags
-numerical trouble).
+failed or the solver found no idempotent state, 2 for a bad command
+line, an unreadable or invalid input or a failed construction, 3 when
+the library reports an internal inconsistency (a disagreement the theory
+rules out, which flags numerical trouble).
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ from .states import (
 
 class CliError(Exception):
     pass
+
+
+class CheckFailed(Exception):
+    """A check that failed before there was a report to print (exit 1)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,8 +161,14 @@ def _fmt_state(state, digits=6):
 
 
 def _solve(qg, args):
-    cfg = SolveConfig(starts=args.starts, seed=args.seed)
-    return solve_idempotents(qg, cfg)
+    found = solve_idempotents(qg, SolveConfig(starts=args.starts, seed=args.seed))
+    if not found:
+        # the counit is an idempotent state of every valid input
+        raise CheckFailed(
+            "no idempotent state found, not even the counit, whose idempotency "
+            f"defect is {idempotency_defect(qg, qg.counit):.1e}"
+        )
+    return found
 
 
 def cmd_validate(qg, info, args):
@@ -203,9 +213,9 @@ def cmd_idempotents(qg, info, args):
 
 
 def cmd_classify(qg, info, args):
-    found = _solve(qg, args)
     gd = gns(qg)
     mu = multiplicative_unitary(qg, gd)
+    found = _solve(qg, args)
     records = []
     lines = [f"classified {len(found)} idempotent state(s):"]
     for i, st in enumerate(found):
@@ -392,6 +402,9 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"error: internal inconsistency: {exc}", file=sys.stderr)
         return 3
+    except CheckFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (CliError, QuantumGroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -203,17 +203,16 @@ class ValidationReport:
     dim: int
     tol: float
     residuals: dict
-    cancellation_ranks: tuple
+    cancellation_ranks: tuple  # one per side, in the order of _CANCELLATION_SPECS
     passed: bool = field(init=False)
     failures: list = field(init=False)
 
     def __post_init__(self):
         full = self.dim * self.dim
         self.failures = [k for k, v in self.residuals.items() if not v <= self.tol]
-        if self.cancellation_ranks[0] != full:
-            self.failures.append("cancellation_left")
-        if self.cancellation_ranks[1] != full:
-            self.failures.append("cancellation_right")
+        for side, rank in zip(_CANCELLATION_SPECS, self.cancellation_ranks):
+            if rank != full:
+                self.failures.append(f"cancellation_{side}")
         self.passed = not self.failures
 
     @property
@@ -225,10 +224,10 @@ class ValidationReport:
         for k in sorted(self.residuals):
             mark = "ok " if self.residuals[k] <= self.tol else "BAD"
             lines.append(f"  [{mark}] {k:<24s} {self.residuals[k]:.3e}")
-        lines.append(
-            f"  cancellation ranks = {self.cancellation_ranks}"
-            f" (need {self.dim ** 2})"
+        ranks = ", ".join(
+            f"{side} {rank}" for side, rank in zip(_CANCELLATION_SPECS, self.cancellation_ranks)
         )
+        lines.append(f"  cancellation ranks: {ranks} (need {self.dim ** 2})")
         return "\n".join(lines)
 
 
@@ -523,7 +522,7 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
 
     # quantum cancellation laws as rank conditions, one span at a time
     assoc = r["associativity"]
-    ranks = tuple(_cancellation_rank(qg, side, assoc, work=work) for side in ("right", "left"))
+    ranks = tuple(_cancellation_rank(qg, side, assoc, work=work) for side in _CANCELLATION_SPECS)
 
     return ValidationReport(dim=n, tol=tol, residuals=r, cancellation_ranks=ranks)
 

@@ -47,9 +47,6 @@ class State:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    def value(self, a) -> complex:
-        return complex(np.dot(self.coeffs, a))
-
     def convolve(self, other: "State") -> "State":
         if other.qg is not self.qg:
             raise ValueError("convolution requires the same parent quantum group")
@@ -183,7 +180,9 @@ _PERTURBATION = 1.2
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Multi-start Newton budget for the idempotent equation."""
+    """Multi-start Newton budget for the idempotent equation: ``starts``
+    caps the number of starts (:func:`_solver_starts`) and ``seed`` seeds
+    their random mixtures."""
 
     starts: int = 500
     seed: int = 0
@@ -262,22 +261,30 @@ def _generated_supports(qg, combos) -> np.ndarray:
     return mask
 
 
+def _haar_scale(qg) -> np.ndarray:
+    """Haar norm of each basis element over the smallest one,
+    ``sqrt(h(e_i^* e_i) / min_j h(e_j^* e_j))``; 1 on a basis of equal norms."""
+    d = np.diag(qg.haar_gram).real
+    return np.sqrt(d / d.min())
+
+
 def _solver_starts(qg, cfg, z, w_p, gd):
-    """Initial points for the multi-start Newton solve.
+    """Initial points for the multi-start Newton solve: at most
+    ``max(2, cfg.starts)`` rows, in this order.
 
-    Always includes the counit and the Haar state.  Deterministic probes
-    push the vector states of generated supports of single basis elements
-    and pairs toward the idempotent set by Cesaro extrapolation; the rest
-    of the budget alternates between random simplex mixtures of the
-    GNS-diagonal vector states plus a complex Gaussian of random scale up
-    to ``_PERTURBATION`` and Cesaro-extrapolated equal-weight random-subset
-    probes.
+    - the counit and the Haar state;
+    - the probes: each distinct generated support (:func:`_generated_supports`)
+      of a single basis element or a pair, in that order, weighted by
+      ``1 / _haar_scale``, made a vector state and pushed toward the
+      idempotent set by Cesaro extrapolation, in blocks of :func:`_blocks`;
+    - random simplex mixtures of the GNS-diagonal vector states plus a
+      complex Gaussian of random scale up to ``_PERTURBATION``.
 
-    The random numbers are drawn first, in a fixed order, and the probe
-    masks collected; each distinct mask is then warmed once, in blocks of
-    :func:`_blocks`, and copied to every row that drew it.  Equal weights
-    matter: the Cesaro limit of an equal-weight subset probe keeps exactly
-    the coefficients that sit at the extreme value 1, and those form the
+    Of the ``rest = starts - 2`` rows the mixtures take
+    ``(rest - min(c, rest // 2) + 1) // 2``, with ``c`` the number of
+    singles and pairs, and the probes at most the remainder.  Equal weights
+    in Haar norm matter: the Cesaro limit of such a probe keeps exactly the
+    coefficients that sit at the extreme value 1, and those form the
     state's multiplicative-domain subgroup.
     """
     n = qg.dim
@@ -289,36 +296,21 @@ def _solver_starts(qg, cfg, z, w_p, gd):
     def normalized(w):
         return w + (1.0 - w @ qg.unit)[..., None] * w_u
 
-    total = max(2, cfg.starts)
-    seeds = np.empty((total, n), dtype=np.complex128)
-    seeds[0] = eps
-    seeds[1] = qg.haar
     combos = [(i,) for i in range(n)]
     combos += [(i, j) for i in range(n) for j in range(i + 1, n)]
-    masks = list(_generated_supports(qg, combos[: max(0, cfg.starts - 2) // 2]))
-    probe_rows = list(range(2, 2 + len(masks)))
-    for row in range(2 + len(masks), total):
-        if row % 2 == 0:
-            p = rng.dirichlet(np.ones(n))
-            w0 = diag_states @ p
-            sigma = rng.uniform(0.0, _PERTURBATION)
-            w0 = w0 + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            seeds[row] = normalized(w0)
-        else:
-            mask = rng.random(n) < rng.uniform(0.15, 0.9)
-            if not mask.any():
-                mask[rng.integers(n)] = True
-            masks.append(mask)
-            probe_rows.append(row)
-    masks, which = np.unique(
-        np.array(masks, dtype=bool).reshape(-1, n), axis=0, return_inverse=True
-    )
-    masks = masks.astype(np.complex128)
-    warmed = np.empty_like(masks)
-    for sl in _blocks(len(masks), n):
-        mu = _vector_state(qg, masks[sl])
-        warmed[sl] = normalized(_cesaro_probe(qg, 0.5 * (mu + eps)))
-    seeds[probe_rows] = warmed[which.reshape(-1)]
+    rest = max(0, cfg.starts - 2)
+    n_random = (rest - min(len(combos), rest // 2) + 1) // 2
+    masks = _generated_supports(qg, combos[: rest - n_random])
+    _, first = np.unique(masks, axis=0, return_index=True)
+    probes = (masks[np.sort(first)] / _haar_scale(qg)).astype(np.complex128)
+    for sl in _blocks(len(probes), n):
+        mu = _vector_state(qg, probes[sl])
+        probes[sl] = normalized(_cesaro_probe(qg, 0.5 * (mu + eps)))
+    p = rng.dirichlet(np.ones(n), size=n_random)
+    sigma = rng.uniform(0.0, _PERTURBATION, size=(n_random, 1))
+    noise = rng.standard_normal((n_random, n)) + 1j * rng.standard_normal((n_random, n))
+    mixtures = normalized(p @ diag_states.T + sigma * noise)
+    seeds = np.concatenate([eps[None], qg.haar[None], probes, mixtures])
     return _rows(np.conj(z.T), seeds - w_p)
 
 
@@ -469,12 +461,14 @@ def solve_idempotents(
     squared residual passes an Armijo test at ``1e-4``.  Polishing stops at
     a residual of ``1e-13`` or after ``_MAX_ITER`` iterations; solutions
     with a residual above ``_NEWTON_TOL`` or failing the state test are
-    discarded and the rest deduplicated at ``_DEDUP_TOL`` (sup norm) in
-    the order of :func:`canonical_order`, then snapped onto the state face
-    (:func:`_snap_to_states`) and deduplicated again.
-    Deterministic for a fixed seed.  The result always contains the counit
-    and the Haar state; no completeness claim is made for a general quantum
-    group (the CLI reports findings as "found").
+    discarded and the rest deduplicated at ``_DEDUP_TOL`` (sup norm of
+    ``w / _haar_scale``) in the order of :func:`canonical_order`, then
+    snapped onto the state face (:func:`_snap_to_states`) and deduplicated
+    again.  Deterministic for a fixed seed.  The counit and the Haar state
+    are starts, returned only when they pass the state test at ``1e-9``: on
+    an input that is valid only at a looser ``tol`` the result may be
+    empty.  No completeness claim is made for a general quantum group (the
+    CLI reports findings as "found").
 
     Starts, Newton polish and state test each run as array operations on
     blocks of ``max(1, 2**13 // n**2)`` starts, so the working set stays
@@ -503,10 +497,12 @@ def solve_idempotents(
     candidates = solutions[residuals <= _NEWTON_TOL]
     states = candidates[_state_mask(qg, candidates, 1e-9, idempotent=True)]
     states = states[canonical_order(states)]
+    # distance in units of each basis element's Haar norm
+    s = _haar_scale(qg)
     snapped = _snap_to_states(
-        qg, gd, states[_distinct_rows(states, _DEDUP_TOL)], _DEDUP_TOL
+        qg, gd, states[_distinct_rows(states / s, _DEDUP_TOL)], _DEDUP_TOL
     )
-    return [State(qg, w) for w in snapped[_distinct_rows(snapped, _DEDUP_TOL)]]
+    return [State(qg, w) for w in snapped[_distinct_rows(snapped / s, _DEDUP_TOL)]]
 
 
 def canonical_order(ws) -> np.ndarray:

@@ -65,22 +65,40 @@ def test_invalid_quantum_group_file_lists_axioms(capsys, tmp_path):
     assert "haar_left_invariant" in err
 
 
-def test_tol_reaches_v_on_json_inputs(capsys, tmp_path):
-    # ga:S3 with its comultiplication moved by 1e-8 passes validate at
-    # --tol 1e-5; V must be checked at that tolerance too, not at the
-    # file's own tol of 1e-9, where its unitarity defect (4e-7) fails
+def near_json(tmp_path):
+    """ga:S3 with its comultiplication moved by 1e-8, saved at tol 1e-9."""
     g = algebra("ga", "S3")
     rng = np.random.default_rng(0)
     near = dataclasses.replace(g, comult=g.comult + 1e-8 * rng.standard_normal(g.comult.shape))
     path = tmp_path / "near.json"
     save_json(path, qg_to_dict(near))
+    return path
+
+
+def test_tol_reaches_v_on_json_inputs(capsys, tmp_path):
+    # the input passes validate at --tol 1e-5; V must be checked at that
+    # tolerance too, not at the file's own tol of 1e-9, where its unitarity
+    # defect (4e-7) fails.  classify checks V before it solves, and the
+    # solver, at its fixed tolerances, then finds no state (exit 1)
+    path = near_json(tmp_path)
     assert json.loads(path.read_text())["tol"] == 1e-9
     assert parse_input(str(path), 1e-5)[0].tol == 1e-5
     assert run(capsys, "validate", str(path), "--tol", "1e-5")[0] == 0
     code, _, err = run(capsys, "classify", str(path), "--tol", "1e-5")
-    assert code == 0, err
+    assert code == 1 and "no idempotent state found" in err, err
     code, _, err = run(capsys, "classify", str(path))
     assert code == 2 and "input failed validation" in err
+
+
+@pytest.mark.parametrize("command", ["idempotents", "classify", "lattice"])
+def test_empty_idempotent_list_is_a_failure(capsys, tmp_path, command):
+    # the counit is idempotent on every valid input; here its defect
+    # (1e-7) fails the solver's state test, so nothing is found
+    path = near_json(tmp_path)
+    code, out, err = run(capsys, command, str(path), "--tol", "1e-5", "--format", "json")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert "no idempotent state found, not even the counit" in err and "1.0e-07" in err
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "0", "-1e-9"])

@@ -326,6 +326,28 @@ def test_deficient_cancellation_ranks_come_from_the_svd():
     assert report.cancellation_ranks == tuple(_rank(t) for t in reference_spans(monoid))
 
 
+def test_one_sided_cancellation_failure_names_its_side():
+    # functions on the left-zero semigroup {a, b} (xy = x): Delta(f)(x, y) =
+    # f(x), so Delta(e_x)(e_y (x) 1) spans only the diagonal, while
+    # Delta(e_x)(1 (x) e_y) = e_x (x) e_y spans everything
+    n = 2
+    mult = np.zeros((n, n, n))
+    comult = np.zeros((n, n, n))
+    for x in range(n):
+        mult[x, x, x] = 1.0
+        comult[x, x, :] = 1.0
+    g = qg.FiniteQuantumGroup(
+        dim=n, mult=mult, unit=np.ones(n), star=np.eye(n), comult=comult,
+        counit=basis_vector(n, 0), antipode=np.eye(n), haar=np.full(n, 0.5),
+    )
+    assert tuple(_rank(t) for t in reference_spans(g)) == (2, 4)
+    report = qg.validate(g)
+    assert report.cancellation_ranks == (2, 4)
+    assert "cancellation_right" in report.failures
+    assert "cancellation_left" not in report.failures
+    assert "cancellation ranks: right 2, left 4 (need 4)" in str(report)
+
+
 def test_coaction_density_rank_of_the_monoid_comes_from_the_svd(rank_shapes):
     monoid = monoid_bialgebra()
     n = monoid.dim

@@ -29,6 +29,7 @@ from qgidem.states import (
     _blocks,
     _cholesky_each,
     _constraint_chart,
+    _generated_supports,
     _newton_polish_batch,
     _snap_to_states,
     _solver_starts,
@@ -192,6 +193,15 @@ def test_solver_matches_oracle_on_s4(kind, seed):
     assert hausdorff(list(found), list(oracle)) <= 1e-7
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_solver_matches_oracle_on_s4_at_300_starts(kind, seed):
+    # 2 + 223 probes + 75 mixtures on fn:, 2 + 30 + 75 on ga:
+    found = solved(kind, "S4", starts=300, seed=seed)
+    assert len(found) == 30
+    assert hausdorff(list(found), list(oracle_states(kind, "S4"))) <= 1e-7
+
+
 @pytest.mark.parametrize("kind", ["fn", "ga"])
 def test_solver_states_sit_on_the_state_face(kind):
     # a state just off the face has a Gram eigenvalue of ~1e-10 where 0 is
@@ -208,21 +218,25 @@ def test_solver_states_sit_on_the_state_face(kind):
 def test_solver_on_a_badly_scaled_basis(kind, scale):
     # one basis vector scaled by 1e5 either way: the Haar Gram spans ten
     # orders of magnitude, so the snap's cutoff must not read it in this
-    # basis (the tolerance is lowered so that gns accepts the Haar state)
+    # basis (the tolerance is lowered so that gns accepts the Haar state).
+    # The probes and the dedup weigh each basis vector by its Haar norm, so
+    # the probe of {0, 5} finds its subgroup state at every seed, and that
+    # state is kept once
     base = algebra(kind, "S3")
     t = np.eye(base.dim)
     t[-1, -1] = scale
     g = dataclasses.replace(change_basis(base, t), tol=1e-13)
-    found = solve_idempotents(g, SolveConfig(starts=200, seed=0))
     t_inv = np.linalg.inv(t)
     moved = [State(g, st.coeffs @ t_inv) for st in oracle_states(kind, "S3")]
     tol = 1e-7 * max(1.0, 1 / scale)  # the largest coefficient is 1 / scale
-    assert len(found) == len(moved) == 6
-    for target in (base.haar @ t_inv, base.counit @ t_inv):
-        assert min(np.abs(st.coeffs - target).max() for st in found) <= tol
-    assert hausdorff(list(found), moved) <= tol
-    for st in found:
-        assert is_idempotent(g, st)
+    for seed in range(10):
+        found = solve_idempotents(g, SolveConfig(starts=200, seed=seed))
+        assert len(found) == len(moved) == 6, seed
+        for target in (base.haar @ t_inv, base.counit @ t_inv):
+            assert min(np.abs(st.coeffs - target).max() for st in found) <= tol
+        assert hausdorff(list(found), moved) <= tol, seed
+        for st in found:
+            assert is_idempotent(g, st)
 
 
 def test_snap_on_a_badly_scaled_basis():
@@ -363,8 +377,44 @@ def _solver_starts_for(g, starts=500):
     return w_p, z, _solver_starts(g, cfg, z, w_p, qg.gns(g))
 
 
+@pytest.mark.parametrize("kind,name,starts", [
+    ("fn", "S4", 500), ("ga", "S4", 300), ("ga", "S3", 500), ("ga", "D4", 60), ("fn", "Z4", 1),
+])
+def test_solver_starts_are_probes_then_mixtures(monkeypatch, kind, name, starts):
+    # the counit, the Haar state, each distinct single/pair probe once, then
+    # the random mixtures, whose count does not depend on how many probes
+    # are distinct; the only random numbers drawn are the mixtures'
+    g = algebra(kind, name)
+    n = g.dim
+    w_p, z = _constraint_chart(g)
+    gd = qg.gns(g)
+    drawn = []
+    default_rng = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def __getattr__(self, attr):
+            drawn.append(attr)
+            return getattr(self.rng, attr)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    t0 = _solver_starts(g, SolveConfig(starts=starts, seed=0), z, w_p, gd)
+    combos = [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rest = max(0, starts - 2)
+    n_random = (rest - min(len(combos), rest // 2) + 1) // 2
+    probes = np.unique(_generated_supports(g, combos[: rest - n_random]), axis=0)
+    assert len(t0) == 2 + len(probes) + n_random <= max(2, starts)
+    assert sorted(drawn) == ["dirichlet", "standard_normal", "standard_normal", "uniform"]
+    if (kind, name, starts) == ("fn", "S4", 500):
+        assert len(probes) == len(combos) == 300 and n_random == 125
+    assert np.abs(w_p + t0[:2] @ z.T - np.array([g.counit, g.haar])).max() <= 1e-12
+
+
 def _check_batch_matches_single_start(g, exact):
-    w_p, z, t0 = _solver_starts_for(g)
+    # a budget at which every pick below exists, 2 * size included
+    w_p, z, t0 = _solver_starts_for(g, starts=1000)
     size = _blocks(len(t0), g.dim)[0].stop
     assert size < len(t0)  # the batch spans several blocks
     w, res, ok = _newton_polish_batch(g.comult, w_p, z, t0, 1e-13, 80)
