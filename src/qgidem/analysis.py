@@ -140,7 +140,6 @@ class Subalgebra:
     is_selfadjoint: bool = False
     is_right_invariant: bool = False
     is_expected: bool = False
-    is_symmetric: bool | None = None
     exp: np.ndarray | None = None
 
     @property

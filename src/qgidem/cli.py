@@ -6,7 +6,8 @@ specs like ``fn:S3``, ``ga:D4``, ``dual:fn:Z4`` (``dual:`` may be
 repeated).  Builtin groups: Z1..Z12, Z2xZ2, S3, D4, Q8, S4.
 
 Exit status is 0 iff every requested check passed: 1 when a check
-failed or the solver found no idempotent state, 2 for a bad command
+failed, the solver found no idempotent state or the reader closed
+standard output before the report was written, 2 for a bad command
 line, an unreadable or invalid input or a failed construction, 3 when
 the library reports an internal inconsistency (a disagreement the theory
 rules out, which flags numerical trouble).
@@ -132,7 +133,7 @@ def parse_input(spec: str, tol: float):
         info["kind"] = kind
         info["cayley"] = ct
 
-    report = validate(qg, tol)
+    report = validate(qg)
     if not report.passed:
         raise CliError(
             f"input failed validation; failing axioms: {report.failures}\n{report}"
@@ -172,7 +173,7 @@ def _solve(qg, args):
 
 
 def cmd_validate(qg, info, args):
-    report = validate(qg, args.tol)
+    report = validate(qg)
     data = {
         "residuals": report.residuals,
         "cancellation_ranks": list(report.cancellation_ranks),
@@ -428,7 +429,17 @@ def main(argv=None) -> int:
             print(f"error: cannot write {args.out!r}: {reason}", file=sys.stderr)
             return 2
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed early; point stdout at devnull so the flush
+            # at interpreter exit does not raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print("error: standard output closed before the report was written",
+                  file=sys.stderr)
+            return 1
     return 0 if passed else 1
 
 

@@ -340,27 +340,6 @@ def _square(d, ws) -> np.ndarray:
     return _rows(dw, ws)
 
 
-def _cholesky_each(a):
-    """Lower Cholesky factors of a stack of matrices and which exist.
-
-    numpy raises for the whole stack when one factorization fails; only
-    then is each matrix factorized on its own.  The solver reads only the
-    flags, as its test of positive definiteness.
-    """
-    try:
-        return np.linalg.cholesky(a), np.ones(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        chol = np.zeros_like(a)
-        ok = np.zeros(len(a), dtype=bool)
-        for i, ai in enumerate(a):
-            try:
-                chol[i] = np.linalg.cholesky(ai)
-                ok[i] = True
-            except np.linalg.LinAlgError:
-                pass
-        return chol, ok
-
-
 def _newton_polish_batch(d, w_p, z, t0, tol, max_iter):
     """Polish each start of the idempotent system on the normalization chart.
 
@@ -368,18 +347,18 @@ def _newton_polish_batch(d, w_p, z, t0, tol, max_iter):
     conv is the bilinear map with coefficients d.  The iteration is the one
     described in :func:`solve_idempotents`, run on the starts of one block
     of :func:`_blocks` at a time over the set of live starts.  A start
-    leaves the live set when ``max |F| <= tol``, when no Levenberg shift
-    gives a Cholesky factor, or when no Armijo step is accepted; the rest
-    stop after ``max_iter`` iterations.  The Jacobian
-    ``(sum_k (d[i,j,k] + d[i,k,j]) w_k - delta_ij) z`` comes from one
-    precontracted ``(n m, n)`` matrix.  Per start and iteration the cost is
-    ``n^2 m`` for the Jacobian, ``n m^2`` for the normal equations, one
-    ``m^3 / 3`` Cholesky factorization that only tests the shifted matrix
-    for positive definiteness, one ``2 m^3 / 3`` LU solve of the shifted
-    system, and ``n^3`` per residual evaluation.  Each start is polished on
-    its own bits, so equal starts give equal results; the solver passes
-    only distinct starts.  Returns (solutions w, sup-norm residuals,
-    convergence flags).
+    leaves the live set when ``max |F| <= tol`` or when no Armijo step is
+    accepted (a direction that does not descend is rejected there); the
+    rest stop after ``max_iter`` iterations.  The shift keeps the normal
+    matrix positive definite, so its one stacked solve over the live starts
+    never meets a singular matrix, not even at a zero Jacobian.  The
+    Jacobian ``(sum_k (d[i,j,k] + d[i,k,j]) w_k - delta_ij) z`` comes from
+    one precontracted ``(n m, n)`` matrix.  Per start and iteration the
+    cost is ``n^2 m`` for the Jacobian, ``n m^2`` for the normal equations,
+    one ``2 m^3 / 3`` LU solve of the shifted system, and ``n^3`` per
+    residual evaluation.  Each start is polished on its own bits, so equal
+    starts give equal results; the solver passes only distinct starts.
+    Returns (solutions w, sup-norm residuals, convergence flags).
     """
     n = d.shape[0]
     m = z.shape[1]
@@ -411,20 +390,8 @@ def _newton_polish_batch(d, w_p, z, t0, tol, max_iter):
             a = jh @ j
             rhs = -(jh @ f[live][..., None])
             lam = 1e-12 * (1.0 + np.trace(a, axis1=-2, axis2=-1).real / m)
-            delta = np.zeros((live.size, m), dtype=np.complex128)
-            solved = np.zeros(live.size, dtype=bool)
-            pending = np.arange(live.size)
-            for _ in range(4):
-                shifted = a[pending] + lam[pending, None, None] * eye
-                _, ok = _cholesky_each(shifted)
-                rows = pending[ok]
-                delta[rows] = np.linalg.solve(shifted[ok], rhs[rows])[..., 0]
-                solved[rows] = True
-                pending = pending[~ok]
-                if not pending.size:
-                    break
-                lam[pending] *= 100.0
-            trial = np.flatnonzero(solved)
+            delta = np.linalg.solve(a + lam[:, None, None] * eye, rhs)[..., 0]
+            trial = np.arange(live.size)
             step = 1.0
             while step >= 2.0**-24 and trial.size:
                 idx = live[trial]
@@ -438,9 +405,8 @@ def _newton_polish_batch(d, w_p, z, t0, tol, max_iter):
                 f[take], phi[take] = f_new[acc], phi_new[acc]
                 trial = trial[~acc]
                 step *= 0.5
-            # starts with no factor or no accepted step stop here
-            solved[trial] = False
-            live = live[solved]
+            # starts with no accepted step stop here
+            live = np.delete(live, trial)
         out_w[sl] = w
         out_res[sl] = np.abs(f).max(axis=-1)
     return out_w, out_res, out_res <= tol
@@ -456,35 +422,31 @@ def solve_idempotents(
     unknowns).  Each distinct start is polished once by damped
     Gauss-Newton (equal starts give equal results): the normal equations
     J^* J delta = -J^* F are Levenberg-regularised with the shift
-    ``1e-12 (1 + tr(J^* J) / m)``, multiplied by 100 while Cholesky fails
-    (four tries), and the step is halved from 1 down to ``2^-24`` until the
-    squared residual passes an Armijo test at ``1e-4``.  Polishing stops at
-    a residual of ``1e-13`` or after ``_MAX_ITER`` iterations; solutions
-    with a residual above ``_NEWTON_TOL`` or failing the state test are
-    discarded and the rest deduplicated at ``_DEDUP_TOL`` (sup norm of
-    ``w / _haar_scale``) in the order of :func:`canonical_order`, then
-    snapped onto the state face (:func:`_snap_to_states`) and deduplicated
-    again.  Deterministic for a fixed seed.  The counit and the Haar state
-    are starts, returned only when they pass the state test at ``1e-9``: on
-    an input that is valid only at a looser ``tol`` the result may be
-    empty.  No completeness claim is made for a general quantum group (the
-    CLI reports findings as "found").
+    ``1e-12 (1 + tr(J^* J) / m)`` and solved once, and the step is halved
+    from 1 down to ``2^-24`` until the squared residual passes an Armijo
+    test at ``1e-4``.  Polishing stops at a residual of ``1e-13`` or after
+    ``_MAX_ITER`` iterations (at once for ``n = 1``, where ``m = 0``);
+    solutions with a residual above ``_NEWTON_TOL`` or failing the state
+    test are discarded and the rest deduplicated at ``_DEDUP_TOL`` (sup
+    norm of ``w / _haar_scale``) in the order of :func:`canonical_order`,
+    then snapped onto the state face (:func:`_snap_to_states`) and
+    deduplicated again.  Deterministic for a fixed seed.  The counit and
+    the Haar state are starts, returned only when they pass the state test
+    at ``1e-9``: on an input that is valid only at a looser ``tol`` the
+    result may be empty.  No completeness claim is made for a general
+    quantum group (the CLI reports findings as "found").
 
     Starts, Newton polish and state test each run as array operations on
     blocks of ``max(1, 2**13 // n**2)`` starts, so the working set stays
     near 2**13 complex numbers.  Per distinct start the cost is ``n^3`` for
     the probe and its Cesaro warm-up (once per distinct probe mask), per
-    Newton iteration ``n^3`` for the Jacobian and normal equations, one
-    ``m^3 / 3`` Cholesky test and one ``2 m^3 / 3`` LU solve, ``n^3`` per
-    line-search trial, and ``n^3`` for the state test; the dedup costs one
-    ``n``-wide distance pass over the candidates per state kept, and per
-    state found the snap costs one ``n x n`` eigh and one state test.
+    Newton iteration ``n^3`` for the Jacobian and normal equations and one
+    ``2 m^3 / 3`` LU solve, ``n^3`` per line-search trial, and ``n^3`` for
+    the state test; the dedup costs one ``n``-wide distance pass over the
+    candidates per state kept, and per state found the snap costs one
+    ``n x n`` eigh and one state test.
     """
     cfg = SolveConfig() if cfg is None else cfg
-    n = qg.dim
-    if n == 1:
-        return [State(qg, np.ones(1) / qg.unit[0])]
-
     w_p, z = _constraint_chart(qg)
     gd = gns(qg)
     t0 = _solver_starts(qg, cfg, z, w_p, gd)

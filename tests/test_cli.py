@@ -316,3 +316,28 @@ def test_python_dash_m_runs_the_cli():
     )
     assert result.returncode == 0, result.stderr
     assert "passed: True" in result.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "fn:Z2"],  # a report that fits in the stdout buffer
+    ["idempotents", "fn:S4"],  # one that does not (about 15 kB)
+])
+def test_reader_closing_early_exits_1_without_a_traceback(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the report is written
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "qgidem", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) <= 1

@@ -27,7 +27,6 @@ from qgidem.states import (
 )
 from qgidem.states import (
     _blocks,
-    _cholesky_each,
     _constraint_chart,
     _generated_supports,
     _newton_polish_batch,
@@ -299,11 +298,16 @@ def test_solver_deterministic_given_seed():
         assert np.array_equal(x.coeffs, y.coeffs)
 
 
-def test_solver_dim_one():
-    g = algebra("fn", "Z1")
+@pytest.mark.parametrize("spec", ["fn:Z1", "ga:Z1", "dual:fn:Z1"])
+def test_solver_dim_one(spec):
+    # n = 1 runs the general path: m = 0 unknowns, so no Newton iteration
+    *duals, kind, name = spec.split(":")
+    g = algebra(kind, name)
+    for _ in duals:
+        g = qg.dual(g)
     found = solve_idempotents(g)
     assert len(found) == 1
-    assert np.allclose(found[0].coeffs, [1.0])
+    assert np.array_equal(found[0].coeffs, [1.0])
 
 
 def test_solve_config_validation():
@@ -483,14 +487,31 @@ def test_newton_batch_matches_reference_loop_on_a_generic_system(max_iter):
     assert np.abs(res - res_ref).max() <= 1e-10
 
 
-def test_cholesky_each_flags_the_failing_matrices():
-    a = np.stack([np.eye(3), -np.eye(3), 2.0 * np.eye(3)]).astype(np.complex128)
-    chol, ok = _cholesky_each(a)
-    assert ok.tolist() == [True, False, True]
-    assert np.allclose(chol[0], np.eye(3))
-    assert np.allclose(chol[2], np.sqrt(2.0) * np.eye(3))
-    chol, ok = _cholesky_each(a[[0, 2]])
-    assert ok.tolist() == [True, True]
+def test_newton_step_at_a_zero_jacobian(monkeypatch):
+    # F(e0 + t e1) = (-1, 0) for every t, so J = 0 exactly: the shifted
+    # matrix lam I is still regular, the step is 0, no Armijo step passes
+    # and the start stops after one iteration with residual 1
+    n = 2
+    d = np.zeros((n, n, n))
+    d[1, 1, 0] = 1.0
+    w_p = np.eye(n, dtype=np.complex128)[0]
+    z = np.eye(n, dtype=np.complex128)[:, 1:]
+    t0 = np.array([[0.5 + 0.25j]])
+    steps = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        steps.append(solve(a, b))
+        return steps[-1]
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    w, res, ok = _newton_polish_batch(d, w_p, z, t0, 1e-13, 80)
+    monkeypatch.undo()
+    assert len(steps) == 1 and np.array_equal(steps[0], np.zeros((1, 1, 1)))
+    assert np.array_equal(w[0], w_p + z @ t0[0])
+    assert res[0] == 1.0 and not ok[0]
+    w_ref, res_ref = _reference_polish(d, w_p, z, t0, 1e-13, 80)
+    assert np.array_equal(w, w_ref) and np.array_equal(res, res_ref)
 
 
 def test_newton_polish_receives_each_distinct_start_once(monkeypatch):
