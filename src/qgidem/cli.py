@@ -5,6 +5,10 @@ Inputs are either JSON files (see :mod:`qgidem.serialize`) or builtin
 specs like ``fn:S3``, ``ga:D4``, ``dual:fn:Z4`` (``dual:`` may be
 repeated).  Builtin groups: Z1..Z12, Z2xZ2, S3, D4, Q8, S4.
 
+Every command takes ``--tol``, ``--format`` and ``--out``; the solver's
+``--starts`` and ``--seed`` go to idempotents, classify, lattice and
+quotient, and ``--oracle`` to idempotents and classify.
+
 Exit status is 0 iff every requested check passed: 1 when a check
 failed, the solver found no idempotent state or the reader closed
 standard output before the report was written, 2 for a bad command
@@ -92,14 +96,14 @@ def nonnegative_int(text: str) -> int:
 def parse_input(spec: str, tol: float):
     """Resolve a builtin spec or JSON path to a validated quantum group.
 
-    Returns (qg, info) where info carries the Cayley table and the
-    effective kind ('fn' or 'ga') when the input is group-derived; taking
-    a dual flips the kind, since the dual of a function algebra is the
-    group algebra of the same group (and vice versa).  ``tol`` becomes
+    Returns (qg, info): info carries the validation report and, for a
+    group-derived input, the Cayley table and the effective kind ('fn' or
+    'ga'); a dual flips the kind, since the dual of a function algebra is
+    the group algebra of the same group (and vice versa).  ``tol`` becomes
     ``qg.tol`` for every input, a JSON file's own ``tol`` included, so
     ``validate`` and the checks of V run at the same tolerance.
     """
-    info = {"label": spec, "kind": None, "cayley": None}
+    info = {"kind": None, "cayley": None}
     if os.path.exists(spec) or spec.endswith(".json"):
         try:
             data = serialize.load_json(spec)
@@ -133,7 +137,7 @@ def parse_input(spec: str, tol: float):
         info["kind"] = kind
         info["cayley"] = ct
 
-    report = validate(qg)
+    info["report"] = report = validate(qg)
     if not report.passed:
         raise CliError(
             f"input failed validation; failing axioms: {report.failures}\n{report}"
@@ -173,7 +177,7 @@ def _solve(qg, args):
 
 
 def cmd_validate(qg, info, args):
-    report = validate(qg)
+    report = info["report"]
     data = {
         "residuals": report.residuals,
         "cancellation_ranks": list(report.cancellation_ranks),
@@ -276,7 +280,7 @@ def cmd_lattice(qg, info, args):
 
 def cmd_quotient(qg, info, args):
     found = _solve(qg, args)
-    if not 0 <= args.state < len(found):
+    if args.state >= len(found):
         raise CliError(
             f"--state must index one of the {len(found)} states found "
             "(see the idempotents command)"
@@ -370,14 +374,16 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("input", help="builtin spec (fn:S3, ga:D4, dual:fn:Z4) or JSON path")
         p.add_argument("--tol", type=positive_float, default=1e-9)
-        p.add_argument("--starts", type=positive_int, default=500)
-        p.add_argument("--seed", type=nonnegative_int, default=None)
-        p.add_argument("--oracle", action="store_true",
-                       help="cross-check against the subgroup oracle (builtin groups)")
+        if name in ("idempotents", "classify", "lattice", "quotient"):
+            p.add_argument("--starts", type=positive_int, default=500)
+            p.add_argument("--seed", type=nonnegative_int, default=0)
+        if name in ("idempotents", "classify"):
+            p.add_argument("--oracle", action="store_true",
+                           help="cross-check against the subgroup oracle (builtin groups)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write the report to this path")
         if name == "quotient":
-            p.add_argument("--state", type=int, required=True,
+            p.add_argument("--state", type=nonnegative_int, required=True,
                            help="index of the idempotent state (canonical order)")
         if name == "walk":
             p.add_argument("--steps", type=positive_int, default=1000)
@@ -390,14 +396,6 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.seed is None:
-            env_seed = os.environ.get("QGIDEM_SEED", "0")
-            try:
-                args.seed = nonnegative_int(env_seed)
-            except (ValueError, argparse.ArgumentTypeError):
-                raise CliError(
-                    f"QGIDEM_SEED must be a non-negative integer, got {env_seed!r}"
-                ) from None
         qg, info = parse_input(args.input, args.tol)
         data, passed, lines = COMMANDS[args.command](qg, info, args)
     except InternalConsistencyError as exc:

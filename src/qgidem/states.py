@@ -203,17 +203,17 @@ def _constraint_chart(qg):
     return w_p, np.ascontiguousarray(vh[1:].conj().T)
 
 
-def _cesaro_probe(qg, ws, k: int = 32):
+def _cesaro_probe(qg, ws):
     """Extrapolated Cesaro means of convolution powers of each row of ws.
 
     Cesaro means approach an idempotent state at rate O(1/k); the
-    Richardson combination 2 nu_{2k} - nu_k removes the 1/k term, leaving
-    a point exponentially close to an idempotent, which makes an excellent
-    Newton start.  The step matrices nu -> nu * w are stacked, so the
-    2k - 1 powers are stacked mat-vecs (``n^3`` per row to build the step,
-    ``n^2`` per power).
+    Richardson combination 2 nu_{2k} - nu_k, here at k = 32, removes the
+    1/k term, leaving a point exponentially close to an idempotent, which
+    makes an excellent Newton start.  The step matrices nu -> nu * w are
+    stacked, so the 2k - 1 powers are stacked mat-vecs (``n^3`` per row to
+    build the step, ``n^2`` per power).
     """
-    n = qg.dim
+    n, k = qg.dim, 32
     steps = _real_matmul(qg.comult.reshape(n * n, n), ws.T).T
     steps = np.ascontiguousarray(steps).reshape(-1, n, n)
     power = ws[..., None].copy()
@@ -553,20 +553,21 @@ def cesaro_walk(qg: FiniteQuantumGroup, mu, n: int) -> list[State]:
 # -- slice-operator recovery ---------------------------------------------
 
 
-def recover_slice(qg: FiniteQuantumGroup, t, tol: float = 1e-9) -> State | None:
+def recover_slice(qg: FiniteQuantumGroup, t) -> State | None:
     """If t commutes with every right slice R_nu, t = L_mu for mu = counit . t.
 
-    Returns the recovered functional, or None when some commutator is
-    nonzero.  Commutation without t = L_mu is impossible and raises.
+    Returns the recovered functional, or None when some commutator exceeds
+    1e-9.  Commutation without t = L_mu (within ``1e-8 n``) is impossible
+    and raises.
     """
     t = np.asarray(t)
     n = qg.dim
     r = qg.comult.transpose(2, 1, 0)  # r[k] = R_{f_k}: r[k, j, i] = comult[i, j, k]
-    if np.abs(t @ r - r @ t).max() > tol:
+    if np.abs(t @ r - r @ t).max() > 1e-9:
         return None
     mu = qg.counit @ t
     defect = np.abs(t - left_slice(qg, mu)).max()
-    if defect > max(tol, 1e-12) * 10 * n:
+    if defect > 1e-8 * n:
         raise InternalConsistencyError(
             f"t commutes with all right slices but t != L_mu (defect {defect:.2e})"
         )

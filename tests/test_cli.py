@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qgidem as qg
-from qgidem import analysis
+from qgidem import analysis, cli
 from qgidem.analysis import quotient_quantum_group
 from qgidem.cli import main, parse_input
 from qgidem.core import InternalConsistencyError
@@ -243,14 +243,25 @@ def test_out_file(capsys, tmp_path):
     assert report["passed"] is True
 
 
-def test_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("QGIDEM_SEED", "5")
-    code, out1, _ = run(capsys, "idempotents", "fn:Z4", "--starts", "150")
-    assert code == 0
-    monkeypatch.setenv("QGIDEM_SEED", "6")
-    code, out2, _ = run(capsys, "idempotents", "fn:Z4", "--starts", "150")
-    assert code == 0
-    assert "found 3" in out1 and "found 3" in out2
+def test_validate_ignores_the_environment(capsys, monkeypatch):
+    # no command reads a seed from the environment
+    monkeypatch.setenv("QGIDEM_SEED", "abc")
+    code, out, err = run(capsys, "validate", "fn:Z2")
+    assert code == 0 and err == ""
+    assert "passed: True" in out
+
+
+def test_validate_runs_validate_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return qg.validate(g)
+
+    monkeypatch.setattr(cli, "validate", counted)
+    code, out, _ = run(capsys, "validate", "fn:S3")
+    assert code == 0 and "passed: True" in out
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -276,13 +287,29 @@ def test_negative_seed_is_usage_error(capsys):
     assert err.count("\n") == 1 and "expected a non-negative integer" in err
 
 
-@pytest.mark.parametrize("value", ["abc", "-1"])
-def test_bad_seed_env_is_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("QGIDEM_SEED", value)
-    code, out, err = run(capsys, "idempotents", "fn:Z2")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "fn:Z2", "--starts", "5"),
+        ("validate", "fn:Z2", "--seed", "1"),
+        ("validate", "fn:Z2", "--oracle"),
+        ("lattice", "fn:Z2", "--oracle"),
+        ("quotient", "fn:Z2", "--state", "0", "--oracle"),
+        ("walk", "fn:Z2", "--starts", "5"),
+        ("walk", "fn:Z2", "--seed", "1"),
+        ("walk", "fn:Z2", "--oracle"),
+        ("quotient", "fn:Z2", "--state", "-1"),
+    ],
+)
+def test_unread_option_or_negative_state_is_usage_error(capsys, monkeypatch, argv):
+    # each command rejects the options it does not read, and quotient a
+    # negative --state, on the command line: before the input is built
+    monkeypatch.setattr(cli, "parse_input", None)
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1 and "QGIDEM_SEED" in err
+    flag = [a for a in argv if a.startswith("--")][-1]
+    assert err.count("\n") == 1 and flag in err, err
 
 
 def test_malformed_walk_init_is_usage_error(capsys, tmp_path):
