@@ -62,7 +62,12 @@ class CheckFailed(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Report a bad command line as a one-line CliError (exit 2)."""
+    """Report a bad command line as a one-line CliError (exit 2), and take
+    each option by its full name only: with prefix abbreviations what
+    ``--s`` means would depend on the other options of the command."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")

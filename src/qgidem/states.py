@@ -47,6 +47,26 @@ class State:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
+    @classmethod
+    def _of_rows(cls, qg: FiniteQuantumGroup, ws: np.ndarray) -> list["State"]:
+        """``State(qg, w)`` for each row w of ws, a new C-contiguous float64
+        or complex128 ``(k, qg.dim)`` array that no caller keeps: ws is made
+        read-only and its rows become the coefficients as they are, without
+        a check and a copy per row.  Only a complex row with no imaginary
+        part goes through the constructor, which stores it as float64."""
+        ws.setflags(write=False)
+        real = ~ws.imag.any(axis=-1) if ws.dtype.kind == "c" else np.zeros(len(ws), bool)
+        out = []
+        for w, to_float in zip(ws, real.tolist()):
+            if to_float:
+                out.append(cls(qg, w))
+                continue
+            st = object.__new__(cls)
+            object.__setattr__(st, "qg", qg)
+            object.__setattr__(st, "coeffs", w)
+            out.append(st)
+        return out
+
     def convolve(self, other: "State") -> "State":
         if other.qg is not self.qg:
             raise ValueError("convolution requires the same parent quantum group")
@@ -194,13 +214,85 @@ class SolveConfig:
             raise ValueError("seed must be >= 0")
 
 
-def _constraint_chart(qg):
-    """Affine chart of {omega(1) = 1}: w = w_p + z t with z an orthonormal
-    basis of the null space of the unit pairing."""
-    u = qg.unit
-    w_p = qg.counit.copy()  # counit is unital, a convenient base point
-    _, _, vh = np.linalg.svd(u[None, :])
-    return w_p, np.ascontiguousarray(vh[1:].conj().T)
+@dataclass(frozen=True)
+class _Chart:
+    """Real affine chart of the hermitian, antipode-invariant functionals
+    with omega(1) = 1, in the coordinates of a basis b_k of self-adjoint
+    elements (b-coordinates): ``w_b = w_p + z t`` with t real.
+
+    ``d`` is the coproduct tensor in b-coordinates, real because Delta is a
+    *-homomorphism; ``to_b`` is the matrix T whose columns are the b_k
+    (``w_b = Re(w T)`` for a functional w in input coordinates), and a chart
+    point goes back as ``w = w_in + (w_b - w_p) back``.
+    """
+
+    d: np.ndarray
+    w_p: np.ndarray
+    z: np.ndarray
+    to_b: np.ndarray
+    w_in: np.ndarray
+    back: np.ndarray
+
+    def coords(self, ws) -> np.ndarray:
+        """Chart coordinates t of the orthogonal projection of each row of
+        ws (input coordinates) after taking its hermitian part."""
+        w_b = _rows(self.to_b.T, ws).real
+        return _rows(self.z.T, w_b - self.w_p)
+
+    def functionals(self, w_b) -> np.ndarray:
+        """Input coordinates of the chart points w_b (rows)."""
+        return self.w_in + _rows(self.back.T, w_b - self.w_p)
+
+
+def _real_part_if_rounding(x) -> np.ndarray:
+    """x as float64 when its imaginary part is rounding (at most ``1e-13``
+    of its largest entry), else as it is."""
+    if np.iscomplexobj(x) and np.abs(x.imag).max() <= 1e-13 * np.abs(x).max():
+        return np.ascontiguousarray(x.real)
+    return x
+
+
+def _constraint_chart(qg: FiniteQuantumGroup, gd: GnsData) -> _Chart:
+    """The real affine chart {omega hermitian, omega S = omega, omega(1) = 1}.
+
+    The self-adjoint elements x + iy are the +1 eigenspace of the realified
+    star map ``[[Re *, Im *], [Im *, -Re *]]``, a real space of dimension
+    exactly n (star is an antilinear involution).  The Haar state is a
+    trace, so in GNS-orthonormal coordinates that map is a symmetric
+    orthogonal involution, and an eigh with eigenvalues +-1 gives the
+    eigenspace without a rank cutoff; a QR of its realified image in the
+    coordinates of A gives the basis b_k, orthonormal there.  A functional
+    is hermitian iff it is real on every b_k, and the antipode, which
+    commutes with the star, is a real involution S' there; the
+    antipode-invariant functionals are its +1 eigenspace, of dimension
+    exactly ``r = (n + tr S) / 2``, so the top r left singular vectors of
+    ``(1 + S'^T) / 2`` span it, again without a cutoff.  The chart is the
+    affine plane of that space at the counit cut out by omega(1) = 1, with
+    ``m = r - 1`` orthonormal directions z.  Building it costs ``n^4`` for
+    d, as stacks of ``n x n`` products, which stay off BLAS's threaded
+    path, and ``n^3`` for the rest.
+    """
+    n = qg.dim
+    u = gd.onb_inv @ qg.star @ np.conj(gd.onb)
+    realified = np.block([[u.real, u.imag], [u.imag, -u.real]])
+    x = np.linalg.eigh((realified + realified.T) / 2)[1][:, n:]
+    sa = gd.onb @ (x[:n] + 1j * x[n:])
+    q = np.linalg.qr(np.concatenate([sa.real, sa.imag]))[0]
+    t = _stored(q[:n] + 1j * q[n:])
+    t_inv = np.linalg.inv(t)
+    # d[i, j, k] = sum_pqr t[p, i] comult[p, q, r] t_inv[j, q] t_inv[k, r]
+    d = np.matmul(t.T, qg.comult.transpose(1, 0, 2))  # [q, i, r]
+    d = np.matmul(d, t_inv.T)  # [q, i, k]
+    d = np.matmul(t_inv, d.transpose(1, 0, 2))  # [i, j, k]
+    s_b = (t_inv @ qg.antipode @ t).real
+    r = int(round((n + np.trace(s_b)) / 2))
+    plus = np.linalg.svd((np.eye(n) + s_b.T) / 2)[0][:, :r]
+    unit_b = (t_inv @ qg.unit).real
+    z = plus @ np.linalg.svd((unit_b @ plus)[None, :])[2][1:].T
+    w_p = (qg.counit @ t).real
+    w_in = _real_part_if_rounding(w_p @ t_inv)
+    back = _real_part_if_rounding(z @ (z.T @ t_inv))
+    return _Chart(np.ascontiguousarray(d.real), w_p, np.ascontiguousarray(z), t, w_in, back)
 
 
 def _cesaro_probe(qg, ws):
@@ -268,7 +360,7 @@ def _haar_scale(qg) -> np.ndarray:
     return np.sqrt(d / d.min())
 
 
-def _solver_starts(qg, cfg, z, w_p, gd):
+def _solver_starts(qg, cfg, chart, gd):
     """Initial points for the multi-start Newton solve: at most
     ``max(2, cfg.starts)`` rows, in this order.
 
@@ -285,7 +377,12 @@ def _solver_starts(qg, cfg, z, w_p, gd):
     singles and pairs, and the probes at most the remainder.  Equal weights
     in Haar norm matter: the Cesaro limit of such a probe keeps exactly the
     coefficients that sit at the extreme value 1, and those form the
-    state's multiplicative-domain subgroup.
+    state's multiplicative-domain subgroup.  Each start is returned as the
+    real coordinates t of its point on ``chart`` (:meth:`_Chart.coords`):
+    the real part of its coordinates in the self-adjoint basis (its
+    hermitian part), projected orthogonally onto the antipode-invariant
+    plane.  The counit and the Haar state lie on the chart and keep their
+    place.
     """
     n = qg.dim
     rng = np.random.default_rng(cfg.seed)
@@ -311,7 +408,7 @@ def _solver_starts(qg, cfg, z, w_p, gd):
     noise = rng.standard_normal((n_random, n)) + 1j * rng.standard_normal((n_random, n))
     mixtures = normalized(p @ diag_states.T + sigma * noise)
     seeds = np.concatenate([eps[None], qg.haar[None], probes, mixtures])
-    return _rows(np.conj(z.T), seeds - w_p)
+    return chart.coords(seeds)
 
 
 def _blocks(count: int, n: int) -> list[slice]:
@@ -358,7 +455,8 @@ def _newton_polish_batch(d, w_p, z, t0, tol, max_iter):
     one ``2 m^3 / 3`` LU solve of the shifted system, and ``n^3`` per
     residual evaluation.  Each start is polished on its own bits, so equal
     starts give equal results; the solver passes only distinct starts.
-    Returns (solutions w, sup-norm residuals, convergence flags).
+    Returns (solutions w, in the result type of w_p, z and t0, sup-norm
+    residuals, convergence flags).
     """
     n = d.shape[0]
     m = z.shape[1]
@@ -369,7 +467,7 @@ def _newton_polish_batch(d, w_p, z, t0, tol, max_iter):
     jac += (d @ z).swapaxes(-1, -2)
     jac = jac.reshape(n * m, n)
 
-    out_w = np.empty((batch, n), dtype=np.complex128)
+    out_w = np.empty((batch, n), dtype=np.result_type(w_p, z, t0))
     out_res = np.empty(batch)
 
     def residual(w):
@@ -417,54 +515,68 @@ def solve_idempotents(
 ) -> list[State]:
     """Find idempotent states by damped multi-start Newton.
 
-    The quadratic system {omega * omega - omega = 0, omega(1) = 1} is solved
-    on the affine normalization chart w = w_p + z t (``m = n - 1``
-    unknowns).  Each distinct start is polished once by damped
-    Gauss-Newton (equal starts give equal results): the normal equations
-    J^* J delta = -J^* F are Levenberg-regularised with the shift
-    ``1e-12 (1 + tr(J^* J) / m)`` and solved once, and the step is halved
-    from 1 down to ``2^-24`` until the squared residual passes an Armijo
-    test at ``1e-4``.  Polishing stops at a residual of ``1e-13`` or after
-    ``_MAX_ITER`` iterations (at once for ``n = 1``, where ``m = 0``);
-    solutions with a residual above ``_NEWTON_TOL`` or failing the state
-    test are discarded and the rest deduplicated at ``_DEDUP_TOL`` (sup
-    norm of ``w / _haar_scale``) in the order of :func:`canonical_order`,
-    then snapped onto the state face (:func:`_snap_to_states`) and
-    deduplicated again.  Deterministic for a fixed seed.  The counit and
-    the Haar state are starts, returned only when they pass the state test
-    at ``1e-9``: on an input that is valid only at a looser ``tol`` the
-    result may be empty.  No completeness claim is made for a general
-    quantum group (the CLI reports findings as "found").
+    Idempotent states are hermitian and antipode-invariant (omega S =
+    omega: their densities are group-like projections p of the dual, and
+    applying m(S (x) id) to Delta(p)(1 (x) p) = p (x) p gives S(p) = p).
+    So the quadratic system {omega * omega - omega = 0, omega(1) = 1} is
+    solved as a real system on the affine chart of those functionals
+    (:func:`_constraint_chart`): ``w_b = w_p + z t`` in the coordinates of a
+    basis of self-adjoint elements, with ``m = (n + tr S) / 2 - 1`` real
+    unknowns t against a real coproduct tensor.  Each distinct start is
+    polished once by damped Gauss-Newton (equal starts give equal results):
+    the normal equations J^T J delta = -J^T F are Levenberg-regularised
+    with the shift ``1e-12 (1 + tr(J^T J) / m)`` and solved once, and the
+    step is halved from 1 down to ``2^-24`` until the squared residual
+    passes an Armijo test at ``1e-4``.  Polishing stops at a residual of
+    ``1e-13`` or after ``_MAX_ITER`` iterations (at once when ``m = 0``);
+    solutions with a residual above ``_NEWTON_TOL`` are discarded, the rest
+    are read back in the basis of A and filtered and snapped onto the state
+    face by :func:`_idempotent_states`, whose positivity test in
+    GNS-orthonormal coordinates does not depend on the basis of A (the
+    chart also holds signed idempotent measures).  The states are then
+    deduplicated at ``_DEDUP_TOL`` (sup norm of ``w / _haar_scale``) in the
+    order of :func:`canonical_order`, and each passes the state test at
+    ``1e-9`` once more as ``State`` stores it.  Deterministic for a fixed
+    seed.  The counit and the Haar state are starts, returned only when
+    they pass the state test: on an input that is valid only at a looser
+    ``tol`` the result may be empty.  No completeness claim is made for a
+    general quantum group (the CLI reports findings as "found").
 
     Starts, Newton polish and state test each run as array operations on
     blocks of ``max(1, 2**13 // n**2)`` starts, so the working set stays
-    near 2**13 complex numbers.  Per distinct start the cost is ``n^3`` for
-    the probe and its Cesaro warm-up (once per distinct probe mask), per
-    Newton iteration ``n^3`` for the Jacobian and normal equations and one
-    ``2 m^3 / 3`` LU solve, ``n^3`` per line-search trial, and ``n^3`` for
-    the state test; the dedup costs one ``n``-wide distance pass over the
-    candidates per state kept, and per state found the snap costs one
-    ``n x n`` eigh and one state test.
+    near 2**13 complex numbers.  The chart costs ``n^4`` once.  Per
+    distinct start the cost is ``n^3`` for the probe and its Cesaro warm-up
+    (once per distinct probe mask); per Newton iteration, in real flops,
+    ``2 n^2 m`` for the Jacobian, ``2 n m^2`` for the normal equations and
+    ``2 m^3 / 3`` for the LU solve, and ``2 n^3`` per line-search trial
+    (on S4, with ``m = 16``, about 61k flops per iteration with one trial,
+    against 250k to 350k over all complex functionals with ``n - 1``
+    complex unknowns); per candidate one Gram, one
+    ``n x n`` eigh and two state tests (``n^3`` each); the dedup costs one
+    ``n``-wide distance pass over the states per state kept.
     """
     cfg = SolveConfig() if cfg is None else cfg
-    w_p, z = _constraint_chart(qg)
     gd = gns(qg)
-    t0 = _solver_starts(qg, cfg, z, w_p, gd)
+    chart = _constraint_chart(qg, gd)
+    t0 = _solver_starts(qg, cfg, chart, gd)
     # each distinct start once, in the order of first appearance, which the
     # stable canonical order below keeps among near-equal solutions
     _, first = np.unique(t0, axis=0, return_index=True)
     solutions, residuals, _ = _newton_polish_batch(
-        qg.comult, w_p, z, t0[np.sort(first)], 1e-13, _MAX_ITER
+        chart.d, chart.w_p, chart.z, t0[np.sort(first)], 1e-13, _MAX_ITER
     )
-    candidates = solutions[residuals <= _NEWTON_TOL]
-    states = candidates[_state_mask(qg, candidates, 1e-9, idempotent=True)]
+    candidates = chart.functionals(solutions[residuals <= _NEWTON_TOL])
+    states = _idempotent_states(qg, gd, candidates)
     states = states[canonical_order(states)]
     # distance in units of each basis element's Haar norm
-    s = _haar_scale(qg)
-    snapped = _snap_to_states(
-        qg, gd, states[_distinct_rows(states / s, _DEDUP_TOL)], _DEDUP_TOL
-    )
-    return [State(qg, w) for w in snapped[_distinct_rows(snapped / s, _DEDUP_TOL)]]
+    states = states[_distinct_rows(states / _haar_scale(qg), _DEDUP_TOL)]
+    # the final state test reads each row as State stores it: float64 when
+    # its imaginary part is zero (core._stored)
+    real = ~np.iscomplex(states).any(axis=-1)
+    ok = np.empty(len(states), dtype=bool)
+    ok[real] = _state_mask(qg, states[real].real, 1e-9, idempotent=True)
+    ok[~real] = _state_mask(qg, states[~real], 1e-9, idempotent=True)
+    return [State(qg, w) for w in states[ok]]
 
 
 def canonical_order(ws) -> np.ndarray:
@@ -488,40 +600,71 @@ def _distinct_rows(ws, tol: float) -> np.ndarray:
     return np.flatnonzero(alive)
 
 
-def _snap_to_states(
-    qg: FiniteQuantumGroup, gd: GnsData, ws, max_move: float
-) -> np.ndarray:
-    """Move each row of ws onto the face of states its Gram matrix spans.
+def _snap_block(qg: FiniteQuantumGroup, gd: GnsData, ws, max_move: float):
+    """(positive, snapped): for each row of ws, whether its Gram matrix in
+    GNS-orthonormal coordinates has no eigenvalue below ``-1e-9`` times the
+    largest, and the row moved onto the face of states that Gram spans.
 
-    Newton can stop on an idempotent functional a little off the state
-    face: a Gram eigenvalue of ~1e-10 where 0 is meant, which the later
-    null-space cutoff reads as a nonzero direction.  The cutoff is taken
-    in GNS-orthonormal coordinates, on omega(f_k^* f_l) for an orthonormal
-    basis f of L^2(h), whose spectrum does not depend on the basis of A:
-    its Hermitian part loses the eigenvalues below ``1e-8`` times the
-    largest, the Gram matrix G[i, j] = omega(e_i^* e_j) is rebuilt from it,
-    omega is read back as omega(e_j) = sum_i conj(1_i) G[i, j] (the unit is
+    The Gram is taken as omega(f_k^* f_l) for an orthonormal basis f of
+    L^2(h), whose spectrum does not depend on the basis of A.  Its
+    Hermitian part loses the eigenvalues below ``1e-8`` times the largest,
+    the Gram matrix G[i, j] = omega(e_i^* e_j) is rebuilt from it, omega is
+    read back as omega(e_j) = sum_i conj(1_i) G[i, j] (the unit is
     sum_i 1_i e_i) and renormalised at the unit.  A row takes the snapped
     value only when that moved it by at most ``max_move`` (sup norm) and is
     still an idempotent state at ``1e-9``; otherwise it is kept as it was.
-    One ``n x n`` eigh per row, in blocks of :func:`_blocks`.
+    One ``n x n`` eigh per row serves both.
     """
     # G = onb_inv^* G' onb_inv, so conj(1) G = conj(Lambda(1)) G' onb_inv
     unit_h = np.conj(gd.vector(qg.unit))
-    out = np.array(ws, dtype=np.complex128)
-    for sl in _blocks(len(out), qg.dim):
-        g = np.conj(gd.onb.T) @ qg.functional_gram(out[sl]) @ gd.onb
-        g = (g + np.conj(g.swapaxes(-1, -2))) / 2
-        vals, vecs = np.linalg.eigh(g)
-        vals = np.where(vals >= 1e-8 * vals[..., -1:], vals, 0.0)
-        g = (vecs * vals[..., None, :]) @ np.conj(vecs.swapaxes(-1, -2))
-        w = (unit_h @ g) @ gd.onb_inv
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = w / (w @ qg.unit)[..., None]
-        keep = np.flatnonzero(np.abs(w - out[sl]).max(axis=-1) <= max_move)
-        keep = keep[_state_mask(qg, w[keep], 1e-9, idempotent=True)]
-        out[sl][keep] = w[keep]
-    return out
+    g = np.conj(gd.onb.T) @ qg.functional_gram(ws) @ gd.onb
+    g = (g + np.conj(g.swapaxes(-1, -2))) / 2
+    vals, vecs = np.linalg.eigh(g)
+    positive = vals[:, 0] >= -1e-9 * vals[:, -1]
+    vals = np.where(vals >= 1e-8 * vals[..., -1:], vals, 0.0)
+    g = (vecs * vals[..., None, :]) @ np.conj(vecs.swapaxes(-1, -2))
+    w = (unit_h @ g) @ gd.onb_inv
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = w / (w @ qg.unit)[..., None]
+    out = np.array(ws, dtype=w.dtype)
+    keep = np.flatnonzero(np.abs(w - out).max(axis=-1) <= max_move)
+    keep = keep[_state_mask(qg, w[keep], 1e-9, idempotent=True)]
+    out[keep] = w[keep]
+    return positive, out
+
+
+def _snap_to_states(
+    qg: FiniteQuantumGroup, gd: GnsData, ws, max_move: float
+) -> np.ndarray:
+    """Move each row of ws onto the face of states its Gram matrix spans
+    (:func:`_snap_block`), in blocks of :func:`_blocks`.
+
+    Newton can stop on an idempotent functional a little off the state
+    face: a Gram eigenvalue of ~1e-10 where 0 is meant, which the later
+    null-space cutoff reads as a nonzero direction.
+    """
+    blocks = [_snap_block(qg, gd, ws[sl], max_move)[1] for sl in _blocks(len(ws), qg.dim)]
+    return np.concatenate(blocks) if blocks else np.array(ws)
+
+
+def _idempotent_states(qg: FiniteQuantumGroup, gd: GnsData, ws) -> np.ndarray:
+    """The rows of ws that are idempotent states, each snapped onto its face.
+
+    A row must pass :func:`_state_mask` at ``1e-9`` in the basis of A and
+    the positivity test of :func:`_snap_block` in GNS-orthonormal
+    coordinates, which does not depend on the basis of A: a signed
+    idempotent measure such as chi 1_H / |H|, with chi a real character of
+    H, passes the first once a basis vector is scaled by 1e5.  A passing row
+    is snapped with a move of at most ``_DEDUP_TOL``.  In blocks of
+    :func:`_blocks`, at one Gram, one ``n x n`` eigh and two state tests
+    per row.
+    """
+    out = []
+    for sl in _blocks(len(ws), qg.dim):
+        w = ws[sl][_state_mask(qg, ws[sl], 1e-9, idempotent=True)]
+        positive, snapped = _snap_block(qg, gd, w, _DEDUP_TOL)
+        out.append(snapped[positive])
+    return np.concatenate(out) if out else np.array(ws)
 
 
 # -- random walks --------------------------------------------------------
@@ -534,20 +677,23 @@ def cesaro_walk(qg: FiniteQuantumGroup, mu, n: int) -> list[State]:
     points of the sequence are idempotent.  The sums are kept in the result
     type of the start and the step, so a real start on complex structure
     tensors sums in complex128, and a real start on a real input in float64.
+    The powers are taken one mat-vec at a time into one ``(n, dim)`` array,
+    summed along it and divided by k in place, in the operations and order
+    of a running sum, and the rows become the States (:meth:`State._of_rows`).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     w = as_coeffs(mu)
     # the step nu -> nu * mu
     step = _rows(qg.comult.reshape(-1, qg.dim), w).reshape(qg.dim, qg.dim)
-    power = w
-    acc = w.astype(np.result_type(step, w))
-    out = [State(qg, acc)]
-    for k in range(2, n + 1):
+    means = np.empty((n, qg.dim), dtype=np.result_type(step, w))
+    means[0] = power = w
+    for k in range(1, n):
         power = step @ power
-        acc += power
-        out.append(State(qg, acc / k))
-    return out
+        means[k] = power
+    np.add.accumulate(means, axis=0, out=means)
+    means[1:] /= np.arange(2, n + 1)[:, None]
+    return State._of_rows(qg, means)
 
 
 # -- slice-operator recovery ---------------------------------------------

@@ -312,6 +312,25 @@ def test_unread_option_or_negative_state_is_usage_error(capsys, monkeypatch, arg
     assert err.count("\n") == 1 and flag in err, err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walk", "fn:Z4", "--s", "3"),
+        ("idempotents", "fn:Z4", "--s", "3"),
+        ("walk", "fn:Z4", "--ste", "3"),
+        ("idempotents", "fn:Z4", "--star", "3"),
+    ],
+)
+def test_option_prefixes_are_usage_errors(capsys, monkeypatch, argv):
+    # an option is taken by its full name only: with prefixes, walk read
+    # --s as --steps while idempotents found it ambiguous
+    monkeypatch.setattr(cli, "parse_input", None)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "unrecognized arguments" in err and argv[2] in err
+
+
 def test_malformed_walk_init_is_usage_error(capsys, tmp_path):
     init = tmp_path / "init.json"
     init.write_text(json.dumps({"qg_hash": "0"}))

@@ -575,10 +575,10 @@ def test_sort_and_dedup_match_loop(kind, name, dense):
     # tests, and shuffled copies of the subgroup states moved by up to 0 to
     # 7e-7 in sup norm, on both sides of the 1e-7 dedup tolerance
     g, states = case(kind, name, dense)
-    w_p, z = _constraint_chart(g)
-    t0 = _solver_starts(g, SolveConfig(starts=60, seed=1), z, w_p, qg.gns(g))
-    polished, res, _ = _newton_polish_batch(g.comult, w_p, z, t0, 1e-13, 80)
-    polished = polished[res <= 1e-10]
+    chart = _constraint_chart(g, qg.gns(g))
+    t0 = _solver_starts(g, SolveConfig(starts=60, seed=1), chart, qg.gns(g))
+    polished, res, _ = _newton_polish_batch(chart.d, chart.w_p, chart.z, t0, 1e-13, 80)
+    polished = chart.functionals(polished[res <= 1e-10])
     polished = polished[_state_mask(g, polished, 1e-9, idempotent=True)]
     rng = np.random.default_rng(4)
     w = np.array(states)

@@ -44,6 +44,7 @@ from helpers import (
     group,
     hausdorff,
     oracle_states,
+    phase_twin,
     solved,
 )
 
@@ -326,13 +327,107 @@ def test_solve_config_rejects_negative_seed():
         SolveConfig(seed=-1)
 
 
+CHART_GROUPS = ["S3", "D4", "Q8", "Z12", "Z2xZ2", "S4"]
+CHART_INPUTS = [
+    (form, kind, name)
+    for form in ("builtin", "dense", "phase", "dual")
+    for kind in ("fn", "ga")
+    for name in CHART_GROUPS
+]
+
+
+def chart_input(form, kind, name):
+    """(g, oracle coefficients on g): algebra(kind, name) as built, in a
+    dense or a phase basis, or its dual, whose oracle is the subgroup
+    states of the other kind on the same group."""
+    if form == "dual":
+        g = qg.dual(algebra(kind, name))
+        build = subgroup_state_ga if kind == "fn" else subgroup_state_fn
+        ct = group(name)
+        return g, np.array([build(g, ct, sub).coeffs for sub in qg.all_subgroups(ct)])
+    g, t = {
+        "builtin": lambda: (algebra(kind, name), np.eye(algebra(kind, name).dim)),
+        "dense": lambda: dense_algebra(kind, name),
+        "phase": lambda: phase_twin(kind, name),
+    }[form]()
+    ti = np.linalg.inv(t)
+    return g, np.array([st.coeffs @ ti for st in oracle_states(kind, name)])
+
+
+@pytest.mark.parametrize("form,kind,name", CHART_INPUTS)
+def test_oracle_states_are_hermitian_and_antipode_invariant(form, kind, name):
+    # omega(a^*) = conj(omega(a)) reads w star = conj(w), and omega S = omega
+    # reads w antipode = w: the solver's chart holds every idempotent state
+    g, ws = chart_input(form, kind, name)
+    assert all(is_idempotent(g, w) for w in ws)
+    assert np.abs(ws @ g.star - np.conj(ws)).max() <= 1e-12
+    assert np.abs(ws @ g.antipode - ws).max() <= 1e-12
+    chart = _constraint_chart(g, qg.gns(g))
+    assert np.abs(chart.functionals(chart.w_p + chart.coords(ws) @ chart.z.T) - ws).max() <= 1e-12
+
+
+@pytest.mark.parametrize("form,kind,name", CHART_INPUTS)
+def test_chart_transports_the_coproduct_to_a_real_tensor(form, kind, name):
+    g, _ = chart_input(form, kind, name)
+    n = g.dim
+    chart = _constraint_chart(g, qg.gns(g))
+    t = chart.to_b
+    ti = np.linalg.inv(t)
+    # the b_k are self-adjoint and a basis
+    assert np.abs(g.star @ np.conj(t) - t).max() <= 1e-12
+    assert np.linalg.cond(t) <= 1e6
+    d = np.einsum("pi,pqr,jq,kr->ijk", t, g.comult, ti, ti, optimize=True)
+    assert np.abs(d.imag).max() <= 1e-12 * np.abs(d).max()
+    assert np.abs(chart.d - d.real).max() <= 1e-12 * np.abs(d).max()
+    assert chart.d.dtype == chart.z.dtype == chart.w_p.dtype == np.float64
+    # m = (n + tr S) / 2 - 1 orthonormal directions
+    m = (n + round(np.trace(g.antipode).real)) // 2 - 1
+    assert chart.z.shape == (n, m)
+    assert np.abs(chart.z.T @ chart.z - np.eye(m)).max() <= 1e-12
+    # the chart is the counit plus directions on which omega(1) = 0
+    assert np.abs(chart.functionals(chart.w_p[None])[0] - g.counit).max() <= 1e-12
+    assert np.abs(chart.functionals(chart.w_p + chart.z.T) @ g.unit - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("form,kind,name", CHART_INPUTS)
+def test_idempotent_residual_of_a_chart_point_lies_in_the_chart(form, kind, name):
+    # omega * omega is hermitian and antipode-invariant when omega is, and
+    # (omega * omega - omega)(1) = 0 on the chart: the residual lies in the
+    # span of z, so Gauss-Newton on the chart loses no equation
+    g, _ = chart_input(form, kind, name)
+    chart = _constraint_chart(g, qg.gns(g))
+    rng = np.random.default_rng(0)
+    t = rng.standard_normal((5, chart.z.shape[1]))
+    w_b = chart.w_p + t @ chart.z.T
+    f = np.einsum("ijk,bj,bk->bi", chart.d, w_b, w_b) - w_b
+    assert np.abs(f - (f @ chart.z) @ chart.z.T).max() <= 1e-12 * np.abs(f).max()
+    # the same residual, read in the basis of A
+    w = chart.functionals(w_b)
+    ref = np.array([convolve(g, x, x) - x for x in w])
+    moved = chart.functionals(chart.w_p + f) - chart.functionals(chart.w_p[None])
+    assert np.abs(moved - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("starts", [300, 500])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("form", ["dense", "phase"])
+def test_solver_completes_ga_q8_in_dense_and_phase_bases(form, seed, starts):
+    # the search over complex functionals found 3 to 5 of the 6 at some of
+    # these seeds; on the real chart every seed finds all 6
+    g, ws = chart_input(form, "ga", "Q8")
+    found = solve_idempotents(g, SolveConfig(starts=starts, seed=seed))
+    assert len(found) == 6
+    assert hausdorff(found, [State(g, w) for w in ws]) <= 1e-7
+    assert all(is_idempotent(g, st) for st in found)
+
+
 def test_kernel_converges_from_exact_solution():
     g = algebra("fn", "Z4")
-    w_p, z = _constraint_chart(g)
-    t_haar = (z.conj().T @ (g.haar - w_p))[None, :]
-    w, res, ok = _newton_polish_batch(g.comult, w_p, z, t_haar, 1e-13, 40)
+    chart = _constraint_chart(g, qg.gns(g))
+    t_haar = chart.coords(g.haar[None])
+    w, res, ok = _newton_polish_batch(chart.d, chart.w_p, chart.z, t_haar, 1e-13, 40)
     assert ok[0]
-    assert np.abs(w[0] - g.haar).max() < 1e-12
+    assert np.abs(chart.functionals(w)[0] - g.haar).max() < 1e-12
 
 
 def _reference_polish(d, w_p, z, t0, tol, max_iter):
@@ -376,9 +471,9 @@ def _reference_polish(d, w_p, z, t0, tol, max_iter):
 
 
 def _solver_starts_for(g, starts=500):
-    w_p, z = _constraint_chart(g)
+    chart = _constraint_chart(g, qg.gns(g))
     cfg = SolveConfig(starts=starts, seed=0)
-    return w_p, z, _solver_starts(g, cfg, z, w_p, qg.gns(g))
+    return chart, _solver_starts(g, cfg, chart, qg.gns(g))
 
 
 @pytest.mark.parametrize("kind,name,starts", [
@@ -390,8 +485,8 @@ def test_solver_starts_are_probes_then_mixtures(monkeypatch, kind, name, starts)
     # are distinct; the only random numbers drawn are the mixtures'
     g = algebra(kind, name)
     n = g.dim
-    w_p, z = _constraint_chart(g)
     gd = qg.gns(g)
+    chart = _constraint_chart(g, gd)
     drawn = []
     default_rng = np.random.default_rng
 
@@ -404,7 +499,7 @@ def test_solver_starts_are_probes_then_mixtures(monkeypatch, kind, name, starts)
             return getattr(self.rng, attr)
 
     monkeypatch.setattr(np.random, "default_rng", Recording)
-    t0 = _solver_starts(g, SolveConfig(starts=starts, seed=0), z, w_p, gd)
+    t0 = _solver_starts(g, SolveConfig(starts=starts, seed=0), chart, gd)
     combos = [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
     rest = max(0, starts - 2)
     n_random = (rest - min(len(combos), rest // 2) + 1) // 2
@@ -413,18 +508,20 @@ def test_solver_starts_are_probes_then_mixtures(monkeypatch, kind, name, starts)
     assert sorted(drawn) == ["dirichlet", "standard_normal", "standard_normal", "uniform"]
     if (kind, name, starts) == ("fn", "S4", 500):
         assert len(probes) == len(combos) == 300 and n_random == 125
-    assert np.abs(w_p + t0[:2] @ z.T - np.array([g.counit, g.haar])).max() <= 1e-12
+    w = chart.functionals(chart.w_p + t0[:2] @ chart.z.T)
+    assert np.abs(w - np.array([g.counit, g.haar])).max() <= 1e-12
 
 
 def _check_batch_matches_single_start(g, exact):
     # a budget at which every pick below exists, 2 * size included
-    w_p, z, t0 = _solver_starts_for(g, starts=1000)
+    chart, t0 = _solver_starts_for(g, starts=1000)
+    d, w_p, z = chart.d, chart.w_p, chart.z
     size = _blocks(len(t0), g.dim)[0].stop
     assert size < len(t0)  # the batch spans several blocks
-    w, res, ok = _newton_polish_batch(g.comult, w_p, z, t0, 1e-13, 80)
+    w, res, ok = _newton_polish_batch(d, w_p, z, t0, 1e-13, 80)
     picks = {0, 1, size - 1, size, size + 1, 2 * size, len(t0) - 1}
     for b in sorted(picks | set(range(2, len(t0), 37))):
-        w1, res1, ok1 = _newton_polish_batch(g.comult, w_p, z, t0[b : b + 1], 1e-13, 80)
+        w1, res1, ok1 = _newton_polish_batch(d, w_p, z, t0[b : b + 1], 1e-13, 80)
         assert np.abs(w1[0] - w[b]).max() <= 1e-12
         assert abs(res1[0] - res[b]) <= 1e-12 and ok1[0] == ok[b]
         if exact:
@@ -451,9 +548,10 @@ def test_newton_batch_finds_what_the_reference_loop_finds(kind, name):
     # raw landing points on positive-dimensional non-state components depend
     # on rounding, so the comparison is on the deduplicated idempotent states
     g = algebra(kind, name)
-    w_p, z, t0 = _solver_starts_for(g, starts=200)
-    w_new, res_new, _ = _newton_polish_batch(g.comult, w_p, z, t0, 1e-13, 80)
-    w_ref, res_ref = _reference_polish(g.comult, w_p, z, t0, 1e-13, 80)
+    chart, t0 = _solver_starts_for(g, starts=200)
+    d, w_p, z = chart.d, chart.w_p, chart.z
+    w_new, res_new, _ = _newton_polish_batch(d, w_p, z, t0, 1e-13, 80)
+    w_ref, res_ref = _reference_polish(d, w_p, z, t0, 1e-13, 80)
     assert np.array_equal(res_new <= 1e-10, res_ref <= 1e-10)
     if kind == "ga":
         # convolution on a group algebra is pointwise and its idempotents
@@ -461,7 +559,7 @@ def test_newton_batch_finds_what_the_reference_loop_finds(kind, name):
         assert np.abs(w_new - w_ref).max() <= 1e-12
 
     def found(ws, res):
-        ws = ws[res <= 1e-10]
+        ws = chart.functionals(ws[res <= 1e-10])
         return [State(g, w) for w in ws if is_idempotent(g, w, 1e-9)]
 
     a, b = found(w_new, res_new), found(w_ref, res_ref)
@@ -525,7 +623,7 @@ def test_newton_polish_receives_each_distinct_start_once(monkeypatch):
     monkeypatch.setattr(states_module, "_newton_polish_batch", record)
     found = solve_idempotents(g, SolveConfig(starts=500, seed=0))
     (t0,) = received
-    _, _, starts = _solver_starts_for(g)
+    _, starts = _solver_starts_for(g)
     distinct = np.unique(starts, axis=0)
     assert len(t0) == len(distinct) < len(starts)
     assert np.array_equal(np.unique(t0, axis=0), distinct)
@@ -614,6 +712,44 @@ def test_cesaro_walk_fixed_points():
     for st in (epsilon_state(g), haar_state(g)):
         walk = qg.cesaro_walk(g, st, 20)
         assert all(np.abs(nu.coeffs - st.coeffs).max() < 1e-12 for nu in walk)
+
+
+def _reference_walk(g, w, n):
+    """The per-step loop the array form replaced: a running sum of the
+    powers, divided by k for each mean."""
+    step = states_module._rows(g.comult.reshape(-1, g.dim), w).reshape(g.dim, g.dim)
+    power = w
+    acc = w.astype(np.result_type(step, w))
+    out = [State(g, acc)]
+    for k in range(2, n + 1):
+        power = step @ power
+        acc += power
+        out.append(State(g, acc / k))
+    return out
+
+
+@pytest.mark.parametrize("twin", [False, True])
+def test_cesaro_walk_means_are_bit_identical_to_the_running_sum(twin):
+    # fn:Z4 from the CLI walk's default start, and its complex phase twin
+    g = phase_twin("fn", "Z4")[0] if twin else algebra("fn", "Z4")
+    w = states_module._vector_state(g, g.unit + 0.1 * np.eye(g.dim)[0])
+    walk = qg.cesaro_walk(g, w, 10000)
+    ref = _reference_walk(g, w, 10000)
+    assert len(walk) == len(ref) == 10000
+    want = np.complex128 if twin else np.float64
+    for a, b in zip(walk, ref):
+        assert a.coeffs.dtype == b.coeffs.dtype == want
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+        assert not a.coeffs.flags.writeable and a.qg is g
+
+
+def test_state_rows_store_a_complex_row_without_imaginary_part_as_float():
+    g = algebra("fn", "S3")
+    ws = np.array([g.haar + 0.5j * (g.counit - g.haar), g.counit + 0j])
+    a, b = State._of_rows(g, ws.copy())
+    assert a.coeffs.dtype == np.complex128 and b.coeffs.dtype == np.float64
+    assert np.array_equal(a.coeffs, ws[0]) and np.array_equal(b.coeffs, g.counit)
+    assert not a.coeffs.flags.writeable and not b.coeffs.flags.writeable
 
 
 def test_cesaro_walk_converges_to_haar():
