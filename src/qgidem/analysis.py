@@ -28,8 +28,6 @@ from .core import (
     MultUnitary,
     QuantumGroupError,
     ValidationReport,
-    _associativity_defect,
-    _cancellation_bound,
     frobenius,
     gns,
     multiplicative_unitary,
@@ -282,7 +280,13 @@ def _bimodule_defect(qg, e, u) -> float:
 
 
 def _kernel_basis(e, rel_tol: float = 1e-9) -> np.ndarray:
-    _, s, vh = np.linalg.svd(e)
+    """Orthonormal basis of the kernel of the (m, n) matrix e: the right
+    singular vectors past its numerical rank.  For m >= n the thin SVD
+    (m n^2) gives the same singular values and the same n x n V^H as the
+    full one without forming the m x m U; for m < n the full SVD is needed
+    for the n - m rows of V^H that span the rest of the kernel."""
+    rows, cols = np.shape(e)
+    _, s, vh = np.linalg.svd(e, full_matrices=rows < cols)
     return vh.conj().T[:, _numerical_rank(s, rel_tol) :]
 
 
@@ -381,6 +385,12 @@ def classify(
     construction (attempted only when N_omega is an ideal, as the quotient
     needs it).  The three answers must agree; a disagreement is raised as
     an internal error because it contradicts the classification theorem.
+
+    The idempotency test, N_omega (one n x n eigh) and its ideal residual
+    (n^4) run once and serve (b) and (c): the quotient is built from them
+    by :func:`_quotient`, whose validation of B (n_B^6) dominates a Haar
+    state's cost.  When omega is a State of qg the quotient is kept on it,
+    and :func:`quotient_quantum_group` on that State returns it.
     """
     w = as_coeffs(omega)
     _require_idempotent(qg, w)
@@ -397,7 +407,7 @@ def classify(
     quotient_error = None
     if ideal_ok:
         try:
-            quotient_quantum_group(qg, w)
+            _keep_quotient(qg, omega, _quotient(qg, w, nsp))
             quotient_built = True
         except QuantumGroupError as exc:
             quotient_error = str(exc)
@@ -424,7 +434,7 @@ def classify(
 # -- quantum subgroup quotients ------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuotientQG:
     """The compact quantum subgroup B = A / N_omega of a Haar idempotent.
 
@@ -433,7 +443,8 @@ class QuotientQG:
     ``section`` maps B-coordinates back to the Haar-orthogonal complement
     of N_omega; ``haar_mu`` is the faithful invariant state with
     haar_mu . pi = omega, i.e. the Haar state of B; ``report`` is the
-    (passed) validation of B.
+    (passed) validation of B.  Instances are immutable (``projection`` and
+    ``section`` are read-only), so one may be kept on its State and shared.
     """
 
     quotient: FiniteQuantumGroup
@@ -442,12 +453,36 @@ class QuotientQG:
     section: np.ndarray
     report: ValidationReport
 
+    def __post_init__(self):
+        self.projection.setflags(write=False)
+        self.section.setflags(write=False)
+
+
+def _state_of(qg, omega) -> bool:
+    return isinstance(omega, State) and omega.qg is qg
+
+
+def _keep_quotient(qg, omega, q: QuotientQG) -> QuotientQG:
+    """Store q in the __dict__ of omega when omega is a State of qg, where
+    ``functools.cached_property`` would keep it; return q."""
+    if _state_of(qg, omega):
+        omega.__dict__["_quotient"] = q
+    return q
+
 
 def quotient_quantum_group(qg: FiniteQuantumGroup, omega) -> QuotientQG:
-    """Quotient A by N_omega and equip the result with quantum group data."""
+    """Quotient A by N_omega and equip the result with quantum group data.
+
+    When omega is a State of qg the quotient is built once and kept on it
+    (also by :func:`classify`); a later call with that State returns the
+    same object.  A bare coefficient array is built on every call: the
+    idempotency test, N_omega (one n x n eigh), its ideal residual (n^4)
+    and :func:`_quotient`.
+    """
+    if _state_of(qg, omega) and "_quotient" in omega.__dict__:
+        return omega.__dict__["_quotient"]
     w = as_coeffs(omega)
     _require_idempotent(qg, w)
-    n = qg.dim
     nsp = null_space(qg, w)
     res = ideal_residual(qg, nsp)
     if res > CLASSIFY_TOL:
@@ -455,6 +490,15 @@ def quotient_quantum_group(qg: FiniteQuantumGroup, omega) -> QuotientQG:
             f"null space is not an ideal (residual {res:.2e}); "
             "no quantum subgroup quotient exists"
         )
+    return _keep_quotient(qg, omega, _quotient(qg, w, nsp))
+
+
+def _quotient(qg: FiniteQuantumGroup, w, nsp) -> QuotientQG:
+    """A / N_omega for the idempotent state w whose null space has the
+    orthonormal basis nsp, an ideal: the induced structure tensors
+    (n^4 for the product), the checks that the unit, coproduct,
+    counit and antipode descend, and the validation of B (n_B^6)."""
+    n = qg.dim
     k = nsp.shape[1]
     nb = n - k
     g = np.asarray(qg.haar_gram)
@@ -586,8 +630,10 @@ def coaction_checks(qg: FiniteQuantumGroup, c_basis) -> CheckReport:
     of the nondegeneracy span.  The density matrix is T (u (x) 1) for the
     left cancellation span T of A and orthonormal u, so sigma_min of it is
     at least sigma_min(T) >= (1 - bound) / ||X||_F, with the bound and the
-    inverse X of ``core._cancellation_bound`` (n^5, after the n^5
-    associativity residual it needs).  When that exceeds the absolute
+    inverse X of the left cancellation certificate of qg
+    (``FiniteQuantumGroup._left_cancellation``: n^5 with the associativity
+    residual it needs, on the first call per quantum group only; later
+    calls read it).  When that exceeds the absolute
     cutoff 1e-8 the rank is k n; only otherwise are the (k n) x n^2
     density rows built (k n^4) and their rank taken by SVD (k^2 n^4, n^6
     when C = A).
@@ -600,7 +646,7 @@ def coaction_checks(qg: FiniteQuantumGroup, c_basis) -> CheckReport:
     outside = x - u @ (u.conj().T @ x)
     membership = float(np.linalg.norm(outside, axis=(-2, -1)).max(initial=0.0))
     counit_law = float(np.abs(x @ qg.counit - u.T).max(initial=0.0))
-    bound, _, norm_x = _cancellation_bound(qg, "left", _associativity_defect(qg.mult))
+    bound, _, norm_x = qg._left_cancellation
     if 1.0 - bound > 1e-8 * norm_x:
         density_rank = kdim * n
     else:

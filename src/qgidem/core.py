@@ -157,6 +157,14 @@ class FiniteQuantumGroup:
         return g
 
     @cached_property
+    def _left_cancellation(self) -> tuple[float, float, float]:
+        """(bound, ||T||_F, ||X||_F) of :func:`_cancellation_bound` for the
+        left span at the associativity residual of ``mult``: two n^5 terms,
+        computed once per instance.  ``validate`` takes its certificates
+        afresh on every call."""
+        return _cancellation_bound(self, "left", _associativity_defect(self.mult))
+
+    @cached_property
     def _content_hash(self) -> str:
         """The digest :func:`qgidem.serialize.content_hash` returns, computed
         once per instance (a sha256 over every tensor)."""

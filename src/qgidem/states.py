@@ -286,9 +286,9 @@ def _constraint_chart(qg: FiniteQuantumGroup, gd: GnsData) -> _Chart:
     d = np.matmul(t_inv, d.transpose(1, 0, 2))  # [i, j, k]
     s_b = (t_inv @ qg.antipode @ t).real
     r = int(round((n + np.trace(s_b)) / 2))
-    plus = np.linalg.svd((np.eye(n) + s_b.T) / 2)[0][:, :r]
+    plus = np.linalg.svd((np.eye(n) + s_b.T) / 2, full_matrices=True)[0][:, :r]
     unit_b = (t_inv @ qg.unit).real
-    z = plus @ np.linalg.svd((unit_b @ plus)[None, :])[2][1:].T
+    z = plus @ np.linalg.svd((unit_b @ plus)[None, :], full_matrices=True)[2][1:].T
     w_p = (qg.counit @ t).real
     w_in = _real_part_if_rounding(w_p @ t_inv)
     back = _real_part_if_rounding(z @ (z.T @ t_inv))
@@ -633,20 +633,6 @@ def _snap_block(qg: FiniteQuantumGroup, gd: GnsData, ws, max_move: float):
     return positive, out
 
 
-def _snap_to_states(
-    qg: FiniteQuantumGroup, gd: GnsData, ws, max_move: float
-) -> np.ndarray:
-    """Move each row of ws onto the face of states its Gram matrix spans
-    (:func:`_snap_block`), in blocks of :func:`_blocks`.
-
-    Newton can stop on an idempotent functional a little off the state
-    face: a Gram eigenvalue of ~1e-10 where 0 is meant, which the later
-    null-space cutoff reads as a nonzero direction.
-    """
-    blocks = [_snap_block(qg, gd, ws[sl], max_move)[1] for sl in _blocks(len(ws), qg.dim)]
-    return np.concatenate(blocks) if blocks else np.array(ws)
-
-
 def _idempotent_states(qg: FiniteQuantumGroup, gd: GnsData, ws) -> np.ndarray:
     """The rows of ws that are idempotent states, each snapped onto its face.
 
@@ -655,7 +641,10 @@ def _idempotent_states(qg: FiniteQuantumGroup, gd: GnsData, ws) -> np.ndarray:
     coordinates, which does not depend on the basis of A: a signed
     idempotent measure such as chi 1_H / |H|, with chi a real character of
     H, passes the first once a basis vector is scaled by 1e5.  A passing row
-    is snapped with a move of at most ``_DEDUP_TOL``.  In blocks of
+    is snapped with a move of at most ``_DEDUP_TOL``: Newton can stop on an
+    idempotent functional a little off the state face, with a Gram
+    eigenvalue of ~1e-10 where 0 is meant, which the later null-space
+    cutoff would read as a nonzero direction.  In blocks of
     :func:`_blocks`, at one Gram, one ``n x n`` eigh and two state tests
     per row.
     """

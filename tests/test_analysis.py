@@ -1,7 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import qgidem as qg
+from qgidem import analysis, core
 from qgidem.analysis import (
     CLASSIFY_TOL,
     _algebra_residuals,
@@ -582,6 +586,102 @@ def test_coaction_checks_examples():
     assert rep.passed
     assert rep.values["density_rank"] == 12
     assert rep.values["nondegeneracy_rank"] == 6
+
+
+def assert_same_quotient(a, b):
+    for name in ("mult", "unit", "star", "comult", "counit", "antipode", "haar"):
+        x, y = getattr(a.quotient, name), getattr(b.quotient, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    for x, y in ((a.projection, b.projection), (a.section, b.section)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert np.array_equal(a.haar_mu.coeffs, b.haar_mu.coeffs)
+    assert a.report.residuals == b.report.residuals
+    assert a.report.cancellation_ranks == b.report.cancellation_ranks
+
+
+def test_classify_and_quotient_build_one_quotient_per_state(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return core.validate(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "validate", counted)
+    g = algebra("fn", "S3")
+    gd, mu = gns_and_unitary("fn", "S3")
+    a3 = subgroups_by_order("S3")[3][0]
+    st = subgroup_state_fn(g, group("S3"), a3)
+    c = classify(g, st, gd=gd, mu=mu)
+    assert c.is_haar and c.witnesses["quotient_built"]
+    q = quotient_quantum_group(g, st)
+    assert len(calls) == 1 and calls[0] is q.quotient
+    assert quotient_quantum_group(g, st) is q
+    assert len(calls) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.projection = np.eye(2)
+    for arr in (q.projection, q.section):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    # a bare array, or the State passed with another quantum group object,
+    # builds anew and bit for bit the same quotient
+    fresh = quotient_quantum_group(g, st.coeffs)
+    assert len(calls) == 2 and fresh is not q
+    assert_same_quotient(fresh, q)
+    other = quotient_quantum_group(dataclasses.replace(g), st)
+    assert len(calls) == 3 and other is not q
+    assert_same_quotient(other, q)
+    assert quotient_quantum_group(g, st) is q
+
+
+def test_coaction_checks_certify_once_per_quantum_group(monkeypatch):
+    sides = []
+
+    def counted(g, side, *args, **kwargs):
+        sides.append(side)
+        return bound(g, side, *args, **kwargs)
+
+    bound = core._cancellation_bound
+    monkeypatch.setattr(core, "_cancellation_bound", counted)
+    g = dataclasses.replace(algebra("ga", "S3"))  # a new instance, nothing cached
+    a3 = subgroups_by_order("S3")[3][0]
+    sub = invariant_subalgebra(g, subgroup_state_ga(g, group("S3"), a3))
+    reps = [coaction_checks(g, c) for c in (np.eye(6), g.unit[:, None], sub.basis)]
+    assert sides == ["left"]
+    assert all(rep.passed for rep in reps)
+    assert g._left_cancellation == bound(g, "left", core._associativity_defect(g.mult))
+    # validate takes its own certificates on every call
+    qg.validate(g)
+    qg.validate(g)
+    assert sides == ["left", "right", "left", "right", "left"]
+
+
+def test_homogeneous_space_check_forms_no_full_u():
+    # fn:S4's Haar state has N_omega = 0, so the fixed-point operator is
+    # (24 * 24) x 24 and its full U alone would take 576^2 * 8 B = 2.6 MiB
+    g = algebra("fn", "S4")
+    q = quotient_quantum_group(g, g.haar)
+    rep = homogeneous_space_check(g, g.haar, q)
+    tracemalloc.start()
+    try:
+        assert homogeneous_space_check(g, g.haar, q).values == rep.values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    n, nb = g.dim, q.quotient.dim
+    op = np.einsum("bp,ipt->bti", q.projection, g.comult).reshape(nb * n, n)
+    op -= np.einsum("b,ti->bti", q.quotient.unit, np.eye(n)).reshape(nb * n, n)
+    u, s, vh = np.linalg.svd(op, full_matrices=True)
+    assert u.nbytes > 2.5 * 2**20
+    fixed = vh.conj().T[:, int(np.sum(s > 1e-10 * max(s[0], 1.0))) :]
+    c = orthonormal_columns(left_slice(g, g.haar))
+    assert rep.passed
+    assert rep.values == {
+        "fixed_point_dim": fixed.shape[1],
+        "subalgebra_dim": c.shape[1],
+        "span_mismatch": max(subspace_defect(fixed, c), subspace_defect(c, fixed)),
+    }
 
 
 # -- order and lattice -----------------------------------------------------

@@ -1,7 +1,9 @@
 """The public names of ``qgidem``: deleting code must not drop one; and
 the signatures that say which functions take a tolerance."""
 
+import ast
 import inspect
+import pathlib
 import types
 
 import qgidem
@@ -93,3 +95,16 @@ def test_tolerances_kept_where_callers_set_them():
     for fn in (core.validate, states.is_state, states.is_idempotent):
         assert "tol" in inspect.signature(fn).parameters, fn.__name__
     assert "rel_tol" in inspect.signature(analysis._kernel_basis).parameters
+
+
+def test_every_svd_says_which_factors_it_forms():
+    # np.linalg.svd forms the full m x m U by default: each call in the
+    # package passes full_matrices= or compute_uv= to say what it needs
+    calls = []
+    for path in sorted(pathlib.Path(qgidem.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("linalg.svd"):
+                keys = {kw.arg for kw in node.keywords}
+                calls.append((path.name, node.lineno, bool(keys & {"full_matrices", "compute_uv"})))
+    assert len(calls) >= 5
+    assert [call for call in calls if not call[2]] == []

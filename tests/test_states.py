@@ -29,8 +29,8 @@ from qgidem.states import (
     _blocks,
     _constraint_chart,
     _generated_supports,
+    _idempotent_states,
     _newton_polish_batch,
-    _snap_to_states,
     _solver_starts,
     _state_mask,
 )
@@ -257,7 +257,7 @@ def test_snap_on_a_badly_scaled_basis():
         w[off[:2]] = 1e-10, -1e-10
         exact.append(st.coeffs @ t_inv)
         drifted.append(w @ t_inv)
-    snapped = _snap_to_states(g, qg.gns(g), np.array(drifted), 1e-7)
+    snapped = _idempotent_states(g, qg.gns(g), np.array(drifted))
     assert len(snapped) == 5
     assert np.abs(snapped - np.array(exact)).max() <= 1e-13
 
