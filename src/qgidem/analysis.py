@@ -390,7 +390,8 @@ def classify(
     (n^4) run once and serve (b) and (c): the quotient is built from them
     by :func:`_quotient`, whose validation of B (n_B^6) dominates a Haar
     state's cost.  When omega is a State of qg the quotient is kept on it,
-    and :func:`quotient_quantum_group` on that State returns it.
+    it is the returned ``state``, and :func:`quotient_quantum_group` on it
+    returns that quotient.
     """
     w = as_coeffs(omega)
     _require_idempotent(qg, w)
@@ -420,7 +421,7 @@ def classify(
             + (f" ({quotient_error})" if quotient_error else "")
         )
     return Classification(
-        state=State(qg, w),
+        state=omega if _state_of(qg, omega) else State(qg, w),
         null_space_dim=nsp.shape[1],
         is_haar=ideal_ok,
         witnesses={

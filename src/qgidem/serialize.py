@@ -51,15 +51,29 @@ def _tensor_out(t) -> list:
     return [list(entry) for entry in zip(*cols)]
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: an int, not a bool and not a float."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _tensor_in(items, n, name) -> np.ndarray:
+    """The tensor of a triplet list; each index must be an integer in
+    range(n), and each [i, j, k] may appear once."""
     t = np.zeros((n, n, n), dtype=np.complex128)
+    seen = set()
     for entry in items:
         if len(entry) != 5:
             raise StructuralError(f"{name}: triplet entries must be [i,j,k,re,im]")
         i, j, k, re, im = entry
-        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+        ijk = (i, j, k)
+        if not all(_is_int(x) for x in ijk):
+            raise StructuralError(f"{name}: indices must be integers in {entry}")
+        if not all(0 <= x < n for x in ijk):
             raise StructuralError(f"{name}: index out of range in {entry}")
-        t[int(i), int(j), int(k)] = complex(re, im)
+        if ijk in seen:
+            raise StructuralError(f"{name}: repeated index {list(ijk)}")
+        seen.add(ijk)
+        t[ijk] = complex(re, im)
     return t
 
 
@@ -79,9 +93,11 @@ def qg_to_dict(qg: FiniteQuantumGroup) -> dict:
 
 def qg_from_dict(data: dict) -> FiniteQuantumGroup:
     try:
-        n = int(data["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n = data["dim"]
+    except (KeyError, TypeError) as exc:
         raise StructuralError(f"missing or bad 'dim' field: {exc}") from exc
+    if not _is_int(n) or n < 1:
+        raise StructuralError(f"'dim' must be a positive integer, got {n!r}")
     required = ("mult", "comult", "unit", "counit", "haar", "star", "antipode")
     missing = [key for key in required if key not in data]
     if missing:

@@ -192,6 +192,7 @@ def random_state(qg: FiniteQuantumGroup, rng) -> State:
 
 
 # fixed solver settings, described in solve_idempotents and _solver_starts
+_POLISH_TOL = 1e-13
 _NEWTON_TOL = 1e-10
 _DEDUP_TOL = 1e-7
 _MAX_ITER = 80
@@ -437,26 +438,25 @@ def _square(d, ws) -> np.ndarray:
     return _rows(dw, ws)
 
 
-def _newton_polish_batch(d, w_p, z, t0, tol, max_iter):
+def _newton_polish_batch(d, w_p, z, t0):
     """Polish each start of the idempotent system on the normalization chart.
 
     Unknown: t with w = w_p + z t.  Residual: F(w) = conv(w, w) - w where
     conv is the bilinear map with coefficients d.  The iteration is the one
     described in :func:`solve_idempotents`, run on the starts of one block
-    of :func:`_blocks` at a time over the set of live starts.  A start
-    leaves the live set when ``max |F| <= tol`` or when no Armijo step is
-    accepted (a direction that does not descend is rejected there); the
-    rest stop after ``max_iter`` iterations.  The shift keeps the normal
-    matrix positive definite, so its one stacked solve over the live starts
-    never meets a singular matrix, not even at a zero Jacobian.  The
-    Jacobian ``(sum_k (d[i,j,k] + d[i,k,j]) w_k - delta_ij) z`` comes from
-    one precontracted ``(n m, n)`` matrix.  Per start and iteration the
-    cost is ``n^2 m`` for the Jacobian, ``n m^2`` for the normal equations,
-    one ``2 m^3 / 3`` LU solve of the shifted system, and ``n^3`` per
-    residual evaluation.  Each start is polished on its own bits, so equal
-    starts give equal results; the solver passes only distinct starts.
-    Returns (solutions w, in the result type of w_p, z and t0, sup-norm
-    residuals, convergence flags).
+    of :func:`_blocks` at a time over the set of live starts: each live
+    start takes one full Gauss-Newton step per iteration, and leaves the
+    live set when ``max |F| <= _POLISH_TOL``; the rest stop after
+    ``_MAX_ITER`` iterations.  The shift keeps the normal matrix positive
+    definite, so its one stacked solve over the live starts never meets a
+    singular matrix, not even at a zero Jacobian.  The Jacobian
+    ``(sum_k (d[i,j,k] + d[i,k,j]) w_k - delta_ij) z`` comes from one
+    precontracted ``(n m, n)`` matrix.  Per start and iteration the cost is
+    ``n^2 m`` for the Jacobian, ``n m^2`` for the normal equations, one
+    ``2 m^3 / 3`` LU solve of the shifted system, and ``n^3`` for the
+    residual.  Each start is polished on its own bits, so equal starts give
+    equal results; the solver passes only distinct starts.  Returns
+    (solutions w, in the result type of w_p, z and t0, sup-norm residuals).
     """
     n = d.shape[0]
     m = z.shape[1]
@@ -469,18 +469,13 @@ def _newton_polish_batch(d, w_p, z, t0, tol, max_iter):
 
     out_w = np.empty((batch, n), dtype=np.result_type(w_p, z, t0))
     out_res = np.empty(batch)
-
-    def residual(w):
-        return _square(d, w) - w
-
     for sl in _blocks(batch, n):
         t = t0[sl].copy()
         w = w_p + _rows(z, t)
-        f = residual(w)
-        phi = np.sum(np.abs(f) ** 2, axis=-1)
+        f = _square(d, w) - w
         live = np.arange(len(t))
-        for _ in range(max_iter if m else 0):
-            live = live[np.abs(f[live]).max(axis=-1) > tol]
+        for _ in range(_MAX_ITER if m else 0):
+            live = live[np.abs(f[live]).max(axis=-1) > _POLISH_TOL]
             if not live.size:
                 break
             j = _rows(jac, w[live]).reshape(-1, n, m) - z
@@ -488,32 +483,18 @@ def _newton_polish_batch(d, w_p, z, t0, tol, max_iter):
             a = jh @ j
             rhs = -(jh @ f[live][..., None])
             lam = 1e-12 * (1.0 + np.trace(a, axis1=-2, axis2=-1).real / m)
-            delta = np.linalg.solve(a + lam[:, None, None] * eye, rhs)[..., 0]
-            trial = np.arange(live.size)
-            step = 1.0
-            while step >= 2.0**-24 and trial.size:
-                idx = live[trial]
-                t_new = t[idx] + step * delta[trial]
-                w_new = w_p + _rows(z, t_new)
-                f_new = residual(w_new)
-                phi_new = np.sum(np.abs(f_new) ** 2, axis=-1)
-                acc = phi_new <= phi[idx] * (1.0 - 1e-4 * step)
-                take = idx[acc]
-                t[take], w[take] = t_new[acc], w_new[acc]
-                f[take], phi[take] = f_new[acc], phi_new[acc]
-                trial = trial[~acc]
-                step *= 0.5
-            # starts with no accepted step stop here
-            live = np.delete(live, trial)
+            t[live] += np.linalg.solve(a + lam[:, None, None] * eye, rhs)[..., 0]
+            w[live] = w_p + _rows(z, t[live])
+            f[live] = _square(d, w[live]) - w[live]
         out_w[sl] = w
         out_res[sl] = np.abs(f).max(axis=-1)
-    return out_w, out_res, out_res <= tol
+    return out_w, out_res
 
 
 def solve_idempotents(
     qg: FiniteQuantumGroup, cfg: SolveConfig | None = None
 ) -> list[State]:
-    """Find idempotent states by damped multi-start Newton.
+    """Find idempotent states by multi-start Gauss-Newton.
 
     Idempotent states are hermitian and antipode-invariant (omega S =
     omega: their densities are group-like projections p of the dual, and
@@ -523,15 +504,15 @@ def solve_idempotents(
     (:func:`_constraint_chart`): ``w_b = w_p + z t`` in the coordinates of a
     basis of self-adjoint elements, with ``m = (n + tr S) / 2 - 1`` real
     unknowns t against a real coproduct tensor.  Each distinct start is
-    polished once by damped Gauss-Newton (equal starts give equal results):
-    the normal equations J^T J delta = -J^T F are Levenberg-regularised
-    with the shift ``1e-12 (1 + tr(J^T J) / m)`` and solved once, and the
-    step is halved from 1 down to ``2^-24`` until the squared residual
-    passes an Armijo test at ``1e-4``.  Polishing stops at a residual of
-    ``1e-13`` or after ``_MAX_ITER`` iterations (at once when ``m = 0``);
-    solutions with a residual above ``_NEWTON_TOL`` are discarded, the rest
-    are read back in the basis of A and filtered and snapped onto the state
-    face by :func:`_idempotent_states`, whose positivity test in
+    polished once by Gauss-Newton (equal starts give equal results): per
+    iteration the normal equations J^T J delta = -J^T F are
+    Levenberg-regularised with the shift ``1e-12 (1 + tr(J^T J) / m)`` and
+    solved once, and the full step t + delta is taken.  Polishing stops at
+    a residual of ``_POLISH_TOL`` (``1e-13``) or after ``_MAX_ITER``
+    iterations (at once when ``m = 0``); solutions with a residual above
+    ``_NEWTON_TOL`` are discarded, the rest are read back in the basis of A
+    and filtered and snapped onto the state face by
+    :func:`_idempotent_states`, whose positivity test in
     GNS-orthonormal coordinates does not depend on the basis of A (the
     chart also holds signed idempotent measures).  The states are then
     deduplicated at ``_DEDUP_TOL`` (sup norm of ``w / _haar_scale``) in the
@@ -547,13 +528,13 @@ def solve_idempotents(
     near 2**13 complex numbers.  The chart costs ``n^4`` once.  Per
     distinct start the cost is ``n^3`` for the probe and its Cesaro warm-up
     (once per distinct probe mask); per Newton iteration, in real flops,
-    ``2 n^2 m`` for the Jacobian, ``2 n m^2`` for the normal equations and
-    ``2 m^3 / 3`` for the LU solve, and ``2 n^3`` per line-search trial
-    (on S4, with ``m = 16``, about 61k flops per iteration with one trial,
-    against 250k to 350k over all complex functionals with ``n - 1``
-    complex unknowns); per candidate one Gram, one
-    ``n x n`` eigh and two state tests (``n^3`` each); the dedup costs one
-    ``n``-wide distance pass over the states per state kept.
+    ``2 n^2 m`` for the Jacobian, ``2 n m^2`` for the normal equations,
+    ``2 m^3 / 3`` for the LU solve and ``2 n^3`` for the residual (on S4,
+    with ``m = 16``, about 61k flops per iteration, against 250k to 350k
+    over all complex functionals with ``n - 1`` complex unknowns); per
+    candidate one Gram, one ``n x n`` eigh and two state tests (``n^3``
+    each); the dedup costs one ``n``-wide distance pass over the states per
+    state kept.
     """
     cfg = SolveConfig() if cfg is None else cfg
     gd = gns(qg)
@@ -562,9 +543,8 @@ def solve_idempotents(
     # each distinct start once, in the order of first appearance, which the
     # stable canonical order below keeps among near-equal solutions
     _, first = np.unique(t0, axis=0, return_index=True)
-    solutions, residuals, _ = _newton_polish_batch(
-        chart.d, chart.w_p, chart.z, t0[np.sort(first)], 1e-13, _MAX_ITER
-    )
+    t0 = t0[np.sort(first)]
+    solutions, residuals = _newton_polish_batch(chart.d, chart.w_p, chart.z, t0)
     candidates = chart.functionals(solutions[residuals <= _NEWTON_TOL])
     states = _idempotent_states(qg, gd, candidates)
     states = states[canonical_order(states)]

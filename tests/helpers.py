@@ -40,6 +40,62 @@ def algebra(kind, name):
 
 
 @functools.lru_cache(maxsize=None)
+def kac_paljutkin():
+    """The Kac-Paljutkin quantum group, A = C^4 (+) M_2, the smallest one
+    that is neither commutative nor cocommutative.
+
+    The basis is e1..e4, E11, E12, E21, E22 (indices 0..7), with the
+    matrix-unit products and E_ij^* = E_ji; the counit is e1, the antipode
+    swaps E12 and E21 and fixes the rest, the Haar state is 1/8 on each e_i
+    and 1/4 on E11 and E22.  The coproduct is the one written out by
+    Franz and Skalski (J. Algebra 2009).
+    """
+    e1, e2, e3, e4, E11, E12, E21, E22 = range(8)
+    units = {(0, 0): E11, (0, 1): E12, (1, 0): E21, (1, 1): E22}
+    mult = np.zeros((8, 8, 8))
+    for i in (e1, e2, e3, e4):
+        mult[i, i, i] = 1.0
+    for (a, b), x in units.items():
+        for (c, d), y in units.items():
+            if b == c:
+                mult[x, y, units[a, d]] = 1.0
+    h, i = 0.5, 0.5j
+    coproduct = {
+        e1: [(1, e1, e1), (1, e2, e2), (1, e3, e3), (1, e4, e4)]
+        + [(h, x, x) for x in units.values()],
+        e2: [(1, e1, e2), (1, e2, e1), (1, e3, e4), (1, e4, e3),
+             (h, E11, E22), (h, E22, E11), (i, E21, E12), (-i, E12, E21)],
+        e3: [(1, e1, e3), (1, e3, e1), (1, e2, e4), (1, e4, e2),
+             (h, E11, E22), (h, E22, E11), (-i, E21, E12), (i, E12, E21)],
+        e4: [(1, e1, e4), (1, e4, e1), (1, e2, e3), (1, e3, e2),
+             (h, E11, E11), (h, E22, E22), (-h, E12, E12), (-h, E21, E21)],
+        E11: [(1, e1, E11), (1, E11, e1), (1, e2, E22), (1, E22, e2),
+              (1, e3, E22), (1, E22, e3), (1, e4, E11), (1, E11, e4)],
+        E22: [(1, e1, E22), (1, E22, e1), (1, e2, E11), (1, E11, e2),
+              (1, e3, E11), (1, E11, e3), (1, e4, E22), (1, E22, e4)],
+        E12: [(1, e1, E12), (1, E12, e1), (1j, e2, E21), (-1j, E21, e2),
+              (-1j, e3, E21), (1j, E21, e3), (-1, e4, E12), (-1, E12, e4)],
+    }
+    comult = np.zeros((8, 8, 8), dtype=np.complex128)
+    for x, terms in coproduct.items():
+        for c, j, k in terms:
+            comult[x, j, k] += c
+    # Delta(E21) is the adjoint of Delta(E12)
+    star = np.eye(8)[:, [e1, e2, e3, e4, E11, E21, E12, E22]]
+    comult[E21] = np.conj(star @ comult[E12] @ star.T)
+    return qg.FiniteQuantumGroup(
+        dim=8,
+        mult=mult,
+        unit=np.array([1, 1, 1, 1, 1, 0, 0, 1.0]),
+        star=star,
+        comult=comult,
+        counit=np.eye(8)[e1],
+        antipode=star.copy(),
+        haar=np.array([1, 1, 1, 1, 2, 0, 0, 2]) / 8,
+    )
+
+
+@functools.lru_cache(maxsize=None)
 def gns_and_unitary(kind, name):
     g = algebra(kind, name)
     gd = qg.gns(g)

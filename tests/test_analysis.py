@@ -613,9 +613,11 @@ def test_classify_and_quotient_build_one_quotient_per_state(monkeypatch):
     st = subgroup_state_fn(g, group("S3"), a3)
     c = classify(g, st, gd=gd, mu=mu)
     assert c.is_haar and c.witnesses["quotient_built"]
+    assert c.state is st  # so the quotient kept on st is on c.state
     q = quotient_quantum_group(g, st)
     assert len(calls) == 1 and calls[0] is q.quotient
     assert quotient_quantum_group(g, st) is q
+    assert quotient_quantum_group(g, c.state) is q
     assert len(calls) == 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         q.projection = np.eye(2)
@@ -628,8 +630,11 @@ def test_classify_and_quotient_build_one_quotient_per_state(monkeypatch):
     fresh = quotient_quantum_group(g, st.coeffs)
     assert len(calls) == 2 and fresh is not q
     assert_same_quotient(fresh, q)
+    bare = classify(g, st.coeffs, gd=gd, mu=mu).state
+    assert len(calls) == 3 and bare is not st and bare.qg is g
+    assert np.array_equal(bare.coeffs, st.coeffs)
     other = quotient_quantum_group(dataclasses.replace(g), st)
-    assert len(calls) == 3 and other is not q
+    assert len(calls) == 4 and other is not q
     assert_same_quotient(other, q)
     assert quotient_quantum_group(g, st) is q
 

@@ -65,6 +65,16 @@ def test_invalid_quantum_group_file_lists_axioms(capsys, tmp_path):
     assert "haar_left_invariant" in err
 
 
+def test_repeated_tensor_entry_is_usage_error(capsys, tmp_path):
+    data = qg_to_dict(algebra("fn", "Z2"))
+    data["comult"].append([1, 1, 0, 2.0, 0.0])  # a second value for [1, 1, 0]
+    path = tmp_path / "repeated.json"
+    save_json(path, data)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "comult: repeated index [1, 1, 0]" in err
+
+
 def near_json(tmp_path):
     """ga:S3 with its comultiplication moved by 1e-8, saved at tol 1e-9."""
     g = algebra("ga", "S3")

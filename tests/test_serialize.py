@@ -74,6 +74,27 @@ def test_malformed_quantum_group_errors():
         qg_from_dict(data)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("mult", [0.9, 0, 0, 1.0, 0.0], "indices must be integers"),
+    ("mult", [True, 1, 1, 1.0, 0.0], "indices must be integers"),
+    ("comult", [0, 0, "0", 1.0, 0.0], "indices must be integers"),
+    ("comult", [1, 1, 0, 2.0, 0.0], "repeated index"),
+    ("dim", 2.9, "'dim' must be a positive integer"),
+    ("dim", True, "'dim' must be a positive integer"),
+    ("dim", 0, "'dim' must be a positive integer"),
+])
+def test_reader_refuses_what_it_would_change(field, value, message):
+    # a float or bool index would be truncated, a repeated triplet would
+    # overwrite the earlier value and a float dim would be rounded down
+    data = qg_to_dict(algebra("fn", "Z2"))
+    if field == "dim":
+        data["dim"] = value
+    else:
+        data[field].append(value)
+    with pytest.raises(StructuralError, match=message):
+        qg_from_dict(data)
+
+
 def test_cayley_round_trip():
     ct = group("D4")
     data = cayley_to_dict(ct)

@@ -577,7 +577,7 @@ def test_sort_and_dedup_match_loop(kind, name, dense):
     g, states = case(kind, name, dense)
     chart = _constraint_chart(g, qg.gns(g))
     t0 = _solver_starts(g, SolveConfig(starts=60, seed=1), chart, qg.gns(g))
-    polished, res, _ = _newton_polish_batch(chart.d, chart.w_p, chart.z, t0, 1e-13, 80)
+    polished, res = _newton_polish_batch(chart.d, chart.w_p, chart.z, t0)
     polished = chart.functionals(polished[res <= 1e-10])
     polished = polished[_state_mask(g, polished, 1e-9, idempotent=True)]
     rng = np.random.default_rng(4)
