@@ -28,9 +28,11 @@ from .core import (
     MultUnitary,
     QuantumGroupError,
     ValidationReport,
+    _kernel_basis,
     frobenius,
     gns,
     multiplicative_unitary,
+    orthonormal_columns,
     validate,
 )
 from .states import (
@@ -45,23 +47,6 @@ from .states import (
 CONSTRUCTION_TOL = 1e-10
 CLASSIFY_TOL = 1e-8
 EQUIVALENCE_TOL = 1e-6
-
-
-def _numerical_rank(s, rel_tol: float) -> int:
-    """How many singular values s (descending) exceed rel_tol * max(s[0], 1);
-    the floor at 1 keeps a numerically-zero matrix from reading as full rank."""
-    cutoff = rel_tol * max(float(s[0]) if s.size else 0.0, 1.0)
-    return int(np.sum(s > cutoff))
-
-
-def orthonormal_columns(m) -> np.ndarray:
-    """Orthonormal basis of the column space (Frobenius geometry); singular
-    values up to 1e-9 times the largest are dropped."""
-    m = np.atleast_2d(np.asarray(m))
-    if m.shape[1] == 0:
-        return m
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, : _numerical_rank(s, 1e-9)]
 
 
 def subspace_defect(images, u) -> float:
@@ -277,17 +262,6 @@ def _bimodule_defect(qg, e, u) -> float:
     that is, how far e is from a C-bimodule map (k^2 n^3 for k columns)."""
     x = qg.right_mult_matrix(u.T)[None] @ qg.left_mult_matrix(u.T)[:, None]
     return float(np.abs(e @ x - x @ e).max(initial=0.0))
-
-
-def _kernel_basis(e, rel_tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis of the kernel of the (m, n) matrix e: the right
-    singular vectors past its numerical rank.  For m >= n the thin SVD
-    (m n^2) gives the same singular values and the same n x n V^H as the
-    full one without forming the m x m U; for m < n the full SVD is needed
-    for the n - m rows of V^H that span the rest of the kernel."""
-    rows, cols = np.shape(e)
-    _, s, vh = np.linalg.svd(e, full_matrices=rows < cols)
-    return vh.conj().T[:, _numerical_rank(s, rel_tol) :]
 
 
 # -- symmetry under the dual action -------------------------------------

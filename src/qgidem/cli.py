@@ -6,8 +6,8 @@ specs like ``fn:S3``, ``ga:D4``, ``dual:fn:Z4`` (``dual:`` may be
 repeated).  Builtin groups: Z1..Z12, Z2xZ2, S3, D4, Q8, S4.
 
 Every command takes ``--tol``, ``--format`` and ``--out``; the solver's
-``--starts`` and ``--seed`` go to idempotents, classify, lattice and
-quotient, and ``--oracle`` to idempotents and classify.
+``--seed`` goes to idempotents, classify, lattice and quotient, and
+``--oracle`` to idempotents and classify.
 
 Exit status is 0 iff every requested check passed: 1 when a check
 failed, the solver found no idempotent state or the reader closed
@@ -171,7 +171,7 @@ def _fmt_state(state, digits=6):
 
 
 def _solve(qg, args):
-    found = solve_idempotents(qg, SolveConfig(starts=args.starts, seed=args.seed))
+    found = solve_idempotents(qg, SolveConfig(seed=args.seed))
     if not found:
         # the counit is an idempotent state of every valid input
         raise CheckFailed(
@@ -380,7 +380,6 @@ def build_parser():
         p.add_argument("input", help="builtin spec (fn:S3, ga:D4, dual:fn:Z4) or JSON path")
         p.add_argument("--tol", type=positive_float, default=1e-9)
         if name in ("idempotents", "classify", "lattice", "quotient"):
-            p.add_argument("--starts", type=positive_int, default=500)
             p.add_argument("--seed", type=nonnegative_int, default=0)
         if name in ("idempotents", "classify"):
             p.add_argument("--oracle", action="store_true",

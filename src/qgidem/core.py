@@ -250,6 +250,35 @@ def _rank(matrix):
     return int(np.sum(s > _RANK_REL_TOL * s[0]))
 
 
+def _numerical_rank(s, rel_tol: float) -> int:
+    """How many singular values s (descending) exceed rel_tol * max(s[0], 1);
+    the floor at 1 keeps a numerically-zero matrix from reading as full rank."""
+    cutoff = rel_tol * max(float(s[0]) if s.size else 0.0, 1.0)
+    return int(np.sum(s > cutoff))
+
+
+def orthonormal_columns(m) -> np.ndarray:
+    """Orthonormal basis of the column space (Frobenius geometry); singular
+    values up to ``_RANK_REL_TOL`` times the largest (at least 1) are
+    dropped."""
+    m = np.atleast_2d(np.asarray(m))
+    if m.shape[1] == 0:
+        return m
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u[:, : _numerical_rank(s, _RANK_REL_TOL)]
+
+
+def _kernel_basis(e, rel_tol: float = _RANK_REL_TOL) -> np.ndarray:
+    """Orthonormal basis of the kernel of the (m, n) matrix e: the right
+    singular vectors past its numerical rank.  For m >= n the thin SVD
+    (m n^2) gives the same singular values and the same n x n V^H as the
+    full one without forming the m x m U; for m < n the full SVD is needed
+    for the n - m rows of V^H that span the rest of the kernel."""
+    rows, cols = np.shape(e)
+    _, s, vh = np.linalg.svd(e, full_matrices=rows < cols)
+    return vh.conj().T[:, _numerical_rank(s, rel_tol) :]
+
+
 # no workspace: every product allocates its own result
 _NO_WORK = (None, None, None, None)
 
@@ -605,6 +634,11 @@ def dual(qg: FiniteQuantumGroup) -> FiniteQuantumGroup:
         raise QuantumGroupError(
             f"dual() requires a valid quantum group; failing axioms: {report.failures}"
         )
+    return _dual(qg)
+
+
+def _dual(qg: FiniteQuantumGroup) -> FiniteQuantumGroup:
+    """The tensors of :func:`dual`, built without validating qg first."""
     m, d = qg.mult, qg.comult
     mult_dual = np.einsum("kij->ijk", d)
     comult_dual = np.einsum("jki->ijk", m)
@@ -624,6 +658,27 @@ def dual(qg: FiniteQuantumGroup) -> FiniteQuantumGroup:
         counit=qg.unit.copy(),
         antipode=antipode_dual,
         haar=h_dual,
+        tol=qg.tol,
+    )
+
+
+def _change_basis(qg: FiniteQuantumGroup, t) -> FiniteQuantumGroup:
+    """The quantum group for which ``a -> t a`` is an isomorphism from qg.
+
+    Every structure tensor is transported (n^4 for each rank-3 one);
+    functionals move as ``w t^-1``.
+    """
+    t = np.asarray(t)
+    ti = np.linalg.inv(t)
+    return FiniteQuantumGroup(
+        dim=qg.dim,
+        mult=np.einsum("ip,jq,ijk,lk->pql", ti, ti, qg.mult, t, optimize=True),
+        unit=t @ qg.unit,
+        star=t @ qg.star @ np.conj(ti),
+        comult=np.einsum("il,ijk,pj,qk->lpq", ti, qg.comult, t, t, optimize=True),
+        counit=qg.counit @ ti,
+        antipode=t @ qg.antipode @ ti,
+        haar=qg.haar @ ti,
         tol=qg.tol,
     )
 

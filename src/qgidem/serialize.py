@@ -124,16 +124,25 @@ def cayley_to_dict(ct: CayleyTable) -> dict:
     }
 
 
+def _int_in(x, name) -> int:
+    """x itself when it is a JSON integer; a float would be truncated."""
+    if not _is_int(x):
+        raise StructuralError(f"{name} must be an integer, got {x!r}")
+    return x
+
+
 def cayley_from_dict(data: dict) -> CayleyTable:
-    n = int(data["order"])
-    flat = data["table"]
+    n = _int_in(data["order"], "'order'")
+    flat = [_int_in(x, "each 'table' entry") for x in data["table"]]
     if len(flat) != n * n:
         raise ValueError(f"table must have {n * n} row-major entries")
     ct = CayleyTable(np.array(flat, dtype=np.int64).reshape(n, n))
-    if "identity" in data and int(data["identity"]) != ct.identity:
+    if "identity" in data and _int_in(data["identity"], "'identity'") != ct.identity:
         raise ValueError("declared identity does not match the table")
-    if "inverse" in data and [int(x) for x in data["inverse"]] != list(ct.inverse):
-        raise ValueError("declared inverses do not match the table")
+    if "inverse" in data:
+        inverse = [_int_in(x, "each 'inverse' entry") for x in data["inverse"]]
+        if inverse != list(ct.inverse):
+            raise ValueError("declared inverses do not match the table")
     return ct
 
 

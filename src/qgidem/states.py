@@ -16,12 +16,17 @@ import numpy as np
 
 from .cayley import CayleyTable, is_subgroup
 from .core import (
+    _RANK_REL_TOL,
     FiniteQuantumGroup,
     GnsData,
     InternalConsistencyError,
+    _change_basis,
+    _dual,
+    _kernel_basis,
     _real_matmul,
     _stored,
     gns,
+    orthonormal_columns,
 )
 
 
@@ -98,6 +103,32 @@ def left_slice(qg: FiniteQuantumGroup, w) -> np.ndarray:
 def right_slice(qg: FiniteQuantumGroup, w) -> np.ndarray:
     """Matrix of R_omega = (id (x) omega) Delta on A-coordinates."""
     return np.einsum("ijk,k->ji", qg.comult, as_coeffs(w))
+
+
+def _blocks(count: int, n: int) -> list[slice]:
+    """Slices covering range(count) in blocks of max(1, 2**13 // n**2) rows.
+
+    A block's largest intermediate (Gram matrices, the n x n products of
+    two subspace bases) holds about 2**13 numbers whatever n is.
+    """
+    size = max(1, 2**13 // (n * n))
+    return [slice(i, min(i + size, count)) for i in range(0, count, size)]
+
+
+def _rows(matrix, ws) -> np.ndarray:
+    """matrix @ w for each row w of ws, as one mat-vec per row.
+
+    A stacked mat-vec gives each row the same bits whatever the batch holds,
+    which a single matrix product over all rows does not.
+    """
+    return _real_matmul(matrix, ws[..., None])[..., 0]
+
+
+def _square(d, ws) -> np.ndarray:
+    """sum_{j,k} d[i, j, k] w_j w_k for each row w of ws (``n^3`` per row)."""
+    n = d.shape[0]
+    dw = _rows(d.reshape(n * n, n), ws).reshape(ws.shape[:-1] + (n, n))
+    return _rows(dw, ws)
 
 
 def _state_mask(qg: FiniteQuantumGroup, ws, tol: float, idempotent: bool) -> np.ndarray:
@@ -188,22 +219,15 @@ def random_state(qg: FiniteQuantumGroup, rng) -> State:
     return State(qg, _vector_state(qg, a))
 
 
-# -- idempotent solver --------------------------------------------------
-
-
-# fixed solver settings, described in solve_idempotents and _solver_starts
-_POLISH_TOL = 1e-13
-_NEWTON_TOL = 1e-10
-_DEDUP_TOL = 1e-7
-_MAX_ITER = 80
-_PERTURBATION = 1.2
+# -- idempotent states as coideal subalgebras -------------------------------
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Multi-start Newton budget for the idempotent equation: ``starts``
-    caps the number of starts (:func:`_solver_starts`) and ``seed`` seeds
-    their random mixtures."""
+    """Settings accepted by :func:`solve_idempotents`.  Both are checked and
+    neither is read: the construction is exact and deterministic, so it
+    has no start budget, and the one random draw it makes (the split of
+    each centre) comes from a fixed seed."""
 
     starts: int = 500
     seed: int = 0
@@ -216,340 +240,300 @@ class SolveConfig:
 
 
 @dataclass(frozen=True)
-class _Chart:
-    """Real affine chart of the hermitian, antipode-invariant functionals
-    with omega(1) = 1, in the coordinates of a basis b_k of self-adjoint
-    elements (b-coordinates): ``w_b = w_p + z t`` with t real.
+class _Side:
+    """One side of the duality, A or its dual, in GNS-orthonormal
+    coordinates: ``g`` is the quantum group there (Haar Gram 1), and
+    ``to_other`` maps the coefficient column of a functional on g to the
+    other side's coordinates; ``from_other`` is its inverse."""
 
-    ``d`` is the coproduct tensor in b-coordinates, real because Delta is a
-    *-homomorphism; ``to_b`` is the matrix T whose columns are the b_k
-    (``w_b = Re(w T)`` for a functional w in input coordinates), and a chart
-    point goes back as ``w = w_in + (w_b - w_p) back``.
+    g: FiniteQuantumGroup
+    to_other: np.ndarray
+    from_other: np.ndarray
+
+    @property
+    def real(self) -> bool:
+        return not any(np.iscomplexobj(x) for x in (self.g.mult, self.g.comult, self.g.star))
+
+
+def _sides(qg: FiniteQuantumGroup, gd: GnsData) -> tuple[_Side, _Side]:
+    """A and its dual, each carried to GNS-orthonormal coordinates.
+
+    The dual's basis is the dual basis of A's orthonormal one, so a
+    functional w on A is the dual element w, at ``t w`` in the dual's
+    orthonormal coordinates (t its ``onb_inv``), and an element x of A is
+    the functional ``t^-T x`` on them.
+    """
+    a = _change_basis(qg, gd.onb_inv)
+    b = _dual(a)
+    gd_b = gns(b)
+    t, t_inv = gd_b.onb_inv, gd_b.onb
+    b = _change_basis(b, t)
+    return _Side(a, t, t_inv), _Side(b, t.T, t_inv.T)
+
+
+def _central_projections(g: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The minimal central projections p of g, as columns, and the
+    dimension of each one's block, rank L_p.
+
+    The centre is the kernel of a -> (e_i a - a e_i)_i (one ``n^2 x n``
+    SVD, ``n^4``).  A self-adjoint central element c with random complex
+    coefficients has the minimal central projections as eigenvectors of
+    a -> c a on the centre; each is scaled so that p^2 = p.  Its value on a
+    block is the real part of a random complex number, so it also splits
+    the pairs of blocks that complex conjugation of the coordinates swaps
+    on a real input, which every real c gives one eigenvalue.  The ranks
+    come from one batched SVD of the L_p (``n^3`` each).
+    """
+    n = g.dim
+    comm = (g.mult - g.mult.transpose(1, 0, 2)).transpose(0, 2, 1).reshape(n * n, n)
+    centre = _kernel_basis(comm)
+    r = np.random.default_rng(0).standard_normal((2, centre.shape[1]))
+    c = centre @ (r[0] + 1j * r[1])
+    c = (c + g.star_vec(c)) / 2
+    on_centre = np.conj(centre.T) @ g.left_mult_matrix(c) @ centre
+    v = centre @ np.linalg.eigh((on_centre + np.conj(on_centre.T)) / 2)[1]
+    squares = np.einsum("ijk,ia,ja->ka", g.mult, v, v)
+    p = v * (np.sum(np.abs(v) ** 2, axis=0) / np.sum(np.conj(v) * squares, axis=0))
+    defect = np.abs(np.einsum("ijk,ia,ja->ka", g.mult, p, p) - p).max(initial=0.0)
+    if defect > _RANK_REL_TOL:
+        raise InternalConsistencyError(
+            f"the central split left a non-projection (defect {defect:.2e})"
+        )
+    s = np.linalg.svd(g.left_mult_matrix(p.T), compute_uv=False)
+    return p, np.sum(s > _RANK_REL_TOL * s[:, :1], axis=-1)
+
+
+def _products(g: FiniteQuantumGroup, u, v) -> np.ndarray:
+    """The products u_a v_b of the columns of u and of v, as columns in
+    the order (a, b): two GEMMs, ``k n^3`` for k columns of u."""
+    n = g.dim
+    left = _real_matmul(g.mult.reshape(n, n * n).T, u).T.reshape(-1, n, n)  # [a, j] = u_a e_j
+    return (v.T @ left).reshape(-1, n).T
+
+
+def _generated_algebra(g: FiniteQuantumGroup, u) -> np.ndarray:
+    """Orthonormal basis of the unital *-algebra generated by span(u):
+    the span of the unit, u, u^* and all products u_a u_b, taken again
+    until it stops growing."""
+    while True:
+        k = u.shape[1]
+        v = orthonormal_columns(np.hstack([g.unit[:, None], u, g.star_vec(u), _products(g, u, u)]))
+        if v.shape[1] == k:
+            return v
+        u = v
+
+
+def _realified(u) -> np.ndarray:
+    """A real orthonormal basis of span(u) when span(u) equals its complex
+    conjugate (the real and imaginary parts of u span no more), else u."""
+    if np.iscomplexobj(u):
+        parts = orthonormal_columns(np.hstack([u.real, u.imag]))
+        if parts.shape[1] == u.shape[1]:
+            return parts
+    return u
+
+
+def _atoms(side: _Side, own, other) -> list[np.ndarray]:
+    """Right coideal *-subalgebras of side.g, as orthonormal bases, from
+    the minimal central projections and block ranks ``own`` of g and
+    ``other`` of the other side (:func:`_central_projections`).
+
+    - the trivial and the full algebra;
+    - for each character chi(a) = h(a p) / h(p), p a projection of a
+      block of rank one, the fixed points of L_chi, which are the range
+      of L of the Cesaro limit (1/m) sum_{k<m} chi^{*k} (L_chi is unitary
+      of order m);
+    - for each projection q of a larger block of the other side, read as
+      a functional on g, the unital *-algebra generated by the coefficient
+      space (q (x) id)Delta(A) of one irreducible corepresentation.
+
+    For a block of rank one the coefficient algebra is the algebra
+    generated by one group-like element, which phi takes to the fixed
+    points of the character on the other side, so it reaches the family
+    through :func:`_phi` and is not built here.
+    """
+    g = side.g
+    n = g.dim
+    eye = np.eye(n)
+    atoms = [(g.unit / np.linalg.norm(g.unit))[:, None], eye]
+    haar_products = g.mult @ g.haar  # [i, j] = h(e_i e_j)
+    projections, ranks = own
+    for p in projections[:, ranks == 1].T:
+        chi = (haar_products @ p) / (g.haar @ p)
+        atoms.append(_kernel_basis(left_slice(g, chi) - eye))
+    projections, ranks = other
+    for q in projections[:, ranks > 1].T:
+        span = orthonormal_columns(left_slice(g, side.from_other @ q))
+        atoms.append(_generated_algebra(g, _realified(span) if side.real else span))
+    return atoms
+
+
+def _phi(side: _Side, u) -> np.ndarray:
+    """Takeuchi's map C -> (C^+ A)^perp: the right coideal *-subalgebra of
+    the other side that annihilates the right ideal generated by
+    C^+ = C n ker(eps).  Per subalgebra of dimension k: k n^3 for the
+    ideal's spanning columns c e_j and for their SVD."""
+    g = side.g
+    plus = u - np.outer(g.unit, g.counit @ u)  # spans C^+, since 1 is in C
+    ideal = _products(g, plus, np.eye(g.dim))
+    return orthonormal_columns(side.to_other @ _kernel_basis(ideal.T))
+
+
+class _Family:
+    """Distinct subspaces of C^n, each an orthonormal basis, with the
+    inclusions among them that the intersections have found.
+
+    Two bases of equal dimension k span the same subspace when all k
+    singular values of U_i^* U_j exceed ``1 - _RANK_REL_TOL``.  On a side
+    with real tensors a subspace that equals its complex conjugate is kept
+    by a real basis, so real inputs keep real states.
     """
 
-    d: np.ndarray
-    w_p: np.ndarray
-    z: np.ndarray
-    to_b: np.ndarray
-    w_in: np.ndarray
-    back: np.ndarray
+    def __init__(self, real: bool):
+        self.real = real
+        self.bases: list[np.ndarray] = []
+        self.below: list[set] = []  # below[i]: the members found inside member i
 
-    def coords(self, ws) -> np.ndarray:
-        """Chart coordinates t of the orthogonal projection of each row of
-        ws (input coordinates) after taking its hermitian part."""
-        w_b = _rows(self.to_b.T, ws).real
-        return _rows(self.z.T, w_b - self.w_p)
+    def add(self, u) -> int:
+        """The index of the member span(u), appended unless it is one."""
+        u = _realified(u) if self.real else u
+        k = u.shape[1]
+        same = [i for i, b in enumerate(self.bases) if b.shape[1] == k]
+        if same:
+            products = np.conj(u.T) @ np.stack([self.bases[i] for i in same])
+            equal = np.linalg.svd(products, compute_uv=False)[:, -1] > 1 - _RANK_REL_TOL
+            if equal.any():
+                return same[np.argmax(equal)]
+        self.bases.append(u)
+        self.below.append({len(self.bases) - 1})
+        return len(self.bases) - 1
 
-    def functionals(self, w_b) -> np.ndarray:
-        """Input coordinates of the chart points w_b (rows)."""
-        return self.w_in + _rows(self.back.T, w_b - self.w_p)
+    def intersect(self, i: int):
+        """Intersect member i with every earlier member, each of which has
+        been intersected with all members before it.
 
-
-def _real_part_if_rounding(x) -> np.ndarray:
-    """x as float64 when its imaginary part is rounding (at most ``1e-13``
-    of its largest entry), else as it is."""
-    if np.iscomplexobj(x) and np.abs(x.imag).max() <= 1e-13 * np.abs(x).max():
-        return np.ascontiguousarray(x.real)
-    return x
-
-
-def _constraint_chart(qg: FiniteQuantumGroup, gd: GnsData) -> _Chart:
-    """The real affine chart {omega hermitian, omega S = omega, omega(1) = 1}.
-
-    The self-adjoint elements x + iy are the +1 eigenspace of the realified
-    star map ``[[Re *, Im *], [Im *, -Re *]]``, a real space of dimension
-    exactly n (star is an antilinear involution).  The Haar state is a
-    trace, so in GNS-orthonormal coordinates that map is a symmetric
-    orthogonal involution, and an eigh with eigenvalues +-1 gives the
-    eigenspace without a rank cutoff; a QR of its realified image in the
-    coordinates of A gives the basis b_k, orthonormal there.  A functional
-    is hermitian iff it is real on every b_k, and the antipode, which
-    commutes with the star, is a real involution S' there; the
-    antipode-invariant functionals are its +1 eigenspace, of dimension
-    exactly ``r = (n + tr S) / 2``, so the top r left singular vectors of
-    ``(1 + S'^T) / 2`` span it, again without a cutoff.  The chart is the
-    affine plane of that space at the counit cut out by omega(1) = 1, with
-    ``m = r - 1`` orthonormal directions z.  Building it costs ``n^4`` for
-    d, as stacks of ``n x n`` products, which stay off BLAS's threaded
-    path, and ``n^3`` for the rest.
-    """
-    n = qg.dim
-    u = gd.onb_inv @ qg.star @ np.conj(gd.onb)
-    realified = np.block([[u.real, u.imag], [u.imag, -u.real]])
-    x = np.linalg.eigh((realified + realified.T) / 2)[1][:, n:]
-    sa = gd.onb @ (x[:n] + 1j * x[n:])
-    q = np.linalg.qr(np.concatenate([sa.real, sa.imag]))[0]
-    t = _stored(q[:n] + 1j * q[n:])
-    t_inv = np.linalg.inv(t)
-    # d[i, j, k] = sum_pqr t[p, i] comult[p, q, r] t_inv[j, q] t_inv[k, r]
-    d = np.matmul(t.T, qg.comult.transpose(1, 0, 2))  # [q, i, r]
-    d = np.matmul(d, t_inv.T)  # [q, i, k]
-    d = np.matmul(t_inv, d.transpose(1, 0, 2))  # [i, j, k]
-    s_b = (t_inv @ qg.antipode @ t).real
-    r = int(round((n + np.trace(s_b)) / 2))
-    plus = np.linalg.svd((np.eye(n) + s_b.T) / 2, full_matrices=True)[0][:, :r]
-    unit_b = (t_inv @ qg.unit).real
-    z = plus @ np.linalg.svd((unit_b @ plus)[None, :], full_matrices=True)[2][1:].T
-    w_p = (qg.counit @ t).real
-    w_in = _real_part_if_rounding(w_p @ t_inv)
-    back = _real_part_if_rounding(z @ (z.T @ t_inv))
-    return _Chart(np.ascontiguousarray(d.real), w_p, np.ascontiguousarray(z), t, w_in, back)
+        The intersection of span(U_i) and span(U_j) is U_i x for the left
+        singular vectors x of U_i^* U_j whose singular values exceed
+        ``1 - _RANK_REL_TOL``, and its dimension r is how many do.  The
+        earlier members are zero-padded to n columns and their products
+        with U_i taken as batched SVDs in blocks of :func:`_blocks`.  When
+        one member contains the other the inclusion is recorded; otherwise
+        the intersection is added unless some member of dimension r lies
+        inside both.
+        """
+        u = self.bases[i]
+        n, k = u.shape
+        dims = [b.shape[1] for b in self.bases[:i]]
+        padded = np.zeros((i, n, n), dtype=np.result_type(u, *self.bases[:i]))
+        for j, b in enumerate(self.bases[:i]):
+            padded[j, :, : dims[j]] = b
+        meets = []
+        for sl in _blocks(i, n):
+            x, s, _ = np.linalg.svd(np.conj(u.T) @ padded[sl], full_matrices=False)
+            for j, xj, r in zip(range(sl.start, sl.stop), x, np.sum(s > 1 - _RANK_REL_TOL, axis=-1)):
+                if r == k:
+                    self.below[j].add(i)
+                elif r == dims[j]:
+                    self.below[i].add(j)
+                else:
+                    meets.append((j, r, u @ xj[:, :r]))
+        for j, r, meet in meets:
+            if not any(self.bases[l].shape[1] == r for l in self.below[i] & self.below[j]):
+                self.add(meet)
 
 
-def _cesaro_probe(qg, ws):
-    """Extrapolated Cesaro means of convolution powers of each row of ws.
-
-    Cesaro means approach an idempotent state at rate O(1/k); the
-    Richardson combination 2 nu_{2k} - nu_k, here at k = 32, removes the
-    1/k term, leaving a point exponentially close to an idempotent, which
-    makes an excellent Newton start.  The step matrices nu -> nu * w are
-    stacked, so the 2k - 1 powers are stacked mat-vecs (``n^3`` per row to
-    build the step, ``n^2`` per power).
-    """
-    n, k = qg.dim, 32
-    steps = _real_matmul(qg.comult.reshape(n * n, n), ws.T).T
-    steps = np.ascontiguousarray(steps).reshape(-1, n, n)
-    power = ws[..., None].copy()
-    acc = ws.copy()
-    nu_k = None
-    for j in range(2, 2 * k + 1):
-        power = steps @ power
-        acc += power[..., 0]
-        if j == k:
-            nu_k = acc / j
-    return 2.0 * (acc / (2 * k)) - nu_k
-
-
-def _generated_supports(qg, combos) -> np.ndarray:
-    """Boolean masks of basis indices reached by powers of sum(e_i, i in c),
-    one row per index tuple c of combos.
-
-    For a group algebra this is the subgroup generated by the chosen group
-    elements; for a function algebra it is the chosen point set itself.
-    Each row runs its own power iteration, at most n normalised powers,
-    stacked over the rows still running in blocks of :func:`_blocks`: a row
-    stops when a power vanishes (peak below ``1e-12``), or when its mask
-    covers every index or stops growing.
-    """
-    n = qg.dim
-    s = np.zeros((len(combos), n))
-    for row, combo in enumerate(combos):
-        s[row, list(combo)] = 1.0
-    mask = np.abs(s) > 1e-9
-    for sl in _blocks(len(s), n):
-        times_s = qg.right_mult_matrix(s[sl])
-        block = mask[sl]  # a view: setting a row of block sets it in mask
-        live, cur = np.arange(len(block)), s[sl]
-        for _ in range(n):
-            cur = _rows(times_s[live], cur)
-            peak = np.abs(cur).max(axis=-1)
-            nonzero = peak >= 1e-12
-            live, cur = live[nonzero], cur[nonzero] / peak[nonzero, None]
-            new = block[live] | (np.abs(cur) > 1e-9)
-            grew = ~(new.all(axis=-1) | (new == block[live]).all(axis=-1))
-            block[live] = new
-            live, cur = live[grew], cur[grew]
-            if not live.size:
-                break
-    return mask
+def _closure(sides, atoms) -> list[_Family]:
+    """Both families, closed under pairwise intersection and under the map
+    :func:`_phi` to the other side, starting from the atoms.  phi is an
+    involution up to the identification of the dual of the dual with A,
+    so a member that arrived as the image of one on the other side is not
+    sent back."""
+    families = [_Family(side.real) for side in sides]
+    for family, members in zip(families, atoms):
+        for u in members:
+            family.add(u)
+    sent, intersected, paired = [0, 0], [0, 0], [set(), set()]
+    while any(min(sent[s], intersected[s]) < len(families[s].bases) for s in (0, 1)):
+        for s in (0, 1):
+            family, other = families[s], families[1 - s]
+            while sent[s] < len(family.bases):
+                if sent[s] not in paired[s]:
+                    paired[1 - s].add(other.add(_phi(sides[s], family.bases[sent[s]])))
+                sent[s] += 1
+            while intersected[s] < len(family.bases):
+                family.intersect(intersected[s])
+                intersected[s] += 1
+    return families
 
 
-def _haar_scale(qg) -> np.ndarray:
-    """Haar norm of each basis element over the smallest one,
-    ``sqrt(h(e_i^* e_i) / min_j h(e_j^* e_j))``; 1 on a basis of equal norms."""
-    d = np.diag(qg.haar_gram).real
-    return np.sqrt(d / d.min())
-
-
-def _solver_starts(qg, cfg, chart, gd):
-    """Initial points for the multi-start Newton solve: at most
-    ``max(2, cfg.starts)`` rows, in this order.
-
-    - the counit and the Haar state;
-    - the probes: each distinct generated support (:func:`_generated_supports`)
-      of a single basis element or a pair, in that order, weighted by
-      ``1 / _haar_scale``, made a vector state and pushed toward the
-      idempotent set by Cesaro extrapolation, in blocks of :func:`_blocks`;
-    - random simplex mixtures of the GNS-diagonal vector states plus a
-      complex Gaussian of random scale up to ``_PERTURBATION``.
-
-    Of the ``rest = starts - 2`` rows the mixtures take
-    ``(rest - min(c, rest // 2) + 1) // 2``, with ``c`` the number of
-    singles and pairs, and the probes at most the remainder.  Equal weights
-    in Haar norm matter: the Cesaro limit of such a probe keeps exactly the
-    coefficients that sit at the extreme value 1, and those form the
-    state's multiplicative-domain subgroup.  Each start is returned as the
-    real coordinates t of its point on ``chart`` (:meth:`_Chart.coords`):
-    the real part of its coordinates in the self-adjoint basis (its
-    hermitian part), projected orthogonally onto the antipode-invariant
-    plane.  The counit and the Haar state lie on the chart and keep their
-    place.
-    """
-    n = qg.dim
-    rng = np.random.default_rng(cfg.seed)
-    diag_states = np.einsum("jkk->jk", gd.left_reg)  # column i: psi_i(e_j)
-    w_u = np.conj(qg.unit) / np.vdot(qg.unit, qg.unit).real
-    eps = qg.counit
-
-    def normalized(w):
-        return w + (1.0 - w @ qg.unit)[..., None] * w_u
-
-    combos = [(i,) for i in range(n)]
-    combos += [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rest = max(0, cfg.starts - 2)
-    n_random = (rest - min(len(combos), rest // 2) + 1) // 2
-    masks = _generated_supports(qg, combos[: rest - n_random])
-    _, first = np.unique(masks, axis=0, return_index=True)
-    probes = (masks[np.sort(first)] / _haar_scale(qg)).astype(np.complex128)
-    for sl in _blocks(len(probes), n):
-        mu = _vector_state(qg, probes[sl])
-        probes[sl] = normalized(_cesaro_probe(qg, 0.5 * (mu + eps)))
-    p = rng.dirichlet(np.ones(n), size=n_random)
-    sigma = rng.uniform(0.0, _PERTURBATION, size=(n_random, 1))
-    noise = rng.standard_normal((n_random, n)) + 1j * rng.standard_normal((n_random, n))
-    mixtures = normalized(p @ diag_states.T + sigma * noise)
-    seeds = np.concatenate([eps[None], qg.haar[None], probes, mixtures])
-    return chart.coords(seeds)
-
-
-def _blocks(count: int, n: int) -> list[slice]:
-    """Slices covering range(count) in blocks of max(1, 2**13 // n**2) rows.
-
-    A block's largest intermediate (Gram matrices, Cesaro step matrices,
-    Jacobians) holds about 2**13 complex numbers whatever n is.
-    """
-    size = max(1, 2**13 // (n * n))
-    return [slice(i, min(i + size, count)) for i in range(0, count, size)]
-
-
-def _rows(matrix, ws) -> np.ndarray:
-    """matrix @ w for each row w of ws, as one mat-vec per row.
-
-    A stacked mat-vec gives each row the same bits whatever the batch holds,
-    which a single matrix product over all rows does not.
-    """
-    return _real_matmul(matrix, ws[..., None])[..., 0]
-
-
-def _square(d, ws) -> np.ndarray:
-    """sum_{j,k} d[i, j, k] w_j w_k for each row w of ws (``n^3`` per row)."""
-    n = d.shape[0]
-    dw = _rows(d.reshape(n * n, n), ws).reshape(ws.shape[:-1] + (n, n))
-    return _rows(dw, ws)
-
-
-def _newton_polish_batch(d, w_p, z, t0):
-    """Polish each start of the idempotent system on the normalization chart.
-
-    Unknown: t with w = w_p + z t.  Residual: F(w) = conv(w, w) - w where
-    conv is the bilinear map with coefficients d.  The iteration is the one
-    described in :func:`solve_idempotents`, run on the starts of one block
-    of :func:`_blocks` at a time over the set of live starts: each live
-    start takes one full Gauss-Newton step per iteration, and leaves the
-    live set when ``max |F| <= _POLISH_TOL``; the rest stop after
-    ``_MAX_ITER`` iterations.  The shift keeps the normal matrix positive
-    definite, so its one stacked solve over the live starts never meets a
-    singular matrix, not even at a zero Jacobian.  The Jacobian
-    ``(sum_k (d[i,j,k] + d[i,k,j]) w_k - delta_ij) z`` comes from one
-    precontracted ``(n m, n)`` matrix.  Per start and iteration the cost is
-    ``n^2 m`` for the Jacobian, ``n m^2`` for the normal equations, one
-    ``2 m^3 / 3`` LU solve of the shifted system, and ``n^3`` for the
-    residual.  Each start is polished on its own bits, so equal starts give
-    equal results; the solver passes only distinct starts.  Returns
-    (solutions w, in the result type of w_p, z and t0, sup-norm residuals).
-    """
-    n = d.shape[0]
-    m = z.shape[1]
-    batch = t0.shape[0]
-    eye = np.eye(m)
-    # jac[i*m + a, k] = sum_j (d[i,j,k] + d[i,k,j]) z[j, a]
-    jac = z.T @ d
-    jac += (d @ z).swapaxes(-1, -2)
-    jac = jac.reshape(n * m, n)
-
-    out_w = np.empty((batch, n), dtype=np.result_type(w_p, z, t0))
-    out_res = np.empty(batch)
-    for sl in _blocks(batch, n):
-        t = t0[sl].copy()
-        w = w_p + _rows(z, t)
-        f = _square(d, w) - w
-        live = np.arange(len(t))
-        for _ in range(_MAX_ITER if m else 0):
-            live = live[np.abs(f[live]).max(axis=-1) > _POLISH_TOL]
-            if not live.size:
-                break
-            j = _rows(jac, w[live]).reshape(-1, n, m) - z
-            jh = np.conj(j.swapaxes(-1, -2))
-            a = jh @ j
-            rhs = -(jh @ f[live][..., None])
-            lam = 1e-12 * (1.0 + np.trace(a, axis1=-2, axis2=-1).real / m)
-            t[live] += np.linalg.solve(a + lam[:, None, None] * eye, rhs)[..., 0]
-            w[live] = w_p + _rows(z, t[live])
-            f[live] = _square(d, w[live]) - w[live]
-        out_w[sl] = w
-        out_res[sl] = np.abs(f).max(axis=-1)
-    return out_w, out_res
+def _coideal_families(qg: FiniteQuantumGroup, gd: GnsData):
+    """(A in GNS-orthonormal coordinates, the closed families of A and of
+    its dual)."""
+    sides = _sides(qg, gd)
+    blocks = [_central_projections(side.g) for side in sides]
+    atoms = [_atoms(sides[0], *blocks), _atoms(sides[1], *blocks[::-1])]
+    return sides[0].g, _closure(sides, atoms)
 
 
 def solve_idempotents(
     qg: FiniteQuantumGroup, cfg: SolveConfig | None = None
 ) -> list[State]:
-    """Find idempotent states by multi-start Gauss-Newton.
+    """Every idempotent state reached from the atoms, as the lattice of
+    right coideal *-subalgebras.
 
-    Idempotent states are hermitian and antipode-invariant (omega S =
-    omega: their densities are group-like projections p of the dual, and
-    applying m(S (x) id) to Delta(p)(1 (x) p) = p (x) p gives S(p) = p).
-    So the quadratic system {omega * omega - omega = 0, omega(1) = 1} is
-    solved as a real system on the affine chart of those functionals
-    (:func:`_constraint_chart`): ``w_b = w_p + z t`` in the coordinates of a
-    basis of self-adjoint elements, with ``m = (n + tr S) / 2 - 1`` real
-    unknowns t against a real coproduct tensor.  Each distinct start is
-    polished once by Gauss-Newton (equal starts give equal results): per
-    iteration the normal equations J^T J delta = -J^T F are
-    Levenberg-regularised with the shift ``1e-12 (1 + tr(J^T J) / m)`` and
-    solved once, and the full step t + delta is taken.  Polishing stops at
-    a residual of ``_POLISH_TOL`` (``1e-13``) or after ``_MAX_ITER``
-    iterations (at once when ``m = 0``); solutions with a residual above
-    ``_NEWTON_TOL`` are discarded, the rest are read back in the basis of A
-    and filtered and snapped onto the state face by
-    :func:`_idempotent_states`, whose positivity test in
-    GNS-orthonormal coordinates does not depend on the basis of A (the
-    chart also holds signed idempotent measures).  The states are then
-    deduplicated at ``_DEDUP_TOL`` (sup norm of ``w / _haar_scale``) in the
-    order of :func:`canonical_order`, and each passes the state test at
-    ``1e-9`` once more as ``State`` stores it.  Deterministic for a fixed
-    seed.  The counit and the Haar state are starts, returned only when
-    they pass the state test: on an input that is valid only at a looser
-    ``tol`` the result may be empty.  No completeness claim is made for a
-    general quantum group (the CLI reports findings as "found").
+    Idempotent states correspond one to one to right-invariant expected
+    subalgebras, and on a finite quantum group, whose Haar state is a
+    faithful trace, every unital *-subalgebra is expected: the idempotent
+    states are exactly the states ``eps . E_C`` of the right coideal
+    *-subalgebras C (Delta(C) in C (x) A), with E_C the Haar-orthogonal
+    projection onto C.  A larger state has a smaller C, so the join of
+    two states is the state of C_1 n C_2.  Takeuchi's map
+    phi(C) = (C^+ A)^perp (:func:`_phi`) carries C to a right coideal
+    *-subalgebra of the dual, reversing the order, so a meet on one side
+    is an intersection on the other.
 
-    Starts, Newton polish and state test each run as array operations on
-    blocks of ``max(1, 2**13 // n**2)`` starts, so the working set stays
-    near 2**13 complex numbers.  The chart costs ``n^4`` once.  Per
-    distinct start the cost is ``n^3`` for the probe and its Cesaro warm-up
-    (once per distinct probe mask); per Newton iteration, in real flops,
-    ``2 n^2 m`` for the Jacobian, ``2 n m^2`` for the normal equations,
-    ``2 m^3 / 3`` for the LU solve and ``2 n^3`` for the residual (on S4,
-    with ``m = 16``, about 61k flops per iteration, against 250k to 350k
-    over all complex functionals with ``n - 1`` complex unknowns); per
-    candidate one Gram, one ``n x n`` eigh and two state tests (``n^3``
-    each); the dedup costs one ``n``-wide distance pass over the states per
-    state kept.
+    The construction runs on A and on its dual (:func:`_sides`), each in
+    GNS-orthonormal coordinates, where the Haar Gram is 1, every cutoff
+    is basis-free and the state of C with orthonormal basis U is
+    ``eps U U^*``.  On both sides the atoms (:func:`_atoms`) come from the
+    minimal central projections of both sides (:func:`_central_projections`).
+    Each member goes through phi to the other side, and both families are
+    closed under pairwise intersection until neither grows
+    (:func:`_closure`).  Every rank, intersection and dedup cutoff is
+    ``core._RANK_REL_TOL``, read from singular values.  The families are
+    closed under phi and intersection, and their sizes must be equal, or
+    InternalConsistencyError is raised.  No random start and no budget:
+    ``cfg`` is accepted and unread (:class:`SolveConfig`).
+
+    The states are returned in :func:`canonical_order`, each read back in
+    the basis of A and kept only when it passes the idempotent-state test
+    at ``1e-9`` as ``State`` stores it.  The counit, the state of A itself,
+    passes it on every quantum group; on an input that is valid only at a
+    looser ``tol`` it may not, and then nothing is built and the result is
+    empty.
+
+    Cost, for m states in all: the transports, the dual and the centres
+    ``n^4``; the atoms ``n^3`` per character and up to ``n^4`` per
+    generated algebra; phi ``k n^3`` per member of dimension k, ``m n^4``
+    at most; the intersections ``k n^2`` per pair of members, ``m^2 n^3``
+    at most, and each candidate's dedup ``k^2 n`` per member of its
+    dimension; the read-back and the state test ``n^3`` per state.
     """
-    cfg = SolveConfig() if cfg is None else cfg
+    if not _state_mask(qg, qg.counit[None], 1e-9, idempotent=True)[0]:
+        return []
     gd = gns(qg)
-    chart = _constraint_chart(qg, gd)
-    t0 = _solver_starts(qg, cfg, chart, gd)
-    # each distinct start once, in the order of first appearance, which the
-    # stable canonical order below keeps among near-equal solutions
-    _, first = np.unique(t0, axis=0, return_index=True)
-    t0 = t0[np.sort(first)]
-    solutions, residuals = _newton_polish_batch(chart.d, chart.w_p, chart.z, t0)
-    candidates = chart.functionals(solutions[residuals <= _NEWTON_TOL])
-    states = _idempotent_states(qg, gd, candidates)
-    states = states[canonical_order(states)]
-    # distance in units of each basis element's Haar norm
-    states = states[_distinct_rows(states / _haar_scale(qg), _DEDUP_TOL)]
+    g, families = _coideal_families(qg, gd)
+    if len(families[0].bases) != len(families[1].bases):
+        raise InternalConsistencyError(
+            f"the coideal families of A and its dual differ in size "
+            f"({len(families[0].bases)} and {len(families[1].bases)})"
+        )
+    # omega = eps U U^* is h(rho .) for rho = q / h(q), q the projection of
+    # the block of C on which eps lives, so omega = h(q . q) / h(q): it is
+    # read back in the basis of A as the vector state of rho
+    rho = np.conj([(g.counit @ u) @ np.conj(u.T) for u in families[0].bases])
+    w = _vector_state(qg, rho @ gd.onb.T)
+    states = w[canonical_order(w)]
     # the final state test reads each row as State stores it: float64 when
     # its imaginary part is zero (core._stored)
     real = ~np.iscomplex(states).any(axis=-1)
@@ -568,72 +552,6 @@ def canonical_order(ws) -> np.ndarray:
     c = np.round(np.asarray(ws), 9)
     keys = np.stack([c.real, c.imag], axis=-1).reshape(len(c), 2 * c.shape[1])
     return np.lexsort(keys.T[::-1])
-
-
-def _distinct_rows(ws, tol: float) -> np.ndarray:
-    """Indices of the rows of ws kept in order, each row dropped when within
-    ``tol`` (sup norm) of one kept before it: one distance pass per kept row."""
-    alive = np.ones(len(ws), dtype=bool)
-    for i in range(len(ws)):
-        if alive[i]:
-            alive[i + 1 :] &= np.abs(ws[i + 1 :] - ws[i]).max(axis=-1) > tol
-    return np.flatnonzero(alive)
-
-
-def _snap_block(qg: FiniteQuantumGroup, gd: GnsData, ws, max_move: float):
-    """(positive, snapped): for each row of ws, whether its Gram matrix in
-    GNS-orthonormal coordinates has no eigenvalue below ``-1e-9`` times the
-    largest, and the row moved onto the face of states that Gram spans.
-
-    The Gram is taken as omega(f_k^* f_l) for an orthonormal basis f of
-    L^2(h), whose spectrum does not depend on the basis of A.  Its
-    Hermitian part loses the eigenvalues below ``1e-8`` times the largest,
-    the Gram matrix G[i, j] = omega(e_i^* e_j) is rebuilt from it, omega is
-    read back as omega(e_j) = sum_i conj(1_i) G[i, j] (the unit is
-    sum_i 1_i e_i) and renormalised at the unit.  A row takes the snapped
-    value only when that moved it by at most ``max_move`` (sup norm) and is
-    still an idempotent state at ``1e-9``; otherwise it is kept as it was.
-    One ``n x n`` eigh per row serves both.
-    """
-    # G = onb_inv^* G' onb_inv, so conj(1) G = conj(Lambda(1)) G' onb_inv
-    unit_h = np.conj(gd.vector(qg.unit))
-    g = np.conj(gd.onb.T) @ qg.functional_gram(ws) @ gd.onb
-    g = (g + np.conj(g.swapaxes(-1, -2))) / 2
-    vals, vecs = np.linalg.eigh(g)
-    positive = vals[:, 0] >= -1e-9 * vals[:, -1]
-    vals = np.where(vals >= 1e-8 * vals[..., -1:], vals, 0.0)
-    g = (vecs * vals[..., None, :]) @ np.conj(vecs.swapaxes(-1, -2))
-    w = (unit_h @ g) @ gd.onb_inv
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = w / (w @ qg.unit)[..., None]
-    out = np.array(ws, dtype=w.dtype)
-    keep = np.flatnonzero(np.abs(w - out).max(axis=-1) <= max_move)
-    keep = keep[_state_mask(qg, w[keep], 1e-9, idempotent=True)]
-    out[keep] = w[keep]
-    return positive, out
-
-
-def _idempotent_states(qg: FiniteQuantumGroup, gd: GnsData, ws) -> np.ndarray:
-    """The rows of ws that are idempotent states, each snapped onto its face.
-
-    A row must pass :func:`_state_mask` at ``1e-9`` in the basis of A and
-    the positivity test of :func:`_snap_block` in GNS-orthonormal
-    coordinates, which does not depend on the basis of A: a signed
-    idempotent measure such as chi 1_H / |H|, with chi a real character of
-    H, passes the first once a basis vector is scaled by 1e5.  A passing row
-    is snapped with a move of at most ``_DEDUP_TOL``: Newton can stop on an
-    idempotent functional a little off the state face, with a Gram
-    eigenvalue of ~1e-10 where 0 is meant, which the later null-space
-    cutoff would read as a nonzero direction.  In blocks of
-    :func:`_blocks`, at one Gram, one ``n x n`` eigh and two state tests
-    per row.
-    """
-    out = []
-    for sl in _blocks(len(ws), qg.dim):
-        w = ws[sl][_state_mask(qg, ws[sl], 1e-9, idempotent=True)]
-        positive, snapped = _snap_block(qg, gd, w, _DEDUP_TOL)
-        out.append(snapped[positive])
-    return np.concatenate(out) if out else np.array(ws)
 
 
 # -- random walks --------------------------------------------------------

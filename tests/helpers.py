@@ -7,7 +7,13 @@ import numpy as np
 
 import qgidem as qg
 from qgidem.cayley import all_subgroups
-from qgidem.core import _coproduct_defect, _rank, frobenius, second_leg_factors
+from qgidem.core import _change_basis as change_basis
+from qgidem.core import (
+    _coproduct_defect,
+    _rank,
+    frobenius,
+    second_leg_factors,
+)
 from qgidem.states import (
     SolveConfig,
     solve_idempotents,
@@ -92,6 +98,26 @@ def kac_paljutkin():
         counit=np.eye(8)[e1],
         antipode=star.copy(),
         haar=np.array([1, 1, 1, 1, 2, 0, 0, 2]) / 8,
+    )
+
+
+def tensor_product(g1, g2):
+    """The quantum group g1 (x) g2 on the basis e_i (x) f_j, index i n2 + j:
+    every structure tensor is the Kronecker product of the two."""
+    n = g1.dim * g2.dim
+
+    def kron3(a, b):
+        return np.einsum("ikp,jlq->ijklpq", a, b).reshape(n, n, n)
+
+    return qg.FiniteQuantumGroup(
+        dim=n,
+        mult=kron3(g1.mult, g2.mult),
+        unit=np.kron(g1.unit, g2.unit),
+        star=np.kron(g1.star, g2.star),
+        comult=kron3(g1.comult, g2.comult),
+        counit=np.kron(g1.counit, g2.counit),
+        antipode=np.kron(g1.antipode, g2.antipode),
+        haar=np.kron(g1.haar, g2.haar),
     )
 
 
@@ -190,25 +216,6 @@ def random_unitary(n, rng):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def change_basis(g, t):
-    """The quantum group for which ``a -> t a`` is an isomorphism from g.
-
-    Every structure tensor is transported; functionals move as ``w t^-1``.
-    """
-    ti = np.linalg.inv(t)
-    return qg.FiniteQuantumGroup(
-        dim=g.dim,
-        mult=np.einsum("ip,jq,ijk,lk->pql", ti, ti, g.mult, t, optimize=True),
-        unit=t @ g.unit,
-        star=t @ g.star @ np.conj(ti),
-        comult=np.einsum("il,ijk,pj,qk->lpq", ti, g.comult, t, t, optimize=True),
-        counit=g.counit @ ti,
-        antipode=t @ g.antipode @ ti,
-        haar=g.haar @ ti,
-        tol=g.tol,
-    )
 
 
 @functools.lru_cache(maxsize=None)

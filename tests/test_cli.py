@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -136,32 +137,32 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path):
 def test_load_round_trip_through_file(capsys, tmp_path):
     path = tmp_path / "qg.json"
     save_json(path, qg_to_dict(algebra("fn", "S3")))
-    code, out, _ = run(capsys, "idempotents", str(path), "--starts", "300")
+    code, out, _ = run(capsys, "idempotents", str(path))
     assert code == 0
     assert "found 6 idempotent state(s)" in out
 
 
 def test_idempotents_with_oracle(capsys):
-    code, out, _ = run(capsys, "idempotents", "fn:Z4", "--oracle", "--starts", "200")
+    code, out, _ = run(capsys, "idempotents", "fn:Z4", "--oracle")
     assert code == 0
     assert "found 3 idempotent state(s)" in out
     assert "match" in out
 
 
 def test_idempotents_oracle_through_dual(capsys):
-    code, out, _ = run(capsys, "idempotents", "dual:fn:Z4", "--oracle", "--starts", "200")
+    code, out, _ = run(capsys, "idempotents", "dual:fn:Z4", "--oracle")
     assert code == 0
     assert "found 3" in out and "match" in out
 
 
 def test_classify_ga_s3(capsys):
-    code, out, _ = run(capsys, "classify", "ga:S3", "--oracle", "--starts", "400")
+    code, out, _ = run(capsys, "classify", "ga:S3", "--oracle")
     assert code == 0
     assert "3 of 6 are Haar idempotents" in out
 
 
 def test_lattice_fn_s3(capsys):
-    code, out, _ = run(capsys, "lattice", "fn:S3", "--format", "json", "--starts", "400")
+    code, out, _ = run(capsys, "lattice", "fn:S3", "--format", "json")
     assert code == 0
     report = json.loads(out)
     assert report["data"]["count"] == 6
@@ -279,8 +280,6 @@ def test_validate_runs_validate_once(capsys, monkeypatch):
     [
         ("walk", "fn:Z4", "--steps", "0"),
         ("walk", "fn:Z4", "--steps", "-5"),
-        ("idempotents", "fn:Z4", "--starts", "0"),
-        ("idempotents", "fn:Z4", "--starts", "-1"),
     ],
 )
 def test_non_positive_budget_is_usage_error(capsys, argv):
@@ -309,6 +308,7 @@ def test_negative_seed_is_usage_error(capsys):
         ("walk", "fn:Z2", "--seed", "1"),
         ("walk", "fn:Z2", "--oracle"),
         ("quotient", "fn:Z2", "--state", "-1"),
+        ("idempotents", "fn:Z2", "--starts", "5"),
     ],
 )
 def test_unread_option_or_negative_state_is_usage_error(capsys, monkeypatch, argv):
@@ -320,6 +320,32 @@ def test_unread_option_or_negative_state_is_usage_error(capsys, monkeypatch, arg
     assert out == ""
     flag = [a for a in argv if a.startswith("--")][-1]
     assert err.count("\n") == 1 and flag in err, err
+
+
+# the option strings of each command, -h/--help aside: 27 in all
+COMMAND_OPTIONS = {
+    "validate": ["--tol", "--format", "--out"],
+    "idempotents": ["--tol", "--seed", "--oracle", "--format", "--out"],
+    "classify": ["--tol", "--seed", "--oracle", "--format", "--out"],
+    "lattice": ["--tol", "--seed", "--format", "--out"],
+    "quotient": ["--tol", "--seed", "--format", "--out", "--state"],
+    "walk": ["--tol", "--format", "--out", "--steps", "--init"],
+}
+
+
+def test_each_command_registers_the_pinned_options_and_each_is_read():
+    # a flag whose reader goes must leave this table, and the parser, too
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    source = Path(cli.__file__).read_text()
+    options = {}
+    for name, sub in commands.choices.items():
+        actions = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+        options[name] = [opt for a in actions for opt in a.option_strings]
+        for a in actions:
+            assert f"args.{a.dest}" in source, (name, a.dest)
+    assert options == COMMAND_OPTIONS
+    assert sum(map(len, options.values())) == 27
 
 
 @pytest.mark.parametrize(

@@ -58,3 +58,16 @@ def test_classify_finds_pals_two_non_haar_states(kp_states):
     assert [c.is_haar for c in verdicts] == [i not in NON_HAAR for i in range(8)]
     for c in verdicts:
         assert c.witnesses["quotient_built"] == c.is_haar
+
+
+def test_dual_has_the_same_eight_states_and_haar_split():
+    # KP is self-dual: its dual has 8 idempotent states too, 6 of them Haar
+    g = qg.dual(kac_paljutkin())
+    found = solve_idempotents(g)
+    assert len(found) == 8
+    gd = qg.gns(g)
+    mu = qg.multiplicative_unitary(g, gd)
+    verdicts = [classify(g, st, gd=gd, mu=mu) for st in found]
+    assert sum(c.is_haar for c in verdicts) == 6
+    for c in verdicts:
+        assert c.witnesses["quotient_built"] == c.is_haar

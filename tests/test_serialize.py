@@ -106,6 +106,34 @@ def test_cayley_round_trip():
         cayley_from_dict(data)
 
 
+@pytest.mark.parametrize("field,message", [
+    ("order", "'order' must be an integer"),
+    ("table", "each 'table' entry must be an integer"),
+    ("identity", "'identity' must be an integer"),
+    ("inverse", "each 'inverse' entry must be an integer"),
+])
+def test_cayley_reader_refuses_non_integers(field, message):
+    # the right value as a float: int() and the int64 table would accept it
+    data = cayley_to_dict(group("D4"))
+    if field in ("table", "inverse"):
+        data[field][1] = float(data[field][1])
+    else:
+        data[field] = float(data[field])
+    with pytest.raises(StructuralError, match=message):
+        cayley_from_dict(data)
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"order": 2.9, "table": [0, 1, 1, 0], "identity": 0.7}, "'order'"),
+    ({"order": 2, "table": [0, 1, 1, 0], "identity": 0.7}, "'identity'"),
+    ({"order": 2, "table": [0, 1, 1.5, 0]}, "'table'"),
+])
+def test_cayley_reader_refuses_what_it_would_truncate(data, message):
+    # the order read as 2, the identity as 0 and the entry as 1
+    with pytest.raises(StructuralError, match=message):
+        cayley_from_dict(data)
+
+
 def test_state_round_trip_and_hash_check():
     g = algebra("fn", "S3")
     st = oracle_states("fn", "S3")[2]

@@ -40,15 +40,7 @@ from qgidem.core import (
     frobenius,
 )
 from qgidem.states import (
-    SolveConfig,
     State,
-    _constraint_chart,
-    _distinct_rows,
-    _generated_supports,
-    _newton_polish_batch,
-    _solver_starts,
-    _state_mask,
-    canonical_order,
     convolve,
     left_slice,
     random_state,
@@ -298,38 +290,6 @@ def loop_build_lattice(g, states, tol=1e-8):
     return states, leq, edges, absorption
 
 
-def loop_generated_support(g, idxs):
-    n = g.dim
-    s = np.zeros(n)
-    s[list(idxs)] = 1.0
-    mask = np.abs(s) > 1e-9
-    times_s = g.right_mult_matrix(s)
-    cur = s.copy()
-    for _ in range(n):
-        cur = times_s @ cur
-        peak = np.abs(cur).max()
-        if peak < 1e-12:
-            break
-        cur /= peak
-        new = mask | (np.abs(cur) > 1e-9)
-        if new.all() or np.array_equal(new, mask):
-            mask = new
-            break
-        mask = new
-    return mask
-
-
-def loop_sort_dedup(g, ws, tol):
-    """The rows as States in sort_key order, each dropped when within tol
-    of one kept before it."""
-    unique = []
-    for st in sorted((State(g, w) for w in ws), key=State.sort_key):
-        if any(np.abs(st.coeffs - seen.coeffs).max() <= tol for seen in unique):
-            continue
-        unique.append(st)
-    return unique
-
-
 def loop_recover_slice(g, t, tol=1e-9):
     for k in range(g.dim):
         rk = g.comult[:, :, k].T
@@ -548,52 +508,6 @@ def test_symmetry_residual_of_an_empty_basis_is_zero(kind):
     g = algebra(kind, "S3")
     gd, mu = gns_and_unitary(kind, "S3")
     assert symmetry_residual(g, gd, mu, np.zeros((6, 0))) == 0.0
-
-
-# -- the solver's start supports, canonical order and deduplication -----------
-
-SOLVER_INPUTS = [
-    (kind, name, dense)
-    for kind in ("fn", "ga")
-    for name in ("S3", "Q8", "D4", "S4")
-    for dense in (False, True)
-]
-
-
-@pytest.mark.parametrize("kind,name,dense", SOLVER_INPUTS)
-def test_generated_supports_match_loop(kind, name, dense):
-    g = dense_algebra(kind, name)[0] if dense else algebra(kind, name)
-    n = g.dim
-    combos = [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ref = np.array([loop_generated_support(g, c) for c in combos])
-    assert np.array_equal(_generated_supports(g, combos), ref)
-
-
-@pytest.mark.parametrize("kind,name,dense", SOLVER_INPUTS)
-def test_sort_and_dedup_match_loop(kind, name, dense):
-    # the rows: what 60 polished starts leave after the residual and state
-    # tests, and shuffled copies of the subgroup states moved by up to 0 to
-    # 7e-7 in sup norm, on both sides of the 1e-7 dedup tolerance
-    g, states = case(kind, name, dense)
-    chart = _constraint_chart(g, qg.gns(g))
-    t0 = _solver_starts(g, SolveConfig(starts=60, seed=1), chart, qg.gns(g))
-    polished, res = _newton_polish_batch(chart.d, chart.w_p, chart.z, t0)
-    polished = chart.functionals(polished[res <= 1e-10])
-    polished = polished[_state_mask(g, polished, 1e-9, idempotent=True)]
-    rng = np.random.default_rng(4)
-    w = np.array(states)
-    moved = [
-        w + size * (rng.uniform(-1, 1, w.shape) + 1j * rng.uniform(-1, 1, w.shape))
-        for size in (0.0, 1e-12, 5e-8, 5e-8, 5e-7)
-    ]
-    rows = np.concatenate([polished] + moved)[rng.permutation(len(polished) + 5 * len(w))]
-    for tol in (1e-7, 1e-9):
-        got = rows[canonical_order(rows)]
-        got = got[_distinct_rows(got, tol)]
-        ref = loop_sort_dedup(g, rows, tol)
-        assert [State(g, x).coeffs.tobytes() for x in got] == [
-            st.coeffs.tobytes() for st in ref
-        ]
 
 
 def coproduct_cases():
