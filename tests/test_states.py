@@ -6,6 +6,7 @@ import pytest
 
 import qgidem as qg
 import qgidem.states as states_module
+from qgidem.core import _kernel_basis, orthonormal_columns
 from qgidem.states import (
     SolveConfig,
     State,
@@ -332,6 +333,82 @@ def test_oracle_states_are_hermitian_and_antipode_invariant(form, kind, name):
     assert all(is_idempotent(g, w) for w in ws)
     assert np.abs(ws @ g.star - np.conj(ws)).max() <= 1e-12
     assert np.abs(ws @ g.antipode - ws).max() <= 1e-12
+
+
+@pytest.mark.parametrize("form,kind,name", ZOO_INPUTS)
+def test_chart_transports_the_coproduct_to_a_real_tensor(form, kind, name):
+    # Delta(b^*) = Delta(b)^*: in a basis of self-adjoint b_k each Delta(b_i)
+    # is self-adjoint, so its coefficients in the b_j (x) b_k are real.  The
+    # transport is core._change_basis, which also carries A to the
+    # GNS-orthonormal coordinates of the closure, where the Haar Gram is 1
+    g, _ = zoo_input(form, kind, name)
+    n = g.dim
+    eye = np.eye(n)
+    halves = np.hstack([eye + g.star_vec(eye), 1j * eye + g.star_vec(1j * eye)]) / 2
+    parts = orthonormal_columns(np.vstack([halves.real, halves.imag]))
+    assert parts.shape == (2 * n, n)  # the self-adjoint part is a real form of A
+    t = parts[:n] + 1j * parts[n:]
+    ti = np.linalg.inv(t)
+    assert np.abs(g.star_vec(t) - t).max() <= 1e-12
+    assert np.linalg.cond(t) <= 1e6
+    b = change_basis(g, ti)
+    d = np.einsum("pi,pqr,jq,kr->ijk", t, g.comult, ti, ti, optimize=True)
+    assert np.abs(b.comult - d).max() <= 1e-12 * np.abs(d).max()
+    assert np.abs(b.comult.imag).max() <= 1e-12 * np.abs(d).max()
+    assert np.abs(b.star - eye).max() <= 1e-12
+    for x in (b.counit, b.haar):
+        assert np.abs(x.imag).max() <= 1e-12 * np.abs(x).max()
+    a = states_module._sides(g, qg.gns(g))[0].g
+    assert np.abs(qg.gns(a).gram - eye).max() <= 1e-10
+
+
+def chart(g):
+    """A real orthonormal basis, as columns of (re w, im w) in R^2n, of the
+    functionals w with w star = conj(w), w S = w and w(1) = 0: the
+    directions of the affine space through the counit that holds every
+    idempotent state."""
+    n = g.dim
+
+    def real_form(m):
+        # (x + i y) m as a linear map on the row (x, y) of its real and
+        # imaginary parts
+        m = np.asarray(m, dtype=complex)
+        return np.block([[m.real, m.imag], [-m.imag, m.real]])
+
+    conj = np.diag(np.r_[np.ones(n), -np.ones(n)])
+    cons = np.hstack([
+        real_form(g.star) - conj,
+        real_form(g.antipode) - np.eye(2 * n),
+        real_form(g.unit[:, None]),
+    ])
+    return _kernel_basis(cons.T)
+
+
+def from_chart(v):
+    n = v.shape[-1] // 2
+    return v[..., :n] + 1j * v[..., n:]
+
+
+@pytest.mark.parametrize("form,kind,name", ZOO_INPUTS)
+def test_idempotent_residual_of_a_chart_point_lies_in_the_chart(form, kind, name):
+    # omega * omega is hermitian and antipode-invariant when omega is, and
+    # (omega * omega - omega)(1) = 0 when omega(1) = 1: the residual of the
+    # idempotent equation at a point of the chart is a direction of it
+    g, ws = zoo_input(form, kind, name)
+    n = g.dim
+    z = chart(g)
+    # m = (n + tr S) / 2 - 1 real directions
+    assert z.shape == (2 * n, (n + round(np.trace(g.antipode).real)) // 2 - 1)
+    assert np.isrealobj(z)
+    # the oracle's states lie on the chart
+    v = np.hstack([(ws - g.counit).real, (ws - g.counit).imag])
+    assert np.abs(v - (v @ z) @ z.T).max() <= 1e-12
+    rng = np.random.default_rng(0)
+    w = g.counit + from_chart(rng.standard_normal((5, z.shape[1])) @ z.T)
+    f = np.array([convolve(g, x, x) - x for x in w])
+    assert np.abs(f @ g.unit).max() <= 1e-12 * np.abs(f).max()
+    v = np.hstack([f.real, f.imag])
+    assert np.abs(v - (v @ z) @ z.T).max() <= 1e-12 * np.abs(f).max()
 
 
 @pytest.mark.parametrize("starts", [300, 500])
