@@ -665,17 +665,26 @@ def _dual(qg: FiniteQuantumGroup) -> FiniteQuantumGroup:
 def _change_basis(qg: FiniteQuantumGroup, t) -> FiniteQuantumGroup:
     """The quantum group for which ``a -> t a`` is an isomorphism from qg.
 
-    Every structure tensor is transported (n^4 for each rank-3 one);
-    functionals move as ``w t^-1``.
+    Every structure tensor is transported; a rank-3 one takes three
+    products in a fixed order, one per index, each with the matrix on the
+    left (n^4 each); functionals move as ``w t^-1``.
     """
     t = np.asarray(t)
     ti = np.linalg.inv(t)
+    n = qg.dim
+
+    def transport(x, first, second, third):
+        # y[a, b, c] = sum_ijk first[a, i] second[b, j] third[c, k] x[i, j, k]
+        x = _real_matmul(first, x.reshape(n, n * n)).reshape(n, n, n)
+        x = _real_matmul(second, x)
+        return _real_matmul(third, x.swapaxes(1, 2)).swapaxes(1, 2)
+
     return FiniteQuantumGroup(
-        dim=qg.dim,
-        mult=np.einsum("ip,jq,ijk,lk->pql", ti, ti, qg.mult, t, optimize=True),
+        dim=n,
+        mult=transport(qg.mult, ti.T, ti.T, t),
         unit=t @ qg.unit,
         star=t @ qg.star @ np.conj(ti),
-        comult=np.einsum("il,ijk,pj,qk->lpq", ti, qg.comult, t, t, optimize=True),
+        comult=transport(qg.comult, ti.T, t, t),
         counit=qg.counit @ ti,
         antipode=t @ qg.antipode @ ti,
         haar=qg.haar @ ti,

@@ -10,6 +10,7 @@ legitimately produce non-state functionals.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .core import (
     _change_basis,
     _dual,
     _kernel_basis,
+    _numerical_rank,
     _real_matmul,
     _stored,
     gns,
@@ -96,8 +98,9 @@ def convolve(qg: FiniteQuantumGroup, w, v) -> np.ndarray:
 
 
 def left_slice(qg: FiniteQuantumGroup, w) -> np.ndarray:
-    """Matrix of L_omega = (omega (x) id) Delta on A-coordinates."""
-    return np.einsum("ijk,j->ki", qg.comult, as_coeffs(w))
+    """Matrix of L_omega = (omega (x) id) Delta on A-coordinates; a stack
+    of functionals ``(..., n)`` gives the stack of their matrices."""
+    return np.einsum("ijk,...j->...ki", qg.comult, as_coeffs(w))
 
 
 def right_slice(qg: FiniteQuantumGroup, w) -> np.ndarray:
@@ -108,8 +111,8 @@ def right_slice(qg: FiniteQuantumGroup, w) -> np.ndarray:
 def _blocks(count: int, n: int) -> list[slice]:
     """Slices covering range(count) in blocks of max(1, 2**13 // n**2) rows.
 
-    A block's largest intermediate (Gram matrices, the n x n products of
-    two subspace bases) holds about 2**13 numbers whatever n is.
+    A block's largest intermediate (the Gram matrices of its functionals)
+    holds about 2**13 numbers whatever n is.
     """
     size = max(1, 2**13 // (n * n))
     return [slice(i, min(i + size, count)) for i in range(0, count, size)]
@@ -281,8 +284,9 @@ def _central_projections(g: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray]
     a -> c a on the centre; each is scaled so that p^2 = p.  Its value on a
     block is the real part of a random complex number, so it also splits
     the pairs of blocks that complex conjugation of the coordinates swaps
-    on a real input, which every real c gives one eigenvalue.  The ranks
-    come from one batched SVD of the L_p (``n^3`` each).
+    on a real input, which every real c gives one eigenvalue.  The squares
+    are two GEMMs (:func:`_left_products`, ``n^3`` per projection), and
+    the rank of the idempotent L_p is its trace, ``n`` per projection.
     """
     n = g.dim
     comm = (g.mult - g.mult.transpose(1, 0, 2)).transpose(0, 2, 1).reshape(n * n, n)
@@ -292,35 +296,49 @@ def _central_projections(g: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray]
     c = (c + g.star_vec(c)) / 2
     on_centre = np.conj(centre.T) @ g.left_mult_matrix(c) @ centre
     v = centre @ np.linalg.eigh((on_centre + np.conj(on_centre.T)) / 2)[1]
-    squares = np.einsum("ijk,ia,ja->ka", g.mult, v, v)
-    p = v * (np.sum(np.abs(v) ** 2, axis=0) / np.sum(np.conj(v) * squares, axis=0))
-    defect = np.abs(np.einsum("ijk,ia,ja->ka", g.mult, p, p) - p).max(initial=0.0)
+    squares = (v.T[:, None] @ _left_products(g, v))[:, 0].T  # column a: v_a v_a
+    scale = np.sum(np.abs(v) ** 2, axis=0) / np.sum(np.conj(v) * squares, axis=0)
+    p = v * scale
+    defect = np.abs(squares * scale**2 - p).max(initial=0.0)
     if defect > _RANK_REL_TOL:
         raise InternalConsistencyError(
             f"the central split left a non-projection (defect {defect:.2e})"
         )
-    s = np.linalg.svd(g.left_mult_matrix(p.T), compute_uv=False)
-    return p, np.sum(s > _RANK_REL_TOL * s[:, :1], axis=-1)
+    traces = np.einsum("ijj->i", g.mult)  # tr L_{e_i}
+    return p, np.rint((traces @ p).real).astype(int)
+
+
+def _left_products(g: FiniteQuantumGroup, u) -> np.ndarray:
+    """The matrices of right multiplication on the columns of u, as
+    ``[a, j, k] = (u_a e_j)_k``: one GEMM, ``k n^3`` for k columns."""
+    n = g.dim
+    return _real_matmul(g.mult.reshape(n, n * n).T, u).T.reshape(-1, n, n)
 
 
 def _products(g: FiniteQuantumGroup, u, v) -> np.ndarray:
     """The products u_a v_b of the columns of u and of v, as columns in
     the order (a, b): two GEMMs, ``k n^3`` for k columns of u."""
-    n = g.dim
-    left = _real_matmul(g.mult.reshape(n, n * n).T, u).T.reshape(-1, n, n)  # [a, j] = u_a e_j
-    return (v.T @ left).reshape(-1, n).T
+    return (v.T @ _left_products(g, u)).reshape(-1, g.dim).T
 
 
 def _generated_algebra(g: FiniteQuantumGroup, u) -> np.ndarray:
-    """Orthonormal basis of the unital *-algebra generated by span(u):
-    the span of the unit, u, u^* and all products u_a u_b, taken again
-    until it stops growing."""
-    while True:
-        k = u.shape[1]
-        v = orthonormal_columns(np.hstack([g.unit[:, None], u, g.star_vec(u), _products(g, u, u)]))
-        if v.shape[1] == k:
-            return v
-        u = v
+    """Orthonormal basis of the unital *-algebra generated by span(u).
+
+    It is the span of the words in the generators 1, u and u^*, a set
+    closed under *: starting from the generators, each round multiplies
+    only the directions the last round added by every generator and keeps
+    what lies outside the span so far, until nothing does.  Each direction
+    is multiplied once, ``n^3`` per dimension of the result.
+    """
+    gens = orthonormal_columns(np.hstack([g.unit[:, None], u, g.star_vec(u)]))
+    basis = new = gens
+    while new.shape[1]:
+        outside = _products(g, new, gens)
+        for _ in range(2):  # twice, so the new directions are orthogonal to rounding
+            outside = outside - basis @ (np.conj(basis.T) @ outside)
+        new = orthonormal_columns(outside)
+        basis = np.hstack([basis, new])
+    return basis
 
 
 def _realified(u) -> np.ndarray:
@@ -342,7 +360,8 @@ def _atoms(side: _Side, own, other) -> list[np.ndarray]:
     - for each character chi(a) = h(a p) / h(p), p a projection of a
       block of rank one, the fixed points of L_chi, which are the range
       of L of the Cesaro limit (1/m) sum_{k<m} chi^{*k} (L_chi is unitary
-      of order m);
+      of order m); all characters go through one stacked
+      :func:`left_slice` and one batched SVD;
     - for each projection q of a larger block of the other side, read as
       a functional on g, the unital *-algebra generated by the coefficient
       space (q (x) id)Delta(A) of one irreducible corepresentation.
@@ -354,16 +373,15 @@ def _atoms(side: _Side, own, other) -> list[np.ndarray]:
     """
     g = side.g
     n = g.dim
-    eye = np.eye(n)
-    atoms = [(g.unit / np.linalg.norm(g.unit))[:, None], eye]
-    haar_products = g.mult @ g.haar  # [i, j] = h(e_i e_j)
+    atoms = [(g.unit / np.linalg.norm(g.unit))[:, None], np.eye(n)]
     projections, ranks = own
-    for p in projections[:, ranks == 1].T:
-        chi = (haar_products @ p) / (g.haar @ p)
-        atoms.append(_kernel_basis(left_slice(g, chi) - eye))
+    p = projections[:, ranks == 1]
+    chi = (g.mult @ g.haar @ p) / (g.haar @ p)  # h(e_i p) / h(p)
+    _, s, vh = np.linalg.svd(left_slice(g, chi.T) - np.eye(n), full_matrices=False)
+    atoms += [v.conj().T[:, _numerical_rank(sv, _RANK_REL_TOL) :] for sv, v in zip(s, vh)]
     projections, ranks = other
-    for q in projections[:, ranks > 1].T:
-        span = orthonormal_columns(left_slice(g, side.from_other @ q))
+    for lq in left_slice(g, (side.from_other @ projections[:, ranks > 1]).T):
+        span = orthonormal_columns(lq)
         atoms.append(_generated_algebra(g, _realified(span) if side.real else span))
     return atoms
 
@@ -372,74 +390,130 @@ def _phi(side: _Side, u) -> np.ndarray:
     """Takeuchi's map C -> (C^+ A)^perp: the right coideal *-subalgebra of
     the other side that annihilates the right ideal generated by
     C^+ = C n ker(eps).  Per subalgebra of dimension k: k n^3 for the
-    ideal's spanning columns c e_j and for their SVD."""
+    ideal's spanning rows c e_j and for their QR; the kernel is read from
+    the SVD of the n x n triangle R, which has the singular values and
+    right singular vectors of the k n rows (``n^3``)."""
     g = side.g
     plus = u - np.outer(g.unit, g.counit @ u)  # spans C^+, since 1 is in C
-    ideal = _products(g, plus, np.eye(g.dim))
-    return orthonormal_columns(side.to_other @ _kernel_basis(ideal.T))
+    ideal = _left_products(g, plus).reshape(-1, g.dim)  # rows c e_j
+    return orthonormal_columns(side.to_other @ _kernel_basis(np.linalg.qr(ideal, mode="r")))
+
+
+# a singular value of U_i^* U_j counts to the meet past 1 - _RANK_REL_TOL,
+# an eigenvalue of its Gram past this
+_MEET_CUT = (1 - _RANK_REL_TOL) ** 2
 
 
 class _Family:
     """Distinct subspaces of C^n, each an orthonormal basis, with the
     inclusions among them that the intersections have found.
 
-    Two bases of equal dimension k span the same subspace when all k
-    singular values of U_i^* U_j exceed ``1 - _RANK_REL_TOL``.  On a side
+    The members are also kept in persistent stacks of the rows of U_j^*,
+    one stack per dimension.  A subspace u is tested against the members
+    of one dimension k_j by one product of their stack with u, and the
+    Grams of the U_j^* u, each formed on its smaller side, go to one
+    batched ``eigvalsh`` per Gram size.  The eigenvalues are the squared
+    cosines of the principal angles (Bjorck-Golub); those past
+    ``(1 - _RANK_REL_TOL)^2`` count the dimension r of span(u) n span(U_j):
+    r = dim u = k_j is equality, r = dim u or r = k_j containment.  Per
+    pair that is ``k_i k_j n`` for the product and
+    ``min(k_i, k_j)^3 <= k_i^3`` for the eigenvalues, with no SVD;
+    eigenvectors are computed only for meets that may be new.  On a side
     with real tensors a subspace that equals its complex conjugate is kept
-    by a real basis, so real inputs keep real states.
+    by a real basis (:func:`_realified`, run when a member is appended), so
+    real inputs keep real states.
     """
 
     def __init__(self, real: bool):
         self.real = real
         self.bases: list[np.ndarray] = []
         self.below: list[set] = []  # below[i]: the members found inside member i
+        # k: (the rows of U_j^* for the members j of dimension k, stacked; j)
+        self._stacks: dict[int, tuple[np.ndarray, list[int]]] = {}
+
+    def _overlaps(self, u, count: int, dims=None):
+        """(the members j < count, of the dimensions ``dims`` or of all, and
+        the dimension of each meet span(u) n span(U_j)): one product
+        U_j^* u per dimension, and one ``eigvalsh`` per size of the Grams,
+        each formed on the smaller side of U_j^* u (a 1 x 1 Gram is its
+        own eigenvalue)."""
+        k = u.shape[1]
+        by_size: dict[int, tuple[list, list]] = {}  # Gram size: (members, Grams)
+        for kj in self._stacks if dims is None else dims:
+            rows, idx = self._stacks[kj]
+            c = bisect.bisect_left(idx, count)
+            if c:
+                m = _real_matmul(rows[: c * kj], u).reshape(c, kj, k)
+                mh = np.conj(m.swapaxes(-1, -2))
+                members, grams = by_size.setdefault(min(kj, k), ([], []))
+                members += idx[:c]
+                grams.append(m @ mh if kj <= k else mh @ m)
+        order, meets = [], []
+        for size, (members, grams) in by_size.items():
+            gram = np.concatenate(grams)
+            eig = gram[..., 0].real if size == 1 else np.linalg.eigvalsh(gram)
+            order += members
+            meets.append(np.sum(eig > _MEET_CUT, axis=-1))
+        return order, np.concatenate(meets) if meets else np.empty(0, dtype=int)
 
     def add(self, u) -> int:
         """The index of the member span(u), appended unless it is one."""
-        u = _realified(u) if self.real else u
         k = u.shape[1]
-        same = [i for i, b in enumerate(self.bases) if b.shape[1] == k]
-        if same:
-            products = np.conj(u.T) @ np.stack([self.bases[i] for i in same])
-            equal = np.linalg.svd(products, compute_uv=False)[:, -1] > 1 - _RANK_REL_TOL
-            if equal.any():
-                return same[np.argmax(equal)]
+        if k in self._stacks:
+            members, r = self._overlaps(u, len(self.bases), [k])
+            if (r == k).any():
+                return members[int(np.argmax(r == k))]
+        u = _realified(u) if self.real else u
+        rows, members = self._stacks.get(k, (np.empty((0, u.shape[0])), []))
+        c = len(members) * k
+        if c == len(rows) or (np.iscomplexobj(u) and not np.iscomplexobj(rows)):
+            grown = np.empty((max(4 * k, 2 * c), u.shape[0]), np.result_type(rows, u))
+            grown[:c] = rows[:c]
+            rows = grown
+        rows[c : c + k] = np.conj(u.T)
+        members.append(len(self.bases))
+        self._stacks[k] = (rows, members)
         self.bases.append(u)
         self.below.append({len(self.bases) - 1})
         return len(self.bases) - 1
+
+    def _known(self, i: int, j: int, r: int) -> bool:
+        """Whether a member of dimension r is known to lie inside i and j."""
+        return any(self.bases[l].shape[1] == r for l in self.below[i] & self.below[j])
 
     def intersect(self, i: int):
         """Intersect member i with every earlier member, each of which has
         been intersected with all members before it.
 
-        The intersection of span(U_i) and span(U_j) is U_i x for the left
-        singular vectors x of U_i^* U_j whose singular values exceed
-        ``1 - _RANK_REL_TOL``, and its dimension r is how many do.  The
-        earlier members are zero-padded to n columns and their products
-        with U_i taken as batched SVDs in blocks of :func:`_blocks`.  When
-        one member contains the other the inclusion is recorded; otherwise
-        the intersection is added unless some member of dimension r lies
-        inside both.
+        One batched test (:meth:`_overlaps`) gives every meet's dimension
+        r.  When one member contains the other the inclusion is recorded.
+        Otherwise the meet is U_i x for the eigenvectors x of the Gram
+        (U_j^* U_i)^* (U_j^* U_i) past the cutoff, taken in one batched
+        ``eigh`` for the pairs whose meet is not yet known (no member of
+        dimension r known inside both), and added; the member it gives is
+        recorded inside both.
         """
         u = self.bases[i]
-        n, k = u.shape
-        dims = [b.shape[1] for b in self.bases[:i]]
-        padded = np.zeros((i, n, n), dtype=np.result_type(u, *self.bases[:i]))
-        for j, b in enumerate(self.bases[:i]):
-            padded[j, :, : dims[j]] = b
-        meets = []
-        for sl in _blocks(i, n):
-            x, s, _ = np.linalg.svd(np.conj(u.T) @ padded[sl], full_matrices=False)
-            for j, xj, r in zip(range(sl.start, sl.stop), x, np.sum(s > 1 - _RANK_REL_TOL, axis=-1)):
-                if r == k:
-                    self.below[j].add(i)
-                elif r == dims[j]:
-                    self.below[i].add(j)
-                else:
-                    meets.append((j, r, u @ xj[:, :r]))
-        for j, r, meet in meets:
-            if not any(self.bases[l].shape[1] == r for l in self.below[i] & self.below[j]):
-                self.add(meet)
+        k = u.shape[1]
+        members, r = self._overlaps(u, i)
+        pairs = []  # (j, r) for the pairs in which neither contains the other
+        for j, rj in zip(members, r.tolist()):
+            if rj == k:
+                self.below[j].add(i)
+            elif rj == self.bases[j].shape[1]:
+                self.below[i].add(j)
+            else:
+                pairs.append((j, rj))
+        pairs = sorted(p for p in pairs if not self._known(i, *p))
+        if not pairs:
+            return
+        products = [np.conj(self.bases[j].T) @ u for j, _ in pairs]
+        vectors = np.linalg.eigh(np.stack([np.conj(m.T) @ m for m in products]))[1]
+        for (j, r), x in zip(pairs, vectors):
+            if not self._known(i, j, r):
+                meet = self.add(u @ x[:, k - r :])
+                self.below[i].add(meet)
+                self.below[j].add(meet)
 
 
 def _closure(sides, atoms) -> list[_Family]:
@@ -499,8 +573,10 @@ def solve_idempotents(
     minimal central projections of both sides (:func:`_central_projections`).
     Each member goes through phi to the other side, and both families are
     closed under pairwise intersection until neither grows
-    (:func:`_closure`).  Every rank, intersection and dedup cutoff is
-    ``core._RANK_REL_TOL``, read from singular values.  The families are
+    (:func:`_closure`).  Every rank cutoff is ``core._RANK_REL_TOL``, read
+    from singular values; the intersection and dedup tests read the same
+    cutoff from the Gram eigenvalues, the squared singular values of
+    U_i^* U_j, as ``lambda > (1 - _RANK_REL_TOL)^2``.  The families are
     closed under phi and intersection, and their sizes must be equal, or
     InternalConsistencyError is raised.  No random start and no budget:
     ``cfg`` is accepted and unread (:class:`SolveConfig`).
@@ -513,11 +589,16 @@ def solve_idempotents(
     empty.
 
     Cost, for m states in all: the transports, the dual and the centres
-    ``n^4``; the atoms ``n^3`` per character and up to ``n^4`` per
-    generated algebra; phi ``k n^3`` per member of dimension k, ``m n^4``
-    at most; the intersections ``k n^2`` per pair of members, ``m^2 n^3``
-    at most, and each candidate's dedup ``k^2 n`` per member of its
-    dimension; the read-back and the state test ``n^3`` per state.
+    ``n^4``, the block ranks ``n`` each (a trace); the atoms ``n^3`` per
+    character and ``n^3`` per dimension of each generated algebra, so up
+    to ``n^4`` each; phi ``k n^3`` per member of dimension k, ``m n^4`` at
+    most; the intersection test of members of dimensions k_i and k_j
+    ``k_i k_j n + k_i^3`` (:class:`_Family`), so ``m^2 n^3`` at most, and
+    each candidate's dedup the same per member of its dimension; the
+    read-back and the state test ``n^3`` per state.  In all
+    ``O(m^2 n^3 + m n^4)``.  The tests of one member against all earlier
+    ones make one product per member dimension and one ``eigvalsh`` per
+    Gram size, whatever m is.
     """
     if not _state_mask(qg, qg.counit[None], 1e-9, idempotent=True)[0]:
         return []

@@ -101,10 +101,14 @@ def test_every_svd_says_which_factors_it_forms():
     # np.linalg.svd forms the full m x m U by default: each call in the
     # package passes full_matrices= or compute_uv= to say what it needs
     calls = []
+    in_text = 0
     for path in sorted(pathlib.Path(qgidem.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        text = path.read_text()
+        in_text += text.count("linalg.svd(")
+        for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("linalg.svd"):
                 keys = {kw.arg for kw in node.keywords}
                 calls.append((path.name, node.lineno, bool(keys & {"full_matrices", "compute_uv"})))
-    assert len(calls) >= 5
+    # the scan finds every call written in the package, and there are some
+    assert len(calls) == in_text > 0
     assert [call for call in calls if not call[2]] == []

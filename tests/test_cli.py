@@ -354,7 +354,7 @@ def test_each_command_registers_the_pinned_options_and_each_is_read():
         ("walk", "fn:Z4", "--s", "3"),
         ("idempotents", "fn:Z4", "--s", "3"),
         ("walk", "fn:Z4", "--ste", "3"),
-        ("idempotents", "fn:Z4", "--star", "3"),
+        ("idempotents", "fn:Z4", "--ora"),
     ],
 )
 def test_option_prefixes_are_usage_errors(capsys, monkeypatch, argv):

@@ -6,7 +6,7 @@ import pytest
 
 import qgidem as qg
 import qgidem.states as states_module
-from qgidem.core import _kernel_basis, orthonormal_columns
+from qgidem.core import _RANK_REL_TOL, _kernel_basis, orthonormal_columns
 from qgidem.states import (
     SolveConfig,
     State,
@@ -38,6 +38,7 @@ from helpers import (
     kac_paljutkin,
     oracle_states,
     phase_twin,
+    random_unitary,
     solved,
     tensor_product,
 )
@@ -483,6 +484,176 @@ def test_solver_ignores_the_seed_and_the_start_budget():
                     SolveConfig(starts=7, seed=2)):
             got = np.array([st.coeffs for st in solve_idempotents(g, cfg)])
             assert got.shape == ref.shape and np.abs(got - ref).max() <= 1e-10
+
+
+def reference_meet_dim(u, v):
+    """dim span(u) n span(v) for orthonormal bases u, v: the singular values
+    of u^* v past 1 - _RANK_REL_TOL, one SVD per pair."""
+    s = np.linalg.svd(np.conj(u.T) @ v, compute_uv=False)
+    return int(np.sum(s > 1 - _RANK_REL_TOL))
+
+
+def meet_dims(family, u, count):
+    """The family's dimension of span(u) n span(U_j) for each member j < count."""
+    dims = np.full(count, -1)
+    members, r = family._overlaps(u, count)
+    dims[members] = r
+    return dims.tolist()
+
+
+def check_family_against_pairwise_svds(family):
+    bases = family.bases
+    for i, u in enumerate(bases):
+        ref = [reference_meet_dim(u, bases[j]) for j in range(i)]
+        assert meet_dims(family, u, i) == ref
+        for j, r in enumerate(ref):
+            k_i, k_j = u.shape[1], bases[j].shape[1]
+            assert not r == k_i == k_j  # the members are distinct
+            # the closure tested every pair, so every inclusion is recorded
+            assert (i in family.below[j]) == (r == k_i)
+            assert (j in family.below[i]) == (r == k_j)
+        # a rotated basis of a member is the member
+        rotation = random_unitary(u.shape[1], np.random.default_rng(i))
+        assert family.add(u @ rotation) == i
+    assert len(family.bases) == len(bases)
+
+
+@pytest.mark.parametrize("form", ["builtin", "dense", "phase"])
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_family_tests_match_pairwise_svds_on_s4(form, kind):
+    g, _ = zoo_input(form, kind, "S4")
+    for family in states_module._coideal_families(g, qg.gns(g))[1]:
+        assert len(family.bases) == 30
+        check_family_against_pairwise_svds(family)
+
+
+def test_family_tests_match_pairwise_svds_on_a_mixed_tensor_product():
+    g = tensor_product(kac_paljutkin(), algebra("ga", "S3"))
+    for family in states_module._coideal_families(g, qg.gns(g))[1]:
+        assert len(family.bases) == 92
+        check_family_against_pairwise_svds(family)
+
+
+@pytest.mark.parametrize("angle,equal", [(1e-6, True), (1e-3, False)])
+def test_family_tells_subspaces_apart_by_their_principal_angles(angle, equal):
+    # span(u) and span(v) share 3 directions and meet at the given angle in
+    # the fourth: cos(1e-6) = 1 - 5e-13 counts as 1, cos(1e-3) = 1 - 5e-7
+    # does not, at the cutoff sigma > 1 - _RANK_REL_TOL
+    rng = np.random.default_rng(0)
+    q = random_unitary(10, rng)
+    u = q[:, :4]
+    v = u.copy()
+    v[:, 0] = np.cos(angle) * u[:, 0] + np.sin(angle) * q[:, 4]
+    family = states_module._Family(real=False)
+    assert family.add(u) == 0
+    expected = 4 if equal else 3
+    assert reference_meet_dim(u, v) == expected
+    assert meet_dims(family, v, 1) == [expected]
+    assert family.add(v) == (0 if equal else 1)
+    if not equal:
+        family.intersect(1)
+        assert len(family.bases) == 3  # the meet of dimension 3 is added
+        meet = family.bases[2]
+        assert meet.shape[1] == 3
+        assert reference_meet_dim(meet, u) == reference_meet_dim(meet, v) == 3
+        assert family.below[0] >= {2} and family.below[1] >= {2}
+
+
+def block_ranks(g):
+    """The block dimensions rank L_p of the minimal central projections p
+    of g, each checked against the rounded trace and the SVD rank of L_p."""
+    p, ranks = states_module._central_projections(g)
+    lp = g.left_mult_matrix(p.T)
+    s = np.linalg.svd(lp, compute_uv=False)
+    assert ranks.tolist() == np.sum(s > _RANK_REL_TOL * s[:, :1], axis=-1).tolist()
+    traces = np.trace(lp, axis1=-2, axis2=-1)
+    assert np.abs(traces - ranks).max() <= 1e-9
+    assert ranks.tolist() == np.rint(traces.real).astype(int).tolist()
+    return sorted(ranks.tolist())
+
+
+@pytest.mark.parametrize("form", ["builtin", "dense", "phase"])
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_central_projections_give_the_wedderburn_blocks_of_s4(form, kind):
+    # fn:S4 is C^24; its dual C[S4] is the sum of the matrix algebras of the
+    # irreducible representations of S4, of degrees 1, 1, 2, 3, 3
+    g, _ = zoo_input(form, kind, "S4")
+    commutative, group_algebra = [1] * 24, [1, 1, 4, 9, 9]
+    expected = [commutative, group_algebra] if kind == "fn" else [group_algebra, commutative]
+    assert [block_ranks(side.g) for side in states_module._sides(g, qg.gns(g))] == expected
+
+
+@pytest.mark.parametrize("form", ["builtin", "dense", "phase"])
+def test_central_projections_give_the_wedderburn_blocks_of_kac_paljutkin(form):
+    # KP is C^4 + M_2 and self-dual
+    g = kac_paljutkin()
+    if form != "builtin":
+        rng = np.random.default_rng(1)
+        t = random_unitary(8, rng) if form == "dense" else np.diag(np.exp(2j * np.pi * rng.random(8)))
+        g = change_basis(g, t)
+    assert [block_ranks(side.g) for side in states_module._sides(g, qg.gns(g))] == [
+        [1, 1, 1, 1, 4], [1, 1, 1, 1, 4],
+    ]
+
+
+def count_linalg_calls(monkeypatch):
+    """A one-element list that counts the np.linalg calls from now on."""
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "eigh", "eigvalsh", "qr", "inv", "solve", "lstsq", "pinv", "norm"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    return calls
+
+
+def test_intersect_linalg_calls_do_not_grow_with_the_family(monkeypatch):
+    # one batched eigvalsh per size of Gram, not one SVD per earlier member
+    # or per block of them.  Rerun on the closed family of fn:S4, where
+    # every meet is known, each intersection makes at most one np.linalg
+    # call per member dimension
+    g = algebra("fn", "S4")
+    family = states_module._coideal_families(g, qg.gns(g))[1][0]
+    calls = count_linalg_calls(monkeypatch)
+    per_call = []
+    for i in range(len(family.bases)):
+        calls[0] = 0
+        family.intersect(i)
+        per_call.append(calls[0])
+    assert len(family.bases) == 30
+    dims = {u.shape[1] for u in family.bases}
+    assert len(dims) == 8  # 24 / |H| for the subgroup orders of S4
+    # member 29 meets 29 earlier members in at most 8 calls
+    assert max(per_call) <= len(dims) < len(family.bases) - 1
+
+
+@pytest.mark.parametrize("members", [4, 16, 64])
+def test_intersect_linalg_calls_do_not_depend_on_the_member_count(monkeypatch, members):
+    # W (dimension 5) and subspaces W + span(x_a) of dimension 6: every pair
+    # of the latter meets in W, which is known to lie in both, so each
+    # intersection reads two Gram sizes (5 and 6) in two calls, however
+    # many members came before
+    rng = np.random.default_rng(0)
+    q = random_unitary(24, rng)
+    w = q[:, :5]
+    family = states_module._Family(real=False)
+    family.add(w)
+    for _ in range(members):
+        x = q[:, 5:] @ (rng.standard_normal(19) + 1j * rng.standard_normal(19))
+        family.add(np.hstack([w, (x / np.linalg.norm(x))[:, None]]))
+    calls = count_linalg_calls(monkeypatch)
+    per_call = []
+    for i in range(len(family.bases)):
+        calls[0] = 0
+        family.intersect(i)
+        per_call.append(calls[0])
+    assert len(family.bases) == members + 1  # no meet is new
+    assert per_call[2:] == [2] * (members - 1)
+
 
 
 def test_solver_working_set_is_blocked():
