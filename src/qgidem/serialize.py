@@ -25,10 +25,22 @@ def _vector_out(v) -> list:
     return [_pair(z) for z in np.asarray(v)]
 
 
+def _is_number(x) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _complex_in(pair, name) -> complex:
+    """The complex number of an [re, im] pair of JSON numbers."""
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_number, pair))):
+        raise StructuralError(f"{name}: values must be [re, im] pairs of numbers, got {pair!r}")
+    return complex(*pair)
+
+
 def _vector_in(data, n, name) -> np.ndarray:
     if len(data) != n:
         raise StructuralError(f"{name}: expected {n} entries, got {len(data)}")
-    return np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+    return np.array([_complex_in(z, name) for z in data], dtype=np.complex128)
 
 
 def _matrix_out(m) -> list:
@@ -38,9 +50,7 @@ def _matrix_out(m) -> list:
 def _matrix_in(data, n, name) -> np.ndarray:
     if len(data) != n or any(len(row) != n for row in data):
         raise StructuralError(f"{name}: expected {n}x{n} matrix")
-    return np.array(
-        [[complex(re, im) for re, im in row] for row in data], dtype=np.complex128
-    )
+    return np.array([[_complex_in(z, name) for z in row] for row in data], dtype=np.complex128)
 
 
 def _tensor_out(t) -> list:
@@ -58,7 +68,7 @@ def _is_int(x) -> bool:
 
 def _tensor_in(items, n, name) -> np.ndarray:
     """The tensor of a triplet list; each index must be an integer in
-    range(n), and each [i, j, k] may appear once."""
+    range(n), each [i, j, k] may appear once, and re and im are numbers."""
     t = np.zeros((n, n, n), dtype=np.complex128)
     seen = set()
     for entry in items:
@@ -73,7 +83,7 @@ def _tensor_in(items, n, name) -> np.ndarray:
         if ijk in seen:
             raise StructuralError(f"{name}: repeated index {list(ijk)}")
         seen.add(ijk)
-        t[ijk] = complex(re, im)
+        t[ijk] = _complex_in([re, im], name)
     return t
 
 
@@ -102,6 +112,9 @@ def qg_from_dict(data: dict) -> FiniteQuantumGroup:
     missing = [key for key in required if key not in data]
     if missing:
         raise StructuralError(f"missing fields: {missing}")
+    tol = data.get("tol", 1e-9)
+    if not _is_number(tol):
+        raise StructuralError(f"'tol' must be a number, got {tol!r}")
     return FiniteQuantumGroup(
         dim=n,
         mult=_tensor_in(data["mult"], n, "mult"),
@@ -111,7 +124,7 @@ def qg_from_dict(data: dict) -> FiniteQuantumGroup:
         haar=_vector_in(data["haar"], n, "haar"),
         star=_matrix_in(data["star"], n, "star"),
         antipode=_matrix_in(data["antipode"], n, "antipode"),
-        tol=float(data.get("tol", 1e-9)),
+        tol=tol,
     )
 
 

@@ -216,12 +216,6 @@ def _vector_state(qg: FiniteQuantumGroup, a) -> np.ndarray:
     return w / (w @ qg.unit)[..., None]
 
 
-def random_state(qg: FiniteQuantumGroup, rng) -> State:
-    """A random state omega(x) = h(a^* x a) / h(a^* a), a Gaussian."""
-    a = rng.standard_normal(qg.dim) + 1j * rng.standard_normal(qg.dim)
-    return State(qg, _vector_state(qg, a))
-
-
 # -- idempotent states as coideal subalgebras -------------------------------
 
 
@@ -386,17 +380,22 @@ def _atoms(side: _Side, own, other) -> list[np.ndarray]:
     return atoms
 
 
+def _density(g: FiniteQuantumGroup, u) -> np.ndarray:
+    """rho = q / h(q) with eps U U^* = h(rho .), for an orthonormal basis u."""
+    return np.conj((g.counit @ u) @ np.conj(u.T))
+
+
 def _phi(side: _Side, u) -> np.ndarray:
-    """Takeuchi's map C -> (C^+ A)^perp: the right coideal *-subalgebra of
-    the other side that annihilates the right ideal generated by
-    C^+ = C n ker(eps).  Per subalgebra of dimension k: k n^3 for the
-    ideal's spanning rows c e_j and for their QR; the kernel is read from
-    the SVD of the n x n triangle R, which has the singular values and
-    right singular vectors of the k n rows (``n^3``)."""
+    """Takeuchi's map C -> (C^+ A)^perp to the other side.  C^+ A = (1 - q) A
+    (:func:`_density`), so phi(C) = {f : f(a) = f(qa)}, the range of L_rho^T:
+    ``n^3`` per member.  A Hopf algebra is free over its coideal subalgebras
+    (Skryabin), so dim C * dim phi(C) = n."""
     g = side.g
-    plus = u - np.outer(g.unit, g.counit @ u)  # spans C^+, since 1 is in C
-    ideal = _left_products(g, plus).reshape(-1, g.dim)  # rows c e_j
-    return orthonormal_columns(side.to_other @ _kernel_basis(np.linalg.qr(ideal, mode="r")))
+    image = orthonormal_columns(side.to_other @ _left_products(g, _density(g, u)[:, None])[0])
+    k, d = u.shape[1], image.shape[1]
+    if k * d != g.dim:
+        raise InternalConsistencyError(f"phi failed dim C * dim phi(C) = n: {k} * {d} != {g.dim}")
+    return image
 
 
 # a singular value of U_i^* U_j counts to the meet past 1 - _RANK_REL_TOL,
@@ -591,14 +590,14 @@ def solve_idempotents(
     Cost, for m states in all: the transports, the dual and the centres
     ``n^4``, the block ranks ``n`` each (a trace); the atoms ``n^3`` per
     character and ``n^3`` per dimension of each generated algebra, so up
-    to ``n^4`` each; phi ``k n^3`` per member of dimension k, ``m n^4`` at
-    most; the intersection test of members of dimensions k_i and k_j
-    ``k_i k_j n + k_i^3`` (:class:`_Family`), so ``m^2 n^3`` at most, and
-    each candidate's dedup the same per member of its dimension; the
-    read-back and the state test ``n^3`` per state.  In all
-    ``O(m^2 n^3 + m n^4)``.  The tests of one member against all earlier
-    ones make one product per member dimension and one ``eigvalsh`` per
-    Gram size, whatever m is.
+    to ``n^4`` each; phi ``n^3`` per member (one ``n x n`` operator and
+    its SVD), ``m n^3`` in all; the intersection test of members of
+    dimensions k_i and k_j ``k_i k_j n + k_i^3`` (:class:`_Family`), so
+    ``m^2 n^3`` at most, and each candidate's dedup the same per member of
+    its dimension; the read-back and the state test ``n^3`` per state.  In
+    all ``O(m^2 n^3)`` plus the atoms.  The tests of one member against
+    all earlier ones make one product per member dimension and one
+    ``eigvalsh`` per Gram size, whatever m is.
     """
     if not _state_mask(qg, qg.counit[None], 1e-9, idempotent=True)[0]:
         return []
@@ -609,10 +608,7 @@ def solve_idempotents(
             f"the coideal families of A and its dual differ in size "
             f"({len(families[0].bases)} and {len(families[1].bases)})"
         )
-    # omega = eps U U^* is h(rho .) for rho = q / h(q), q the projection of
-    # the block of C on which eps lives, so omega = h(q . q) / h(q): it is
-    # read back in the basis of A as the vector state of rho
-    rho = np.conj([(g.counit @ u) @ np.conj(u.T) for u in families[0].bases])
+    rho = np.array([_density(g, u) for u in families[0].bases])
     w = _vector_state(qg, rho @ gd.onb.T)
     states = w[canonical_order(w)]
     # the final state test reads each row as State stores it: float64 when

@@ -16,6 +16,8 @@ from qgidem.core import (
 )
 from qgidem.states import (
     SolveConfig,
+    State,
+    _vector_state,
     solve_idempotents,
     subgroup_state_fn,
     subgroup_state_ga,
@@ -232,6 +234,12 @@ def phase_twin(kind, name, seed=0):
     theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, g.dim)
     t = np.diag(np.exp(1j * theta))
     return change_basis(g, t), t
+
+
+def random_state(g, rng):
+    """A random state omega(x) = h(a^* x a) / h(a^* a), a Gaussian."""
+    a = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
+    return State(g, _vector_state(g, a))
 
 
 @functools.lru_cache(maxsize=None)

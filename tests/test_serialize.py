@@ -95,6 +95,41 @@ def test_reader_refuses_what_it_would_change(field, value, message):
         qg_from_dict(data)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("tol", True),
+    ("tol", "1e-3"),
+    ("unit", [True, 0]),
+    ("counit", ["1", 0]),
+    ("haar", [0.5, 0, 0]),
+    ("star", [0, False]),
+    ("antipode", "1"),
+    ("mult", [True, 0.0]),
+    ("comult", [1.0, "0"]),
+])
+def test_reader_refuses_values_that_are_not_numbers(field, value):
+    # a bool would be read as 0 or 1 and a numeric string parsed, and a
+    # malformed pair is an input error like any other structural one
+    data = qg_to_dict(algebra("fn", "Z2"))
+    if field == "tol":
+        data["tol"] = value
+    elif field in ("mult", "comult"):
+        data[field][0] = data[field][0][:3] + value
+    elif field in ("star", "antipode"):
+        data[field][0][0] = value
+    else:
+        data[field][0] = value
+    with pytest.raises(StructuralError, match="number"):
+        qg_from_dict(data)
+
+
+def test_state_reader_refuses_values_that_are_not_numbers():
+    g = algebra("fn", "Z2")
+    data = state_to_dict(oracle_states("fn", "Z2")[0])
+    data["coeffs"][0] = [True, 0]
+    with pytest.raises(StructuralError, match="coeffs: values must be"):
+        state_from_dict(data, g)
+
+
 def test_cayley_round_trip():
     ct = group("D4")
     data = cayley_to_dict(ct)

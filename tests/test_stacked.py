@@ -43,7 +43,6 @@ from qgidem.states import (
     State,
     convolve,
     left_slice,
-    random_state,
     recover_slice,
     right_slice,
 )
@@ -58,6 +57,7 @@ from helpers import (
     non_associative_case,
     oracle_states,
     phase_twin,
+    random_state,
     right_regular_twist,
 )
 

@@ -6,7 +6,14 @@ import pytest
 
 import qgidem as qg
 import qgidem.states as states_module
-from qgidem.core import _RANK_REL_TOL, _kernel_basis, orthonormal_columns
+from qgidem import cli
+from qgidem.analysis import subspace_defect
+from qgidem.core import (
+    _RANK_REL_TOL,
+    InternalConsistencyError,
+    _kernel_basis,
+    orthonormal_columns,
+)
 from qgidem.states import (
     SolveConfig,
     State,
@@ -18,7 +25,6 @@ from qgidem.states import (
     is_idempotent,
     is_state,
     left_slice,
-    random_state,
     recover_slice,
     right_slice,
     solve_idempotents,
@@ -38,6 +44,7 @@ from helpers import (
     kac_paljutkin,
     oracle_states,
     phase_twin,
+    random_state,
     random_unitary,
     solved,
     tensor_product,
@@ -557,6 +564,82 @@ def test_family_tells_subspaces_apart_by_their_principal_angles(angle, equal):
         assert meet.shape[1] == 3
         assert reference_meet_dim(meet, u) == reference_meet_dim(meet, v) == 3
         assert family.below[0] >= {2} and family.below[1] >= {2}
+
+
+PHI_INPUTS = ["fn:S4", "ga:S4", "dense fn:S4", "phase ga:S4", "KP", "dual:KP", "fn:S3 (x) ga:S3"]
+
+
+def phi_input(name):
+    return {
+        "fn:S4": lambda: algebra("fn", "S4"),
+        "ga:S4": lambda: algebra("ga", "S4"),
+        "dense fn:S4": lambda: dense_algebra("fn", "S4")[0],
+        "phase ga:S4": lambda: phase_twin("ga", "S4")[0],
+        "KP": kac_paljutkin,
+        "dual:KP": lambda: qg.dual(kac_paljutkin()),
+        "fn:S3 (x) ga:S3": lambda: tensor_product(algebra("fn", "S3"), algebra("ga", "S3")),
+    }[name]()
+
+
+def closed_members(g):
+    """(side, orthonormal basis) of every member of both closed families of g."""
+    gd = qg.gns(g)
+    families = states_module._coideal_families(g, gd)[1]
+    sides = states_module._sides(g, gd)
+    return [(side, u) for side, family in zip(sides, families) for u in family.bases]
+
+
+def _reference_phi(side, u):
+    """Takeuchi's phi(C) = (C^+ A)^perp from the ideal itself: the kernel of
+    its k n spanning rows c e_j (c in C^+), read from the SVD of their QR's
+    triangle."""
+    g = side.g
+    plus = u - np.outer(g.unit, g.counit @ u)  # spans C^+, since 1 is in C
+    ideal = states_module._left_products(g, plus).reshape(-1, g.dim)  # rows c e_j
+    return orthonormal_columns(side.to_other @ _kernel_basis(np.linalg.qr(ideal, mode="r")))
+
+
+@pytest.mark.parametrize("name", PHI_INPUTS)
+def test_phi_matches_the_ideal_row_reference(name):
+    for side, u in closed_members(phi_input(name)):
+        got, ref = states_module._phi(side, u), _reference_phi(side, u)
+        assert got.shape == ref.shape
+        cosines = np.linalg.svd(np.conj(ref.T) @ got, compute_uv=False)
+        assert cosines.min() > 1 - _RANK_REL_TOL
+
+
+@pytest.mark.parametrize("name", PHI_INPUTS)
+def test_density_is_a_multiple_of_the_support_projection(name):
+    # rho = q / h(q) and h(q) = ||q||^2 in GNS-orthonormal coordinates, so
+    # q = rho / ||rho||^2: a projection in C with eps(q) = 1, and L_q has
+    # rank tr L_q = n / dim C, the dimension of phi(C)
+    for side, u in closed_members(phi_input(name)):
+        g = side.g
+        rho = states_module._density(g, u)
+        q = rho / np.linalg.norm(rho) ** 2
+        square = states_module._products(g, q[:, None], q[:, None])[:, 0]
+        assert np.linalg.norm(square - q) <= 1e-12
+        assert abs(g.counit @ q - 1) <= 1e-12
+        assert subspace_defect(q[:, None], u) <= 1e-12
+        assert abs(np.trace(g.left_mult_matrix(q)) - g.dim / u.shape[1]) <= 1e-12 * g.dim
+
+
+def test_phi_checks_that_dim_c_times_dim_phi_c_is_n(monkeypatch, capsys):
+    density = states_module._density
+
+    def lossy(g, u):
+        # rho without its part on one block of rank one: on fn:S3, where every
+        # block has rank one, phi of the trivial member C1 loses a dimension
+        rho = density(g, u)
+        p, ranks = states_module._central_projections(g)
+        parts = states_module._products(g, rho[:, None], p[:, ranks == 1])
+        return rho - parts[:, np.argmax(np.linalg.norm(parts, axis=0))]
+
+    monkeypatch.setattr(states_module, "_density", lossy)
+    with pytest.raises(InternalConsistencyError, match=r"dim C \* dim phi\(C\) = n: 1 \* 5 != 6"):
+        solve_idempotents(algebra("fn", "S3"))
+    assert cli.main(["idempotents", "fn:S3"]) == 3
+    assert "dim C * dim phi(C) = n" in capsys.readouterr().err
 
 
 def block_ranks(g):
