@@ -17,6 +17,7 @@ the GNS faithfulness test and the checks of V.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,11 +96,10 @@ def ideal_residual(qg: FiniteQuantumGroup, basis) -> float:
     if basis.shape[1] == 0:
         return 0.0
     u = orthonormal_columns(basis)
-    m = qg.mult
     images = np.concatenate(
         [
-            np.einsum("ijk,jc->ikc", m, u),  # e_i u
-            np.einsum("jik,jc->ikc", m, u),  # u e_i
+            qg.right_mult_matrix(u.T).transpose(2, 1, 0),  # [i, :, c] = e_i u_c
+            qg.left_mult_matrix(u.T).transpose(2, 1, 0),  # [i, :, c] = u_c e_i
             qg.star_vec(u)[None],
         ]
     )
@@ -131,8 +131,7 @@ class Subalgebra:
 
 
 def _algebra_residuals(qg, u):
-    products = np.einsum("pjk,pi,jc->ikc", qg.mult, u, u, optimize=True)
-    prod = subspace_defect(products, u)  # u_i u_c
+    prod = subspace_defect(qg.left_mult_matrix(u.T) @ u, u)  # u_i u_c
     star = subspace_defect(qg.star_vec(u), u)
     unit = subspace_defect(qg.unit[:, None], u)
     return prod, star, unit
@@ -140,8 +139,8 @@ def _algebra_residuals(qg, u):
 
 def right_invariance_residual(qg, u) -> float:
     """max over the dual basis nu of the defect of R_nu(C) in C."""
-    # R_{f_k}[j, i] = comult[i, j, k]
-    return subspace_defect(np.einsum("ijk,ic->kjc", qg.comult, u), u)
+    # R_{f_k} u_c = Delta(u_c)[:, k]
+    return subspace_defect(qg.comultiply(u.T).transpose(2, 1, 0), u)
 
 
 def invariant_subalgebra(qg: FiniteQuantumGroup, omega) -> Subalgebra:
@@ -156,13 +155,9 @@ def invariant_subalgebra(qg: FiniteQuantumGroup, omega) -> Subalgebra:
     lw = left_slice(qg, w)
     u = orthonormal_columns(lw)
 
-    # each three-operand einsum goes pairwise through BLAS (n^4) instead of
-    # one n^5 C loop over all indices
-    m = qg.mult
-    cond = frobenius(
-        np.einsum("pi,qj,pqr->rij", lw, lw, m, optimize=True)
-        - np.einsum("rq,pi,pjq->rij", lw, lw, m, optimize=True)
-    )
+    # L(e_i) L(e_j) = L(L(e_i) e_j): P[i] = L_{L(e_i)}, so P lw = lw P
+    p = qg.left_mult_matrix(lw.T)
+    cond = frobenius(p @ lw - lw @ p)
     scale = CONSTRUCTION_TOL * qg.dim
     if cond > scale:
         raise QuantumGroupError(
@@ -270,7 +265,9 @@ def _bimodule_defect(qg, e, u) -> float:
 def symmetry_residual(
     qg: FiniteQuantumGroup, gd: GnsData, mu: MultUnitary, c_basis
 ) -> float:
-    """max over basis c of C of the defect of V^*(1 (x) c)V from B(H) (x) C.
+    """The defect of c -> V^*(1 (x) c)V from B(H) (x) C, as its
+    Hilbert-Schmidt norm on C: sqrt(sum_c defect_c^2) over an orthonormal
+    basis c of C, which depends on C alone, not on the basis.
 
     Evaluated on V = sum_k F_k (x) g_k (``mu.leg_factors``, kept from
     :func:`multiplicative_unitary`) when that describes V up to rounding:
@@ -311,12 +308,12 @@ def _symmetry_residual_factored(legs, reps, q) -> float:
     outer = outer.reshape(n * n, n * n)
     prods = np.matmul(g[None], g[r:, None])  # [m - r, k]: g_k g_m
     prods = np.conj(prods).reshape((n - r) * n, n * n)
-    worst = 0.0
+    sq = 0.0
     for rep_c in reps:
         moved = (rep_c @ g).reshape(n, n * n)  # pi(c) g_l
         coeffs = (prods @ moved.T).reshape(n - r, n * n)  # [m, (k, l)]
-        worst = max(worst, frobenius(coeffs @ outer))
-    return worst
+        sq += frobenius(coeffs @ outer) ** 2
+    return math.sqrt(sq)
 
 
 def _symmetry_residual_dense(v, reps, q) -> float:
@@ -324,13 +321,12 @@ def _symmetry_residual_dense(v, reps, q) -> float:
     n = reps[0].shape[0]
     vh = v.conj().T
     v_legs = v.reshape(n, n, n * n)  # [a, b, (c, d)]
-    worst = 0.0
+    sq = 0.0
     for rep_c in reps:
         x = vh @ (rep_c @ v_legs).reshape(n * n, n * n)
         rows = x.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-        residual = frobenius(rows - rows @ q.conj() @ q.T)
-        worst = max(worst, residual)
-    return worst
+        sq += frobenius(rows - rows @ q.conj() @ q.T) ** 2
+    return math.sqrt(sq)
 
 
 # -- Haar classification -------------------------------------------------
@@ -498,18 +494,12 @@ def _quotient(qg: FiniteQuantumGroup, w, nsp) -> QuotientQG:
     )
     star_b = proj @ qg.star @ np.conj(section)
 
-    # unit: pi(L_omega(e)) for a positive e with omega(e) = 1, taken as
-    # e = L_omega(g0)/omega(g0) for the first Gram-positive basis element
-    # g0 with omega(g0) != 0 (falling back to the algebra unit)
-    lw = left_slice(qg, w)
-    gram_diag = qg.functional_gram(w).diagonal().real
-    hits = np.flatnonzero((gram_diag > 1e-9) & (np.abs(w) > 1e-9))
-    e_pos = lw[:, hits[0]] / w[hits[0]] if hits.size else qg.unit
-    unit_b = proj @ (lw @ e_pos)
-    alt_unit = proj @ qg.unit
-    if np.abs(unit_b - alt_unit).max() > EQUIVALENCE_TOL:
+    # unit: pi(1), checked against pi . L_omega = omega(.) 1_B
+    unit_b = proj @ qg.unit
+    unit_defect = np.abs(proj @ left_slice(qg, w) - np.outer(unit_b, w)).max()
+    if unit_defect > EQUIVALENCE_TOL:
         raise InternalConsistencyError(
-            "quotient unit from L_omega(e) disagrees with pi(1)"
+            f"pi . L_omega != omega(.) pi(1) (defect {unit_defect:.2e})"
         )
 
     # coproduct descends: (pi (x) pi) Delta kills N_omega
@@ -577,8 +567,9 @@ def homogeneous_space_check(qg: FiniteQuantumGroup, omega, q: QuotientQG) -> Che
     """Fixed points {a : (pi (x) id) Delta(a) = 1_B (x) a} equal L_omega(A)."""
     w = as_coeffs(omega)
     n, nb = qg.dim, q.quotient.dim
-    op = np.einsum("bp,ipt->bti", q.projection, qg.comult).reshape(nb * n, n)
-    target = np.einsum("b,ti->bti", q.quotient.unit, np.eye(n)).reshape(nb * n, n)
+    # column i: (pi (x) id)Delta(e_i) - 1_B (x) e_i, with Delta(e_i) = comult[i]
+    op = (q.projection @ qg.comult).transpose(1, 2, 0).reshape(nb * n, n)
+    target = np.multiply.outer(q.quotient.unit, np.eye(n)).reshape(nb * n, n)
     fixed = _kernel_basis(op - target, rel_tol=1e-10)
     c = orthonormal_columns(left_slice(qg, w))
     mismatch = max(subspace_defect(fixed, c), subspace_defect(c, fixed))

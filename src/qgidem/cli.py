@@ -5,9 +5,10 @@ Inputs are either JSON files (see :mod:`qgidem.serialize`) or builtin
 specs like ``fn:S3``, ``ga:D4``, ``dual:fn:Z4`` (``dual:`` may be
 repeated).  Builtin groups: Z1..Z12, Z2xZ2, S3, D4, Q8, S4.
 
-Every command takes ``--tol``, ``--format`` and ``--out``; the solver's
-``--seed`` goes to idempotents, classify, lattice and quotient, and
-``--oracle`` to idempotents and classify.
+Every command takes ``--tol``, ``--format`` and ``--out``; idempotents,
+classify, lattice and quotient accept ``--seed`` for scripts that pass
+it, and do not read it (the solver is deterministic); ``--oracle`` goes
+to idempotents and classify.
 
 Exit status is 0 iff every requested check passed: 1 when a check
 failed, the solver found no idempotent state or the reader closed

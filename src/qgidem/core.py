@@ -19,8 +19,10 @@ complex128.  Derived data (GNS basis, V and its slices, null spaces,
 invariant subalgebras, quotients) take their operands' result type, so a
 real input with real states runs in real BLAS: half the bytes and a
 quarter of the flops of complex products.  Where a real matrix meets a
-complex operand (solver starts, sampled vectors) :func:`_real_matmul`
-applies it as one real product.
+complex operand (a structure tensor applied to complex vectors, sampled
+vectors) :func:`_real_matmul` applies it as one real product.  Every
+contraction of ``mult`` or ``comult`` with a vector or a stack of vectors,
+here and in the other modules, is :func:`_contract`: one GEMM.
 
 All residual norms are Frobenius norms unless a sup-norm is stated.
 Multiplier algebras, affiliated elements and modular elements are trivial
@@ -88,6 +90,28 @@ def _real_matmul(m, x):
     return (m @ x.view(np.float64)).view(np.complex128)
 
 
+def _contract(t, a, axis: int) -> np.ndarray:
+    """The rank-3 tensor t contracted over its index ``axis`` with a vector
+    a (n,) or with each vector of a stack (..., n): the matrices of the two
+    other indices, in their order, as (..., n, n).
+
+    One GEMM through :func:`_real_matmul`, with t on the left as stored,
+    so a real t stays in real BLAS against complex vectors; over the
+    middle index it is n batched products, which need no copy of t.
+    n^3 per vector.
+    """
+    a = np.asarray(a)
+    n = t.shape[0]
+    x = a.reshape(-1, n).T
+    if axis == 0:
+        out = _real_matmul(t.reshape(n, n * n).T, x).reshape(n, n, -1)
+    elif axis == 1:
+        out = _real_matmul(t.transpose(0, 2, 1), x)
+    else:
+        out = _real_matmul(t.reshape(n * n, n), x).reshape(n, n, -1)
+    return np.moveaxis(out, -1, 0).reshape(a.shape[:-1] + (n, n))
+
+
 _TENSOR_RANKS = dict(mult=3, unit=1, star=2, comult=3, counit=1, antipode=2, haar=1)
 
 
@@ -127,32 +151,32 @@ class FiniteQuantumGroup:
     # -- pointwise operations on coordinate vectors --------------------
 
     def multiply(self, a, b):
-        return np.einsum("ijk,i,j->k", self.mult, a, b)
+        return self.left_mult_matrix(a) @ b
 
     def star_vec(self, a):
         return self.star @ np.conj(a)
 
     # operators of an element: each takes one coordinate vector (n,) or a
     # stack of them (..., n) and returns one matrix per vector (..., n, n),
-    # n^3 per vector
+    # one GEMM over the stack (:func:`_contract`), n^3 per vector
 
     def comultiply(self, a):
         """Delta(a) as an n x n coefficient matrix."""
-        return np.einsum("ijk,...i->...jk", self.comult, a)
+        return _contract(self.comult, a, 0)
 
     def left_mult_matrix(self, a):
         """Matrix of b -> a b on coordinates."""
-        return np.einsum("ijk,...i->...kj", self.mult, a)
+        return _contract(self.mult, a, 0).swapaxes(-1, -2)
 
     def right_mult_matrix(self, a):
         """Matrix of b -> b a on coordinates."""
-        return np.einsum("ijk,...j->...ki", self.mult, a)
+        return _contract(self.mult, a, 1).swapaxes(-1, -2)
 
     @cached_property
     def haar_gram(self) -> np.ndarray:
         """Gram matrix G[i, j] = h(e_i^* e_j); positive definite iff h is
-        a faithful state."""
-        g = np.einsum("pi,pjk,k->ij", self.star, self.mult, self.haar)
+        a faithful state.  Two products, n^3."""
+        g = self.star.T @ (self.mult @ self.haar)
         g.setflags(write=False)
         return g
 
@@ -183,14 +207,6 @@ class FiniteQuantumGroup:
         s = (self.star.T @ self.mult.reshape(n, n * n)).reshape(n * n, n)
         s.setflags(write=False)
         return s
-
-    @cached_property
-    def _haar_triple(self) -> np.ndarray:
-        """h(e_p e_i e_q) as an (n, n*n) matrix: row p, column i*n + q."""
-        n = self.dim
-        t = (self.mult.reshape(n * n, n) @ (self.mult @ self.haar)).reshape(n, n * n)
-        t.setflags(write=False)
-        return t
 
     def functional_gram(self, w) -> np.ndarray:
         """Gram matrix omega(e_i^* e_j) of the functional with coefficients w.
@@ -498,8 +514,9 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
     r = {}
 
     def ein(spec, *operands):
-        # let einsum pick a pairwise order and hand each pair to BLAS: the
-        # default evaluates every term as one C loop over all indices
+        # the three-operand contractions: let einsum pick a pairwise order
+        # and hand each pair to BLAS, where the default evaluates every
+        # term as one C loop over all indices
         return np.einsum(spec, *operands, optimize=True)
 
     # the blocked products of the residuals and certificates below write
@@ -507,25 +524,26 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
     work = _workspace(n, max(1, n // 4), 2, np.result_type(m, d))
     r["associativity"] = _associativity_defect(m, work)
     r["unit"] = max(
-        frobenius(ein("i,ijk->jk", u, m) - eye),
-        frobenius(ein("j,ijk->ik", u, m) - eye),
+        frobenius(qg.left_mult_matrix(u) - eye),
+        frobenius(qg.right_mult_matrix(u) - eye),
     )
     r["star_involution"] = frobenius(st @ np.conj(st) - eye)
     # (e_i e_j)^* = e_j^* e_i^*
-    lhs = ein("ijl,kl->ijk", np.conj(m), st)
+    lhs = np.conj(m) @ st.T
     rhs = ein("pj,qi,pqk->ijk", st, st, m)
     r["star_antimultiplicative"] = frobenius(lhs - rhs)
 
     r["coassociativity"] = _associativity_defect(d.transpose(1, 2, 0), work)
+    # (eps (x) id)Delta = id = (id (x) eps)Delta
     r["counit"] = max(
-        frobenius(ein("ijk,j->ik", d, eps) - eye),
-        frobenius(ein("ijk,k->ij", d, eps) - eye),
+        frobenius(_contract(d, eps, 1) - eye),
+        frobenius(_contract(d, eps, 2) - eye),
     )
-    r["comult_unital"] = frobenius(ein("i,ijk->jk", u, d) - np.outer(u, u))
+    r["comult_unital"] = frobenius(qg.comultiply(u) - np.outer(u, u))
 
     r["comult_multiplicative"] = _comult_multiplicative_defect(m, d, work)
     # Delta(a^*) = Delta(a)^{* (x) *}
-    lhs = ein("li,lpq->ipq", st, d)
+    lhs = (st.T @ d.reshape(n, n * n)).reshape(n, n, n)
     rhs = ein("ijk,pj,qk->ipq", np.conj(d), st, st)
     r["comult_star"] = frobenius(lhs - rhs)
 
@@ -550,12 +568,9 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
     floor = max(np.sqrt(tol), 1e3 * np.finfo(float).eps) * max(1.0, float(eigs.max()))
     r["haar_faithful"] = max(0.0, floor - float(eigs.min()))
 
-    r["haar_left_invariant"] = frobenius(
-        ein("ijk,j->ik", d, h) - np.outer(h, u)
-    )
-    r["haar_right_invariant"] = frobenius(
-        ein("ijk,k->ij", d, h) - np.outer(h, u)
-    )
+    # (h (x) id)Delta = h(.)1 = (id (x) h)Delta
+    r["haar_left_invariant"] = frobenius(_contract(d, h, 1) - np.outer(h, u))
+    r["haar_right_invariant"] = frobenius(_contract(d, h, 2) - np.outer(h, u))
 
     # quantum cancellation laws as rank conditions, one span at a time
     assoc = r["associativity"]
@@ -645,7 +660,7 @@ def _dual(qg: FiniteQuantumGroup) -> FiniteQuantumGroup:
     star_dual = (np.conj(qg.star) @ qg.antipode).T
     antipode_dual = qg.antipode.T.copy()
 
-    hmat = np.einsum("ijk,k->ij", m, qg.haar)  # hmat[i, j] = h(e_i e_j)
+    hmat = m @ qg.haar  # hmat[i, j] = h(e_i e_j)
     h0 = np.linalg.solve(hmat.T, qg.counit)
     h_dual = h0 / np.dot(h0, qg.counit)
 

@@ -22,6 +22,7 @@ from .core import (
     GnsData,
     InternalConsistencyError,
     _change_basis,
+    _contract,
     _dual,
     _kernel_basis,
     _numerical_rank,
@@ -93,19 +94,21 @@ def haar_state(qg: FiniteQuantumGroup) -> State:
 
 
 def convolve(qg: FiniteQuantumGroup, w, v) -> np.ndarray:
-    """(omega * nu)(e_i) = sum_{j,k} comult[i,j,k] omega(e_j) nu(e_k)."""
-    return np.einsum("ijk,j,k->i", qg.comult, as_coeffs(w), as_coeffs(v))
+    """(omega * nu)(e_i) = sum_{j,k} comult[i,j,k] omega(e_j) nu(e_k); two
+    stacks of functionals ``(..., n)`` are convolved row by row, ``n^3``
+    per row."""
+    return (_contract(qg.comult, as_coeffs(v), 2) @ as_coeffs(w)[..., None])[..., 0]
 
 
 def left_slice(qg: FiniteQuantumGroup, w) -> np.ndarray:
     """Matrix of L_omega = (omega (x) id) Delta on A-coordinates; a stack
     of functionals ``(..., n)`` gives the stack of their matrices."""
-    return np.einsum("ijk,...j->...ki", qg.comult, as_coeffs(w))
+    return _contract(qg.comult, as_coeffs(w), 1).swapaxes(-1, -2)
 
 
 def right_slice(qg: FiniteQuantumGroup, w) -> np.ndarray:
     """Matrix of R_omega = (id (x) omega) Delta on A-coordinates."""
-    return np.einsum("ijk,k->ji", qg.comult, as_coeffs(w))
+    return _contract(qg.comult, as_coeffs(w), 2).swapaxes(-1, -2)
 
 
 def _blocks(count: int, n: int) -> list[slice]:
@@ -118,38 +121,22 @@ def _blocks(count: int, n: int) -> list[slice]:
     return [slice(i, min(i + size, count)) for i in range(0, count, size)]
 
 
-def _rows(matrix, ws) -> np.ndarray:
-    """matrix @ w for each row w of ws, as one mat-vec per row.
-
-    A stacked mat-vec gives each row the same bits whatever the batch holds,
-    which a single matrix product over all rows does not.
-    """
-    return _real_matmul(matrix, ws[..., None])[..., 0]
-
-
-def _square(d, ws) -> np.ndarray:
-    """sum_{j,k} d[i, j, k] w_j w_k for each row w of ws (``n^3`` per row)."""
-    n = d.shape[0]
-    dw = _rows(d.reshape(n * n, n), ws).reshape(ws.shape[:-1] + (n, n))
-    return _rows(dw, ws)
-
-
 def _state_mask(qg: FiniteQuantumGroup, ws, tol: float, idempotent: bool) -> np.ndarray:
     """Which rows of ``ws`` are states (idempotent states with ``idempotent``).
 
     A row passes when it is normalized at the unit, its Gram matrix is
     Hermitian and its smallest eigenvalue is >= -tol, each within ``tol``;
     with ``idempotent`` also ``max |w * w - w| <= tol``.  Rows are tested in
-    blocks of :func:`_blocks`, at ``n^3`` per row for the Gram and its
-    eigenvalues.
+    blocks of :func:`_blocks`, at ``n^3`` per row for the square (one
+    :func:`convolve` of the block), the Gram and its eigenvalues.
     """
     ok = np.empty(len(ws), dtype=bool)
     for sl in _blocks(len(ws), qg.dim):
         w = ws[sl]
         good = ok[sl]  # a view: clearing a row of good clears it in ok
-        good[:] = np.abs(_rows(qg.unit[None], w)[:, 0] - 1.0) <= tol
+        good[:] = np.abs(w @ qg.unit - 1.0) <= tol
         if idempotent:
-            good &= np.abs(_square(qg.comult, w) - w).max(axis=-1) <= tol
+            good &= np.abs(convolve(qg, w, w) - w).max(axis=-1) <= tol
         rows = np.flatnonzero(good)
         g = qg.functional_gram(w[rows])
         gh = np.conj(g.swapaxes(-1, -2))
@@ -204,15 +191,13 @@ def subgroup_state_ga(qg: FiniteQuantumGroup, ct: CayleyTable, subset) -> State:
 def _vector_state(qg: FiniteQuantumGroup, a) -> np.ndarray:
     """Coefficients of omega(x) = h(a^* x a) / h(a^* a), for each row of a.
 
-    omega(e_i) = sum_{p,q} (a^*)_p h(e_p e_i e_q) a_q against the cached
-    Haar triple product, ``n^3`` per row.
+    With y_r = h(a^* e_r), read from hm[p, r] = h(e_p e_r),
+    omega(e_j) = sum_{q,r} mult[j, q, r] a_q y_r = (y R_a)_j for the right
+    multiplication R_a: ``n^3`` per row, in A's coordinates.
     """
     a = np.asarray(a)
-    n = qg.dim
-    rows = a.reshape(-1, n)
-    a_star = _real_matmul(qg.star, np.conj(rows).T)  # [p, row]
-    triple = np.ascontiguousarray(_real_matmul(qg._haar_triple.T, a_star).T)
-    w = _rows(triple.reshape(-1, n, n), rows).reshape(a.shape)
+    y = _real_matmul(qg.star, np.conj(a)[..., None])[..., 0] @ (qg.mult @ qg.haar)
+    w = (y[..., None, :] @ qg.right_mult_matrix(a))[..., 0, :]
     return w / (w @ qg.unit)[..., None]
 
 
@@ -279,8 +264,8 @@ def _central_projections(g: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray]
     block is the real part of a random complex number, so it also splits
     the pairs of blocks that complex conjugation of the coordinates swaps
     on a real input, which every real c gives one eigenvalue.  The squares
-    are two GEMMs (:func:`_left_products`, ``n^3`` per projection), and
-    the rank of the idempotent L_p is its trace, ``n`` per projection.
+    take one stacked ``left_mult_matrix``, ``n^3`` per projection, and the
+    rank of the idempotent L_p is its trace, ``n`` per projection.
     """
     n = g.dim
     comm = (g.mult - g.mult.transpose(1, 0, 2)).transpose(0, 2, 1).reshape(n * n, n)
@@ -290,7 +275,7 @@ def _central_projections(g: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray]
     c = (c + g.star_vec(c)) / 2
     on_centre = np.conj(centre.T) @ g.left_mult_matrix(c) @ centre
     v = centre @ np.linalg.eigh((on_centre + np.conj(on_centre.T)) / 2)[1]
-    squares = (v.T[:, None] @ _left_products(g, v))[:, 0].T  # column a: v_a v_a
+    squares = (g.left_mult_matrix(v.T) @ v.T[..., None])[..., 0].T  # column a: v_a v_a
     scale = np.sum(np.abs(v) ** 2, axis=0) / np.sum(np.conj(v) * squares, axis=0)
     p = v * scale
     defect = np.abs(squares * scale**2 - p).max(initial=0.0)
@@ -300,19 +285,6 @@ def _central_projections(g: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray]
         )
     traces = np.einsum("ijj->i", g.mult)  # tr L_{e_i}
     return p, np.rint((traces @ p).real).astype(int)
-
-
-def _left_products(g: FiniteQuantumGroup, u) -> np.ndarray:
-    """The matrices of right multiplication on the columns of u, as
-    ``[a, j, k] = (u_a e_j)_k``: one GEMM, ``k n^3`` for k columns."""
-    n = g.dim
-    return _real_matmul(g.mult.reshape(n, n * n).T, u).T.reshape(-1, n, n)
-
-
-def _products(g: FiniteQuantumGroup, u, v) -> np.ndarray:
-    """The products u_a v_b of the columns of u and of v, as columns in
-    the order (a, b): two GEMMs, ``k n^3`` for k columns of u."""
-    return (v.T @ _left_products(g, u)).reshape(-1, g.dim).T
 
 
 def _generated_algebra(g: FiniteQuantumGroup, u) -> np.ndarray:
@@ -327,7 +299,8 @@ def _generated_algebra(g: FiniteQuantumGroup, u) -> np.ndarray:
     gens = orthonormal_columns(np.hstack([g.unit[:, None], u, g.star_vec(u)]))
     basis = new = gens
     while new.shape[1]:
-        outside = _products(g, new, gens)
+        # the products new_a gens_b as columns, in the order (a, b)
+        outside = (g.left_mult_matrix(new.T) @ gens).transpose(1, 0, 2).reshape(g.dim, -1)
         for _ in range(2):  # twice, so the new directions are orthogonal to rounding
             outside = outside - basis @ (np.conj(basis.T) @ outside)
         new = orthonormal_columns(outside)
@@ -350,12 +323,12 @@ def _atoms(side: _Side, own, other) -> list[np.ndarray]:
     the minimal central projections and block ranks ``own`` of g and
     ``other`` of the other side (:func:`_central_projections`).
 
-    - the trivial and the full algebra;
     - for each character chi(a) = h(a p) / h(p), p a projection of a
       block of rank one, the fixed points of L_chi, which are the range
       of L of the Cesaro limit (1/m) sum_{k<m} chi^{*k} (L_chi is unitary
       of order m); all characters go through one stacked
-      :func:`left_slice` and one batched SVD;
+      :func:`left_slice` and one batched SVD.  The counit is one of them,
+      and L_eps = id, so the full algebra is an atom;
     - for each projection q of a larger block of the other side, read as
       a functional on g, the unital *-algebra generated by the coefficient
       space (q (x) id)Delta(A) of one irreducible corepresentation.
@@ -363,16 +336,16 @@ def _atoms(side: _Side, own, other) -> list[np.ndarray]:
     For a block of rank one the coefficient algebra is the algebra
     generated by one group-like element, which phi takes to the fixed
     points of the character on the other side, so it reaches the family
-    through :func:`_phi` and is not built here.
+    through :func:`_phi` and is not built here.  So does the trivial
+    algebra C 1, as phi of the other side's full algebra.
     """
     g = side.g
     n = g.dim
-    atoms = [(g.unit / np.linalg.norm(g.unit))[:, None], np.eye(n)]
     projections, ranks = own
     p = projections[:, ranks == 1]
     chi = (g.mult @ g.haar @ p) / (g.haar @ p)  # h(e_i p) / h(p)
     _, s, vh = np.linalg.svd(left_slice(g, chi.T) - np.eye(n), full_matrices=False)
-    atoms += [v.conj().T[:, _numerical_rank(sv, _RANK_REL_TOL) :] for sv, v in zip(s, vh)]
+    atoms = [v.conj().T[:, _numerical_rank(sv, _RANK_REL_TOL) :] for sv, v in zip(s, vh)]
     projections, ranks = other
     for lq in left_slice(g, (side.from_other @ projections[:, ranks > 1]).T):
         span = orthonormal_columns(lq)
@@ -391,7 +364,7 @@ def _phi(side: _Side, u) -> np.ndarray:
     ``n^3`` per member.  A Hopf algebra is free over its coideal subalgebras
     (Skryabin), so dim C * dim phi(C) = n."""
     g = side.g
-    image = orthonormal_columns(side.to_other @ _left_products(g, _density(g, u)[:, None])[0])
+    image = orthonormal_columns(side.to_other @ g.left_mult_matrix(_density(g, u)).T)
     k, d = u.shape[1], image.shape[1]
     if k * d != g.dim:
         raise InternalConsistencyError(f"phi failed dim C * dim phi(C) = n: {k} * {d} != {g.dim}")
@@ -594,10 +567,12 @@ def solve_idempotents(
     its SVD), ``m n^3`` in all; the intersection test of members of
     dimensions k_i and k_j ``k_i k_j n + k_i^3`` (:class:`_Family`), so
     ``m^2 n^3`` at most, and each candidate's dedup the same per member of
-    its dimension; the read-back and the state test ``n^3`` per state.  In
-    all ``O(m^2 n^3)`` plus the atoms.  The tests of one member against
-    all earlier ones make one product per member dimension and one
-    ``eigvalsh`` per Gram size, whatever m is.
+    its dimension; the read-back (:func:`_vector_state`, in A's
+    coordinates) and the state test ``n^3`` per state.  In all
+    ``O(m^2 n^3)`` plus the atoms; each product or coproduct applied to
+    a stack of vectors is one GEMM in ``core``.  The tests of one member
+    against all earlier ones make one product per member dimension and
+    one ``eigvalsh`` per Gram size, whatever m is.
     """
     if not _state_mask(qg, qg.counit[None], 1e-9, idempotent=True)[0]:
         return []
@@ -649,7 +624,7 @@ def cesaro_walk(qg: FiniteQuantumGroup, mu, n: int) -> list[State]:
         raise ValueError("n must be >= 1")
     w = as_coeffs(mu)
     # the step nu -> nu * mu
-    step = _rows(qg.comult.reshape(-1, qg.dim), w).reshape(qg.dim, qg.dim)
+    step = right_slice(qg, w).T
     means = np.empty((n, qg.dim), dtype=np.result_type(step, w))
     means[0] = power = w
     for k in range(1, n):

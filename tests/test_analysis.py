@@ -201,18 +201,19 @@ def test_symmetric_subalgebra_examples():
 
 
 def kron_symmetry_residual(g, gd, v, c_basis):
-    """symmetry_residual with 1 (x) pi(c) as a dense Kronecker factor."""
+    """symmetry_residual with 1 (x) pi(c) as a dense Kronecker factor: the
+    root of the sum of squares of the per-c defects over the basis c."""
     n = g.dim
     u = orthonormal_columns(c_basis)
     q = orthonormal_columns(
         np.stack([gd.rep(u[:, i]).ravel() for i in range(u.shape[1])], axis=1)
     )
-    worst = 0.0
+    sq = 0.0
     for i in range(u.shape[1]):
         x = v.conj().T @ np.kron(np.eye(n), gd.rep(u[:, i])) @ v
         rows = x.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-        worst = max(worst, np.linalg.norm(rows - rows @ q.conj() @ q.T))
-    return worst
+        sq += np.linalg.norm(rows - rows @ q.conj() @ q.T) ** 2
+    return np.sqrt(sq)
 
 
 @pytest.mark.parametrize("dense", [False, True])
@@ -255,6 +256,27 @@ def test_factored_symmetry_residual_matches_dense_on_s4(kind):
         residuals.append(res)
     if kind == "ga":  # non-normal subgroups among them: not 0 = 0
         assert max(residuals) > 0.1
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_symmetry_residual_depends_on_c_alone(exact):
+    # a rotated orthonormal basis of C gives the same residual, on the
+    # slices of V and in the dense loop; the largest defect over the basis
+    # moves by several percent under such a rotation on dense ga:S4
+    g, t = dense_algebra("ga", "S4")
+    gd = qg.gns(g)
+    mu = qg.multiplicative_unitary(g, gd)
+    if not exact:
+        mu = MultUnitary(v=mu.v, legs=dataclasses.replace(mu.legs, exact=False))
+    rng = np.random.default_rng(3)
+    moved = 0
+    for st in oracle_states("ga", "S4")[::3]:
+        u = orthonormal_columns(left_slice(g, st.coeffs @ np.linalg.inv(t)))
+        res = symmetry_residual(g, gd, mu, u)
+        rotated = u @ random_unitary(u.shape[1], rng)
+        assert abs(symmetry_residual(g, gd, mu, rotated) - res) <= 1e-12 * max(1.0, res)
+        moved += res > 0.1
+    assert moved >= 3
 
 
 def test_symmetry_fallback_on_a_valid_v_outside_pi_a():
@@ -637,6 +659,16 @@ def test_classify_and_quotient_build_one_quotient_per_state(monkeypatch):
     assert len(calls) == 4 and other is not q
     assert_same_quotient(other, q)
     assert quotient_quantum_group(g, st) is q
+
+
+def test_quotient_unit_checks_that_pi_l_omega_is_omega_times_the_unit():
+    # the counit of fn:S3 with an empty null space: pi is invertible and
+    # L_eps = id, so pi . L_eps = pi is not the rank-one eps(.) pi(1)
+    g = algebra("fn", "S3")
+    with pytest.raises(
+        core.InternalConsistencyError, match=r"pi \. L_omega != omega\(\.\) pi\(1\) \(defect"
+    ):
+        analysis._quotient(g, g.counit, np.zeros((6, 0)))
 
 
 def test_coaction_checks_certify_once_per_quantum_group(monkeypatch):

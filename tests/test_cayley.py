@@ -146,6 +146,30 @@ def test_non_subgroup_detected():
     assert not is_subgroup(s3, [s3.identity] + transpositions[:2])
 
 
+def test_non_square_table_and_empty_cyclic_group_rejected():
+    with pytest.raises(ValueError, match=r"^Cayley table must be a square matrix$"):
+        CayleyTable(np.zeros((2, 3), dtype=int))
+    with pytest.raises(ValueError, match=r"^cyclic group order must be >= 1$"):
+        cyclic_group(0)
+
+
+@pytest.mark.parametrize("subset,why", [
+    ([], "empty"),
+    ([0, 4], "index out of range"),
+    ([-1, 0], "negative index"),
+    ([2], "no identity"),
+    ([0, 1], "1 + 3 = 0, and 3 is missing"),
+])
+def test_is_subgroup_rejects(subset, why):
+    assert is_subgroup(cyclic_group(4), subset) is False, why
+
+
+def test_a_non_subgroup_is_not_normal():
+    s3 = symmetric_group(3)
+    transpositions = [g for g in range(6) if g != s3.identity and s3.inv(g) == g]
+    assert is_normal_subgroup(s3, [s3.identity] + transpositions[:2]) is False
+
+
 def test_dihedral_vs_direct_product():
     d4 = dihedral_group(4)
     assert not d4.is_abelian()

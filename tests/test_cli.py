@@ -47,6 +47,32 @@ def test_unknown_input_is_error(capsys):
     assert "unknown group" in err
 
 
+def test_unrecognized_spec_form_is_usage_error(capsys):
+    code, out, err = run(capsys, "validate", "xx:S3")
+    assert code == 2 and out == ""
+    assert err.startswith(
+        "error: unrecognized input 'xx:S3'; expected a JSON path or "
+        "[dual:]*(fn|ga):GROUP with GROUP in {"
+    )
+
+
+def test_oracle_on_a_json_input_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "fn_s3.json"
+    save_json(path, qg_to_dict(algebra("fn", "S3")))
+    code, out, err = run(capsys, "idempotents", str(path), "--oracle")
+    assert code == 2 and out == ""
+    assert err == "error: --oracle requires a builtin group input\n"
+
+
+def test_quotient_state_past_the_last_is_usage_error(capsys):
+    code, out, err = run(capsys, "quotient", "fn:S3", "--state", "6")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: --state must index one of the 6 states found "
+        "(see the idempotents command)\n"
+    )
+
+
 def test_malformed_json_is_error(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")

@@ -635,6 +635,11 @@ def test_dual_z2_fourier_intertwiner():
     )
 
 
+def test_intertwiner_requires_equal_dimensions():
+    with pytest.raises(qg.StructuralError, match=r"^intertwiner requires equal dimensions$"):
+        intertwiner_defect(algebra("fn", "Z2"), algebra("fn", "Z3"), np.eye(2))
+
+
 @pytest.mark.parametrize("kind,name", [("fn", "Z3"), ("fn", "S3"), ("ga", "D4")])
 def test_bidual_is_identity(kind, name):
     g = algebra(kind, name)

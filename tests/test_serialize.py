@@ -122,6 +122,25 @@ def test_reader_refuses_values_that_are_not_numbers(field, value):
         qg_from_dict(data)
 
 
+def test_reader_refuses_a_matrix_of_the_wrong_shape():
+    data = qg_to_dict(algebra("fn", "Z2"))
+    data["star"] = data["star"][:1]
+    with pytest.raises(StructuralError, match=r"^star: expected 2x2 matrix$"):
+        qg_from_dict(data)
+
+
+def test_reader_refuses_a_triplet_entry_of_the_wrong_length():
+    data = qg_to_dict(algebra("fn", "Z2"))
+    data["mult"].append([0, 0, 0, 1.0])
+    with pytest.raises(StructuralError, match=r"^mult: triplet entries must be \[i,j,k,re,im\]$"):
+        qg_from_dict(data)
+
+
+def test_reader_refuses_a_quantum_group_that_is_not_an_object():
+    with pytest.raises(StructuralError, match=r"^missing or bad 'dim' field: list indices"):
+        qg_from_dict([2])
+
+
 def test_state_reader_refuses_values_that_are_not_numbers():
     g = algebra("fn", "Z2")
     data = state_to_dict(oracle_states("fn", "Z2")[0])
@@ -166,6 +185,18 @@ def test_cayley_reader_refuses_non_integers(field, message):
 def test_cayley_reader_refuses_what_it_would_truncate(data, message):
     # the order read as 2, the identity as 0 and the entry as 1
     with pytest.raises(StructuralError, match=message):
+        cayley_from_dict(data)
+
+
+def test_cayley_reader_refuses_a_table_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"^table must have 4 row-major entries$"):
+        cayley_from_dict({"order": 2, "table": [0, 1, 1]})
+
+
+def test_cayley_reader_refuses_mismatched_inverses():
+    data = cayley_to_dict(group("Z4"))
+    data["inverse"] = [0, 1, 2, 3]  # 1 + 1 = 2 in Z4, so 1 is not its own inverse
+    with pytest.raises(ValueError, match=r"^declared inverses do not match the table$"):
         cayley_from_dict(data)
 
 

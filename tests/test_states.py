@@ -595,7 +595,7 @@ def _reference_phi(side, u):
     triangle."""
     g = side.g
     plus = u - np.outer(g.unit, g.counit @ u)  # spans C^+, since 1 is in C
-    ideal = states_module._left_products(g, plus).reshape(-1, g.dim)  # rows c e_j
+    ideal = g.left_mult_matrix(plus.T).swapaxes(-1, -2).reshape(-1, g.dim)  # rows c e_j
     return orthonormal_columns(side.to_other @ _kernel_basis(np.linalg.qr(ideal, mode="r")))
 
 
@@ -617,7 +617,7 @@ def test_density_is_a_multiple_of_the_support_projection(name):
         g = side.g
         rho = states_module._density(g, u)
         q = rho / np.linalg.norm(rho) ** 2
-        square = states_module._products(g, q[:, None], q[:, None])[:, 0]
+        square = g.left_mult_matrix(q) @ q
         assert np.linalg.norm(square - q) <= 1e-12
         assert abs(g.counit @ q - 1) <= 1e-12
         assert subspace_defect(q[:, None], u) <= 1e-12
@@ -629,14 +629,15 @@ def test_phi_checks_that_dim_c_times_dim_phi_c_is_n(monkeypatch, capsys):
 
     def lossy(g, u):
         # rho without its part on one block of rank one: on fn:S3, where every
-        # block has rank one, phi of the trivial member C1 loses a dimension
+        # block has rank one, phi of the first member, the fixed points of a
+        # 3-cycle (constant on the cosets of A3), loses a dimension
         rho = density(g, u)
         p, ranks = states_module._central_projections(g)
-        parts = states_module._products(g, rho[:, None], p[:, ranks == 1])
+        parts = g.left_mult_matrix(rho) @ p[:, ranks == 1]
         return rho - parts[:, np.argmax(np.linalg.norm(parts, axis=0))]
 
     monkeypatch.setattr(states_module, "_density", lossy)
-    with pytest.raises(InternalConsistencyError, match=r"dim C \* dim phi\(C\) = n: 1 \* 5 != 6"):
+    with pytest.raises(InternalConsistencyError, match=r"dim C \* dim phi\(C\) = n: 2 \* 2 != 6"):
         solve_idempotents(algebra("fn", "S3"))
     assert cli.main(["idempotents", "fn:S3"]) == 3
     assert "dim C * dim phi(C) = n" in capsys.readouterr().err
@@ -816,6 +817,22 @@ def test_convolve_requires_same_parent():
         a.convolve(b)
 
 
+def test_state_convolve_returns_a_state_of_the_parent():
+    # eps is the unit of convolution and h absorbs every state
+    g = algebra("fn", "S3")
+    eps, h = epsilon_state(g), haar_state(g)
+    for a, b, want in ((eps, h, h), (h, eps, h), (eps, eps, eps)):
+        out = a.convolve(b)
+        assert isinstance(out, State) and out.qg is g
+        assert np.abs(out.coeffs - want.coeffs).max() <= 1e-15
+
+
+def test_cesaro_walk_needs_a_step():
+    g = algebra("fn", "Z4")
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        qg.cesaro_walk(g, haar_state(g), 0)
+
+
 def test_cesaro_walk_fixed_points():
     g = algebra("fn", "Z4")
     for st in (epsilon_state(g), haar_state(g)):
@@ -826,7 +843,7 @@ def test_cesaro_walk_fixed_points():
 def _reference_walk(g, w, n):
     """The per-step loop the array form replaced: a running sum of the
     powers, divided by k for each mean."""
-    step = states_module._rows(g.comult.reshape(-1, g.dim), w).reshape(g.dim, g.dim)
+    step = right_slice(g, w).T
     power = w
     acc = w.astype(np.result_type(step, w))
     out = [State(g, acc)]
