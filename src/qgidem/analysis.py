@@ -30,6 +30,7 @@ from .core import (
     QuantumGroupError,
     ValidationReport,
     _kernel_basis,
+    _transport,
     frobenius,
     gns,
     multiplicative_unitary,
@@ -467,7 +468,8 @@ def quotient_quantum_group(qg: FiniteQuantumGroup, omega) -> QuotientQG:
 def _quotient(qg: FiniteQuantumGroup, w, nsp) -> QuotientQG:
     """A / N_omega for the idempotent state w whose null space has the
     orthonormal basis nsp, an ideal: the induced structure tensors
-    (n^4 for the product), the checks that the unit, coproduct,
+    (the product's legs moved by the section and the projection,
+    :func:`_transport`, n^4), the checks that the unit, coproduct,
     counit and antipode descend, and the validation of B (n_B^6)."""
     n = qg.dim
     k = nsp.shape[1]
@@ -489,9 +491,7 @@ def _quotient(qg: FiniteQuantumGroup, w, nsp) -> QuotientQG:
     proj = np.linalg.inv(full)[:nb]
 
     # induced product and star
-    mult_b = np.einsum(
-        "pi,qj,pqr,br->ijb", section, section, qg.mult, proj, optimize=True
-    )
+    mult_b = _transport(qg.mult, section.T, section.T, proj)
     star_b = proj @ qg.star @ np.conj(section)
 
     # unit: pi(1), checked against pi . L_omega = omega(.) 1_B
@@ -666,9 +666,11 @@ def build_lattice(qg: FiniteQuantumGroup, states) -> Lattice:
     are a data error), transitivity, and the two-sided absorption
     omega' * omega = omega' whenever omega is below omega'.
 
-    For m states: one contraction gives every convolution omega_i * omega_j
-    (m n^3 + m^2 n^2); the order, absorption and covering relations are then
-    read from it and from m x m boolean matrix products (m^3).
+    For m states: the coproduct with its two output legs moved by the
+    stacked coefficients (:func:`_transport`, m n^3 + m^2 n^2) gives every
+    convolution omega_i * omega_j; the order, absorption and covering
+    relations are then read from it and from m x m boolean matrix
+    products (m^3).
     """
     states = list(states)
     m = len(states)
@@ -676,7 +678,7 @@ def build_lattice(qg: FiniteQuantumGroup, states) -> Lattice:
     order = canonical_order(w)
     states, w = [states[i] for i in order], w[order]
     # conv[i, j] = omega_i * omega_j, for every pair at once
-    conv = np.einsum("ijk,aj,bk->abi", qg.comult, w, w, optimize=True)
+    conv = _transport(qg.comult, second=w, third=w).transpose(1, 2, 0)
     leq = np.abs(conv - w[None]).max(axis=-1) <= CLASSIFY_TOL
     not_reflexive = np.flatnonzero(~leq.diagonal())
     if not_reflexive.size:

@@ -22,7 +22,8 @@ quarter of the flops of complex products.  Where a real matrix meets a
 complex operand (a structure tensor applied to complex vectors, sampled
 vectors) :func:`_real_matmul` applies it as one real product.  Every
 contraction of ``mult`` or ``comult`` with a vector or a stack of vectors,
-here and in the other modules, is :func:`_contract`: one GEMM.
+here and in the other modules, is :func:`_contract`: one GEMM; every
+change of a tensor's legs by matrices is :func:`_transport`.
 
 All residual norms are Frobenius norms unless a sup-norm is stated.
 Multiplier algebras, affiliated elements and modular elements are trivial
@@ -110,6 +111,21 @@ def _contract(t, a, axis: int) -> np.ndarray:
     else:
         out = _real_matmul(t.reshape(n * n, n), x).reshape(n, n, -1)
     return np.moveaxis(out, -1, 0).reshape(a.shape[:-1] + (n, n))
+
+
+def _transport(x, first=None, second=None, third=None) -> np.ndarray:
+    """The rank-3 tensor x with its legs moved by (possibly rectangular)
+    matrices, y[a, b, c] = sum_ijk first[a, i] second[b, j] third[c, k]
+    x[i, j, k]; a ``None`` leg is left as it is.  One product through
+    :func:`_real_matmul` per given matrix, with the matrix on the left, so
+    a real matrix stays in real BLAS against a complex x: n^4 per leg."""
+    if first is not None:
+        x = _real_matmul(first, x.reshape(x.shape[0], -1)).reshape((-1,) + x.shape[1:])
+    if second is not None:
+        x = _real_matmul(second, x)
+    if third is not None:
+        x = _real_matmul(third, x.swapaxes(1, 2)).swapaxes(1, 2)
+    return x
 
 
 _TENSOR_RANKS = dict(mult=3, unit=1, star=2, comult=3, counit=1, antipode=2, haar=1)
@@ -392,24 +408,24 @@ def _comult_multiplicative_defect(m, d, work=_NO_WORK) -> float:
 # the cancellation span matrices, T[(p, q), (i, j)]:
 #   right: e_i (x) e_j -> Delta(e_i)(e_j (x) 1),
 #   left:  e_i (x) e_j -> Delta(e_i)(1 (x) e_j),
-# and the axes that carry comult to x[b, i, k]: the slice of Delta(e_i) at
-# e_b on the leg that is not multiplied.  With the rows of the right span
-# taken in (q, p) order, T = [L_{x[b, i]}] in n x n blocks (b, i).  In a
-# Hopf algebra with S^2 = id the inverse span map is X = [L_{S(x[i, c])}]
+# each named by the axes that carry comult to x[b, i, k]: the slice of
+# Delta(e_i) at e_b on the leg that is not multiplied.  With the rows of the
+# right span taken in (q, p) order, T = [L_{x[b, i]}] in n x n blocks (b, i).
+# In a Hopf algebra with S^2 = id the inverse span map is X = [L_{S(x[i, c])}]
 # in blocks (i, c) (Van Daele, Trans. AMS 1994):
 #   right: a (x) b -> b_(2) (x) S^-1(b_(1)) a,
 #   left:  a (x) b -> a_(1) (x) S(a_(2)) b.
-_CANCELLATION_SPECS = {
-    "right": ("iaq,ajp->pqij", (2, 0, 1)),
-    "left": ("ipb,bjq->pqij", (1, 0, 2)),
-}
+_CANCELLATION_SPECS = {"right": (2, 0, 1), "left": (1, 0, 2)}
 
 
 def _cancellation_span(qg: FiniteQuantumGroup, side: str) -> np.ndarray:
-    """The n^2 x n^2 span matrix T of one side, built in n^5."""
+    """The n^2 x n^2 span matrix T of one side, built in n^5: one GEMM
+    gives t[b, i, j, l] = sum_k x[b, i, k] mult[k, j, l], whose rows
+    (b, l) are those of T, taken in (l, b) order on the right side."""
     n = qg.dim
-    t = np.einsum(_CANCELLATION_SPECS[side][0], qg.comult, qg.mult, optimize=True)
-    return t.reshape(n * n, n * n)
+    x = qg.comult.transpose(_CANCELLATION_SPECS[side])
+    t = (x.reshape(n * n, n) @ qg.mult.reshape(n, n * n)).reshape(n, n, n, n)
+    return t.transpose((0, 3, 1, 2) if side == "left" else (3, 0, 1, 2)).reshape(n * n, n * n)
 
 
 def _cancellation_bound(qg: FiniteQuantumGroup, side: str, assoc: float, work=_NO_WORK):
@@ -433,7 +449,7 @@ def _cancellation_bound(qg: FiniteQuantumGroup, side: str, assoc: float, work=_N
     """
     n = qg.dim
     m = qg.mult
-    x = np.ascontiguousarray(qg.comult.transpose(_CANCELLATION_SPECS[side][1]))
+    x = np.ascontiguousarray(qg.comult.transpose(_CANCELLATION_SPECS[side]))
     y = x @ qg.antipode.T  # y[i, c] = S(x[i, c])
     # u[b, i, l] = x[b, i] e_l, then P[b, c] = sum_{i, l} y[i, c, l] u[b, i, l]
     x2, mm = x.reshape(n * n, n), m.reshape(n, n * n)
@@ -488,10 +504,11 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
     certificate fails (a wrong or non-Kac antipode, a deficient or badly
     scaled span) is the span matrix built (n^5) and its rank taken from
     an SVD (n^6), the only path that can report a deficient rank.  The
-    residuals are contiguous products with in-place differences, n^5
-    each, except comult_multiplicative, whose one n^2 x n^2 GEMM is the
-    only n^6 term on a valid input.  The associativity, coassociativity
-    and comult_multiplicative products and the certificates' P run in row
+    residuals are contiguous products (the star and antipode identities
+    as leg transports, :func:`_transport`), at most n^5 each, except
+    comult_multiplicative, whose one n^2 x n^2 GEMM is the only n^6 term
+    on a valid input.  The associativity, coassociativity and
+    comult_multiplicative products and the certificates' P run in row
     blocks of b = max(1, n // 4) values of their first index, each block
     reduced to its sum of squares (or to its rows of P) before the next.
     One workspace in the result type of ``mult`` and ``comult`` is made
@@ -513,12 +530,6 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
     eye = np.eye(n)
     r = {}
 
-    def ein(spec, *operands):
-        # the three-operand contractions: let einsum pick a pairwise order
-        # and hand each pair to BLAS, where the default evaluates every
-        # term as one C loop over all indices
-        return np.einsum(spec, *operands, optimize=True)
-
     # the blocked products of the residuals and certificates below write
     # into this workspace, held for this call only
     work = _workspace(n, max(1, n // 4), 2, np.result_type(m, d))
@@ -530,7 +541,7 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
     r["star_involution"] = frobenius(st @ np.conj(st) - eye)
     # (e_i e_j)^* = e_j^* e_i^*
     lhs = np.conj(m) @ st.T
-    rhs = ein("pj,qi,pqk->ijk", st, st, m)
+    rhs = _transport(m.swapaxes(0, 1), st.T, st.T)
     r["star_antimultiplicative"] = frobenius(lhs - rhs)
 
     r["coassociativity"] = _associativity_defect(d.transpose(1, 2, 0), work)
@@ -544,12 +555,12 @@ def validate(qg: FiniteQuantumGroup, tol: float | None = None) -> ValidationRepo
     r["comult_multiplicative"] = _comult_multiplicative_defect(m, d, work)
     # Delta(a^*) = Delta(a)^{* (x) *}
     lhs = (st.T @ d.reshape(n, n * n)).reshape(n, n, n)
-    rhs = ein("ijk,pj,qk->ipq", np.conj(d), st, st)
+    rhs = _transport(np.conj(d), second=st, third=st)
     r["comult_star"] = frobenius(lhs - rhs)
 
     # m(S (x) id)Delta = eps(.)1 = m(id (x) S)Delta
-    left = ein("ijk,pj,pkq->iq", d, s, m)
-    right = ein("ijk,pk,jpq->iq", d, s, m)
+    left = _transport(d, second=s).reshape(n, n * n) @ m.reshape(n * n, n)
+    right = _transport(d, third=s).reshape(n, n * n) @ m.reshape(n * n, n)
     target = np.outer(eps, u)
     r["antipode_left"] = frobenius(left - target)
     r["antipode_right"] = frobenius(right - target)
@@ -655,8 +666,6 @@ def dual(qg: FiniteQuantumGroup) -> FiniteQuantumGroup:
 def _dual(qg: FiniteQuantumGroup) -> FiniteQuantumGroup:
     """The tensors of :func:`dual`, built without validating qg first."""
     m, d = qg.mult, qg.comult
-    mult_dual = np.einsum("kij->ijk", d)
-    comult_dual = np.einsum("jki->ijk", m)
     star_dual = (np.conj(qg.star) @ qg.antipode).T
     antipode_dual = qg.antipode.T.copy()
 
@@ -666,10 +675,10 @@ def _dual(qg: FiniteQuantumGroup) -> FiniteQuantumGroup:
 
     return FiniteQuantumGroup(
         dim=qg.dim,
-        mult=mult_dual,
+        mult=d.transpose(1, 2, 0),
         unit=qg.counit.copy(),
         star=star_dual,
-        comult=comult_dual,
+        comult=m.transpose(2, 0, 1),
         counit=qg.unit.copy(),
         antipode=antipode_dual,
         haar=h_dual,
@@ -680,26 +689,19 @@ def _dual(qg: FiniteQuantumGroup) -> FiniteQuantumGroup:
 def _change_basis(qg: FiniteQuantumGroup, t) -> FiniteQuantumGroup:
     """The quantum group for which ``a -> t a`` is an isomorphism from qg.
 
-    Every structure tensor is transported; a rank-3 one takes three
-    products in a fixed order, one per index, each with the matrix on the
-    left (n^4 each); functionals move as ``w t^-1``.
+    Every structure tensor is transported; a rank-3 one by
+    :func:`_transport`, three products of n^4; functionals move as
+    ``w t^-1``.
     """
     t = np.asarray(t)
     ti = np.linalg.inv(t)
     n = qg.dim
-
-    def transport(x, first, second, third):
-        # y[a, b, c] = sum_ijk first[a, i] second[b, j] third[c, k] x[i, j, k]
-        x = _real_matmul(first, x.reshape(n, n * n)).reshape(n, n, n)
-        x = _real_matmul(second, x)
-        return _real_matmul(third, x.swapaxes(1, 2)).swapaxes(1, 2)
-
     return FiniteQuantumGroup(
         dim=n,
-        mult=transport(qg.mult, ti.T, ti.T, t),
+        mult=_transport(qg.mult, ti.T, ti.T, t),
         unit=t @ qg.unit,
         star=t @ qg.star @ np.conj(ti),
-        comult=transport(qg.comult, ti.T, t, t),
+        comult=_transport(qg.comult, ti.T, t, t),
         counit=qg.counit @ ti,
         antipode=t @ qg.antipode @ ti,
         haar=qg.haar @ ti,
@@ -715,16 +717,12 @@ def intertwiner_defect(qg1: FiniteQuantumGroup, qg2: FiniteQuantumGroup, t) -> f
     if qg1.dim != qg2.dim:
         raise StructuralError("intertwiner requires equal dimensions")
     t = np.asarray(t)
+    if t.shape != (qg1.dim, qg1.dim):
+        raise StructuralError(f"intertwiner must have shape {(qg1.dim,) * 2}, got {t.shape}")
     res = [
-        frobenius(
-            np.einsum("ijk,lk->ijl", qg1.mult, t)
-            - np.einsum("pi,qj,pql->ijl", t, t, qg2.mult)
-        ),
+        frobenius(_transport(qg1.mult, third=t) - _transport(qg2.mult, t.T, t.T)),
         frobenius(t @ qg1.unit - qg2.unit),
-        frobenius(
-            np.einsum("ijk,pj,qk->ipq", qg1.comult, t, t)
-            - np.einsum("li,lpq->ipq", t, qg2.comult)
-        ),
+        frobenius(_transport(qg1.comult, second=t, third=t) - _transport(qg2.comult, t.T)),
         frobenius(qg2.counit @ t - qg1.counit),
         frobenius(t @ qg1.star - qg2.star @ np.conj(t)),
         frobenius(t @ qg1.antipode - qg2.antipode @ t),
@@ -1055,17 +1053,17 @@ def _pentagon_defect_factored(qg, gd, legs: LegFactors) -> tuple[float, float]:
     g_k = sum_i c[k, i] pi(e_i) and pi(e_j) = sum_p r[j, p] g_p.  The
     g_p (x) g_m are orthonormal and V23 is unitary, so ||V12 V13 V23 -
     V23 V12|| is the norm of the n^2 matrices F_p F_m - sum_k D[k, p, m]
-    F_k: per p, two GEMMs of n^4 flops.  D takes n^4 (pairwise
-    contractions).  Returns (value, weight), weight = sum_k ||F_k||
-    sum_i |c[k, i]|, the factor that carries the coproduct defect into
-    the bound of :func:`_pentagon_defect`.
+    F_k: per p, two GEMMs of n^4 flops.  D takes n^4 (one product per
+    leg, :func:`_transport`).  Returns (value, weight), weight =
+    sum_k ||F_k|| sum_i |c[k, i]|, the factor that carries the coproduct
+    defect into the bound of :func:`_pentagon_defect`.
     """
     n = qg.dim
     g, f = legs.basis, legs.factors  # g[k, b, d], f[k, a, c]
     gmat = g.reshape(n, n * n)
     r = gd.left_reg.reshape(n, n * n) @ gmat.conj().T
     c = np.linalg.inv(r)
-    d = np.einsum("ki,ijl,jp,lm->pmk", c, qg.comult, r, r, optimize=True)
+    d = _transport(qg.comult, c, r.T, r.T).transpose(1, 2, 0)
     # both terms as transposes, [(m, c), a], so neither needs a copy per p
     f_t = np.ascontiguousarray(f.transpose(0, 2, 1))  # F_m^T: [m, c, a]
     sq = 0.0
@@ -1131,27 +1129,27 @@ def multiplicative_unitary(qg: FiniteQuantumGroup, gd: GnsData | None = None) ->
 
     V = (U (x) U) T (W (x) W) with U = onb_inv, W = onb and T the matrix of
     Lambda(e_i) (x) Lambda(e_j) -> Delta(e_i)(1 (x) e_j).  Each one-leg
-    factor is folded into the structure tensor that carries the leg (n^4
-    each), which leaves one n^5 contraction over the index shared by the
-    coproduct and the product: a batched matmul of n^2 n x n products
-    that writes each block of V in place, so V is built in n^5 with no
-    transposed n^4 copy.  V is then sliced against a basis of pi(A) once
-    (n^5; kept on the result as ``legs``), and the checks cost n^6 in all
-    at every n.  Only two products are n^6: the one n^2 x n^2 product of
-    the unitarity test and the coproduct identity on the slices (blocked
-    GEMMs, :func:`_coproduct_defect_factored`); the pentagon is checked
-    on the slices at n^5 (:func:`_pentagon_defect_factored`, plus
-    an explicit bound of what it drops, so the reported value is never
-    below the dense one).  The dense checks are fallbacks: slices that do
-    not describe V send the coproduct to its n^7 loop, and those, or a V
-    that fails the unitarity or coproduct test, send the pentagon to
-    :func:`pentagon_defect` (dense n^8 up to n = 12, sampled above, where
-    it is only a lower bound).  A valid input in a badly conditioned basis
-    can take them too, when rounding in V leaves a slicing remainder above
-    the cutoff of ``LegFactors.exact``.  The three defects are kept on the
+    factor is folded into the structure tensor that carries the leg
+    (:func:`_transport`, n^4 each), which leaves one n^5 contraction over
+    the index shared by the coproduct and the product: a batched matmul of
+    n^2 n x n products that writes each block of V in place, so V is built
+    in n^5 with no transposed n^4 copy.  V is then sliced against a basis of
+    pi(A) once (n^5; kept on the result as ``legs``), and the checks cost
+    n^6 in all at every n.  Only two products are n^6: the one n^2 x n^2
+    product of the unitarity test and the coproduct identity on the slices
+    (blocked GEMMs, :func:`_coproduct_defect_factored`); the pentagon is
+    checked on the slices at n^5 (:func:`_pentagon_defect_factored`, plus an
+    explicit bound of what it drops, so the reported value is never below
+    the dense one).  The dense checks are fallbacks: slices that do not
+    describe V send the coproduct to its n^7 loop, and those, or a V that
+    fails the unitarity or coproduct test, send the pentagon to
+    :func:`pentagon_defect` (dense n^8 up to n = 12, sampled above, where it
+    is only a lower bound).  A valid input in a badly conditioned basis can
+    take them too, when rounding in V leaves a slicing remainder above the
+    cutoff of ``LegFactors.exact``.  The three defects are kept on the
     result as ``defects``.  V has the result type of ``gd`` and the
-    structure tensors, so for real inputs V, its slices and every check
-    run in real BLAS, with the same exponents.
+    structure tensors, so for real inputs V, its slices and every check run
+    in real BLAS, with the same exponents.
 
     Memory, in units of n^4 entries: besides V (1), the slicing holds two
     blocks of 1/4 and the structure constants of pi(A) two more, both
@@ -1174,8 +1172,8 @@ def multiplicative_unitary(qg: FiniteQuantumGroup, gd: GnsData | None = None) ->
     n = qg.dim
     # V[a, b, c, d] = sum_r left[a, c, r] right[b, r, d]: the (c, d) block
     # of each (a, b) is one n x n product, written straight into V
-    left = np.einsum("ic,ap,ipr->acr", gd.onb, gd.onb_inv, qg.comult, optimize=True)
-    right = np.einsum("rjq,jd,bq->brd", qg.mult, gd.onb, gd.onb_inv, optimize=True)
+    left = _transport(qg.comult, gd.onb.T, gd.onb_inv).transpose(1, 0, 2)
+    right = _transport(qg.mult, second=gd.onb.T, third=gd.onb_inv).transpose(2, 0, 1)
     left, right = np.ascontiguousarray(left), np.ascontiguousarray(right)
     v = np.matmul(left[:, None], right[None]).reshape(n * n, n * n)
     legs = second_leg_factors(gd, v)

@@ -283,7 +283,7 @@ def _central_projections(g: FiniteQuantumGroup) -> tuple[np.ndarray, np.ndarray]
         raise InternalConsistencyError(
             f"the central split left a non-projection (defect {defect:.2e})"
         )
-    traces = np.einsum("ijj->i", g.mult)  # tr L_{e_i}
+    traces = np.trace(g.mult, axis1=1, axis2=2)  # tr L_{e_i}
     return p, np.rint((traces @ p).real).astype(int)
 
 

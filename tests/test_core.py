@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from qgidem.core import (
     _pentagon_defect,
     _pentagon_defect_factored,
     _rank,
+    _transport,
     frobenius,
     intertwiner_defect,
     multiplicative_unitary,
@@ -34,6 +36,7 @@ from helpers import (
     dense_algebra,
     first_leg_twist,
     gns_and_unitary,
+    kac_paljutkin,
     lift,
     loop_antipode_slice_defect,
     non_associative_case,
@@ -381,16 +384,26 @@ def test_wrong_antipode_falls_back_to_the_svd():
 def reference_residuals(g):
     """validate's associativity, coassociativity and comult_multiplicative
     residuals in the einsum forms the library used before its contiguous
-    layouts."""
+    layouts, and its star and antipode residuals in the einsum forms it
+    used before its leg transports."""
     m, d, n = g.mult, g.comult, g.dim
+    st, s = g.star, g.antipode
     ein = functools.partial(np.einsum, optimize=True)
     lhs = ein("ijk,kpq->ipjq", m, d).reshape(n * n, n * n)
     t1 = ein("iab,acp->ipbc", d, m).reshape(n * n, n * n)
     u1 = ein("jce,beq->bcjq", d, m).reshape(n * n, n * n)
+    comult_star = ein("pj,pkq->jkq", st, d) - ein("ijk,pj,qk->ipq", np.conj(d), st, st)
+    target = np.outer(g.counit, g.unit)
     return {
         "associativity": frobenius(ein("ijk,klp->ijlp", m, m) - ein("jlk,ikp->ijlp", m, m)),
         "coassociativity": frobenius(ein("ijc,jab->iabc", d, d) - ein("iak,kbc->iabc", d, d)),
         "comult_multiplicative": frobenius(lhs - t1 @ u1),
+        "star_antimultiplicative": frobenius(
+            ein("ijp,kp->ijk", np.conj(m), st) - ein("pj,qi,pqk->ijk", st, st, m)
+        ),
+        "comult_star": frobenius(comult_star),
+        "antipode_left": frobenius(ein("ijk,pj,pkq->iq", d, s, m) - target),
+        "antipode_right": frobenius(ein("ijk,pk,jpq->iq", d, s, m) - target),
     }
 
 
@@ -429,10 +442,38 @@ def test_residual_layouts_match_the_einsum_forms(kind, name, variant):
         assert abs(got[key] - ref) <= 1e-12, (key, got[key], ref)
     if variant in ("perturbed", "complex_mult"):
         assert refs["associativity"] > 1e-4
+        assert refs["star_antimultiplicative"] > 1e-4
     if variant in ("perturbed", "complex_comult"):
         assert refs["coassociativity"] > 1e-4
+        assert refs["comult_star"] > 1e-4
     if variant in ("perturbed", "complex_comult", "complex_mult"):
         assert refs["comult_multiplicative"] > 1e-4
+        assert min(refs["antipode_left"], refs["antipode_right"]) > 1e-4
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+@pytest.mark.parametrize("tensor_kind", ["real", "complex"])
+@pytest.mark.parametrize("matrix_kind", ["real", "complex"])
+def test_transport_matches_einsum(matrix_kind, tensor_kind, layout):
+    rng = np.random.default_rng(5)
+
+    def draw(shape, kind):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if kind == "complex" else x
+
+    # rectangular everywhere: each leg changes its length
+    x = draw((3, 4, 5), tensor_kind)
+    if layout == "transposed":
+        x = draw((4, 3, 5), tensor_kind).swapaxes(0, 1)
+    mats = [draw((6, 3), matrix_kind), draw((2, 4), matrix_kind), draw((7, 5), matrix_kind)]
+    for given in itertools.product((False, True), repeat=3):
+        legs = [mat if keep else None for mat, keep in zip(mats, given)]
+        full = [mat if keep else np.eye(mat.shape[1]) for mat, keep in zip(mats, given)]
+        got = _transport(x, *legs)
+        ref = np.einsum("ai,bj,ck,ijk->abc", *full, x)
+        assert got.shape == ref.shape, (given, got.shape)
+        assert np.iscomplexobj(got) == np.iscomplexobj(ref), given
+        assert np.abs(got - ref).max() <= 1e-13, given
 
 
 def single_product_associativity_defect(m):
@@ -638,6 +679,13 @@ def test_dual_z2_fourier_intertwiner():
 def test_intertwiner_requires_equal_dimensions():
     with pytest.raises(qg.StructuralError, match=r"^intertwiner requires equal dimensions$"):
         intertwiner_defect(algebra("fn", "Z2"), algebra("fn", "Z3"), np.eye(2))
+
+
+@pytest.mark.parametrize("t", [np.eye(5), np.ones(6)], ids=["5x5", "1-D"])
+def test_intertwiner_requires_a_matrix_of_the_dimension(t):
+    g = algebra("fn", "S3")
+    with pytest.raises(qg.StructuralError, match=r"^intertwiner must have shape \(6, 6\), got"):
+        intertwiner_defect(g, g, t)
 
 
 @pytest.mark.parametrize("kind,name", [("fn", "Z3"), ("fn", "S3"), ("ga", "D4")])
@@ -1004,7 +1052,7 @@ def _traced_peak(fn, *args):
 
 
 def test_validate_and_unitary_memory_on_d12():
-    small = algebra("fn", "S3")  # warm imports and einsum paths
+    small = algebra("fn", "S3")  # warm imports
     multiplicative_unitary(small, qg.gns(small))
     g = qg.function_algebra(qg.dihedral_group(12))  # n = 24, fresh caches
     gd = qg.gns(g)
@@ -1015,7 +1063,7 @@ def test_validate_and_unitary_memory_on_d12():
 
 
 def test_validate_memory_on_d16():
-    small = algebra("fn", "S3")  # warm imports and einsum paths
+    small = algebra("fn", "S3")  # warm imports
     qg.validate(small)
     g = qg.function_algebra(qg.dihedral_group(16))  # n = 32
     # the three n^4 buffers of the workspace (8 MiB each); forming the
@@ -1025,7 +1073,7 @@ def test_validate_memory_on_d16():
 
 
 def test_multiplicative_unitary_memory_on_d16():
-    small = algebra("fn", "S3")  # warm imports and einsum paths
+    small = algebra("fn", "S3")  # warm imports
     multiplicative_unitary(small, qg.gns(small))
     g = qg.function_algebra(qg.dihedral_group(16))  # n = 32, fresh caches
     gd = qg.gns(g)
@@ -1035,7 +1083,7 @@ def test_multiplicative_unitary_memory_on_d16():
 
 
 def test_validate_memory_in_row_blocks():
-    small = algebra("fn", "S3")  # warm imports and einsum paths
+    small = algebra("fn", "S3")  # warm imports
     qg.validate(small)
     # the workspace is u1 (n^4) and two row blocks of n^4 / 4, 12 MiB at
     # n = 32 (float64), and peaks near 14 MiB with the certificates' n^3
@@ -1048,7 +1096,7 @@ def test_validate_memory_in_row_blocks():
 
 
 def test_multiplicative_unitary_memory_with_one_workspace():
-    small = algebra("fn", "S3")  # warm imports and einsum paths
+    small = algebra("fn", "S3")  # warm imports
     multiplicative_unitary(small, qg.gns(small))
     g = qg.function_algebra(qg.dihedral_group(16))  # n = 32, fresh caches
     gd = qg.gns(g)
@@ -1075,6 +1123,34 @@ def test_valid_inputs_never_reach_the_dense_fallbacks(kind, k, monkeypatch):
     assert report.passed and report.cancellation_ranks == (g.dim**2,) * 2
     mu = multiplicative_unitary(g)
     assert max(mu.defects.values()) <= g.tol
+
+
+def test_the_pipeline_runs_no_einsum(monkeypatch):
+    # every contraction is a fixed product (_contract, _transport or a
+    # plain matmul), so none searches a path or runs a scalar loop per call
+    def forbidden(*args, **kwargs):
+        raise AssertionError("einsum called")
+
+    # fresh instances, so no cached property or kept quotient is reused
+    inputs = [
+        qg.function_algebra(group("S3")),
+        qg.group_algebra(group("S3")),
+        dataclasses.replace(kac_paljutkin()),  # complex comult
+    ]
+    monkeypatch.setattr(np, "einsum", forbidden)
+    monkeypatch.setattr(np, "einsum_path", forbidden)
+    for g in inputs:
+        assert qg.validate(g).passed
+        qg.dual(g)
+        t = random_unitary(g.dim, np.random.default_rng(3))
+        assert intertwiner_defect(g, change_basis(g, t), t) < 1e-12
+        gd = qg.gns(g)
+        mu = multiplicative_unitary(g, gd)
+        states = qg.solve_idempotents(g)
+        for state in states:
+            if analysis.classify(g, state, gd=gd, mu=mu).is_haar:
+                analysis.quotient_quantum_group(g, state)
+        analysis.build_lattice(g, states)
 
 
 def test_a_badly_conditioned_valid_input_needs_the_dense_fallbacks(monkeypatch):
