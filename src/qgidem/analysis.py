@@ -29,6 +29,7 @@ from .core import (
     MultUnitary,
     QuantumGroupError,
     ValidationReport,
+    _contract,
     _kernel_basis,
     _transport,
     frobenius,
@@ -270,51 +271,29 @@ def symmetry_residual(
     Hilbert-Schmidt norm on C: sqrt(sum_c defect_c^2) over an orthonormal
     basis c of C, which depends on C alone, not on the basis.
 
-    Evaluated on V = sum_k F_k (x) g_k (``mu.leg_factors``, kept from
-    :func:`multiplicative_unitary`) when that describes V up to rounding:
-    n^5 per basis vector of C.  Otherwise (1 (x) pi(c)) V contracts pi(c)
-    into V's second output leg, and each basis vector of C costs one
-    n^2 x n^2 GEMM with V^*, n^6.
+    Read off the conjugation map of V's slices (``LegFactors.conjugation``,
+    n^5 once per V, on the legs kept from :func:`multiplicative_unitary`)
+    when it exists: with X the g-coordinates of pi(C) (n x r, r = dim C)
+    and Q an orthonormal basis of its columns, the defect is
+    ||(1 - Q Q^*) Phi X||, r n^3 per state.  Otherwise (1 (x) pi(c)) V
+    contracts pi(c) into V's second output leg, and each basis vector of C
+    costs one n^2 x n^2 GEMM with V^*, n^6.
     """
     u = orthonormal_columns(c_basis)
     if u.shape[1] == 0:
         return 0.0
-    reps = np.tensordot(u, gd.left_reg, axes=(0, 0))  # reps[c] = pi(u_c)
-    q = orthonormal_columns(reps.reshape(u.shape[1], -1).T)
     legs = mu.leg_factors(gd)
-    if legs.exact:
-        return _symmetry_residual_factored(legs, reps, q)
-    return _symmetry_residual_dense(mu.v, reps, q)
-
-
-def _symmetry_residual_factored(legs, reps, q) -> float:
-    """V^*(1 (x) pi(c))V = sum_kl F_k^* F_l (x) g_k^* pi(c) g_l.
-
-    g is rotated into an orthonormal basis of pi(C) followed by its
-    complement in pi(A) (F rotates with it, V is unchanged).  The second
-    leg of V^*(1 (x) pi(c))V lies in pi(A), so the part outside
-    B(H) (x) pi(C) is sum_{m >= r} Y_m (x) g_m with
-    Y_m = sum_kl tr((g_k g_m)^* pi(c) g_l) F_k^* F_l, whose norm is the
-    residual.  Per state: n^5 for the products F_k^* F_l and g_k g_m; per
-    basis vector c: n^4 for pi(c) g_l and n^5 for the coefficients and Y.
-    """
-    n = legs.basis.shape[0]
-    r = q.shape[1]
-    # coordinates of pi(C) in g, completed to a unitary: the first r
-    # columns span pi(C), the rest its complement in pi(A)
-    rot = np.linalg.qr(legs.basis.reshape(n, n * n).conj() @ q, mode="complete")[0]
-    g = np.tensordot(rot, legs.basis, axes=(0, 0))
-    f = np.tensordot(rot.conj(), legs.factors, axes=(0, 0))
-    outer = np.matmul(np.conj(f.transpose(0, 2, 1))[:, None], f[None])  # F_k^* F_l
-    outer = outer.reshape(n * n, n * n)
-    prods = np.matmul(g[None], g[r:, None])  # [m - r, k]: g_k g_m
-    prods = np.conj(prods).reshape((n - r) * n, n * n)
-    sq = 0.0
-    for rep_c in reps:
-        moved = (rep_c @ g).reshape(n, n * n)  # pi(c) g_l
-        coeffs = (prods @ moved.T).reshape(n - r, n * n)  # [m, (k, l)]
-        sq += frobenius(coeffs @ outer) ** 2
-    return math.sqrt(sq)
+    phi = legs.conjugation
+    if phi is None:
+        reps = np.tensordot(u, gd.left_reg, axes=(0, 0))  # reps[c] = pi(u_c)
+        q = orthonormal_columns(reps.reshape(u.shape[1], -1).T)
+        return _symmetry_residual_dense(mu.v, reps, q)
+    n = gd.dim
+    # x[j, c] = <g_j, pi(u_c)>
+    x = legs.basis.reshape(n, n * n).conj() @ (gd.left_reg.reshape(n, n * n).T @ u)
+    q = orthonormal_columns(x)
+    images = (phi.reshape(n * n, n) @ x).reshape(n, -1)  # [m, (p, c)]
+    return frobenius(images - q @ (q.conj().T @ images))
 
 
 def _symmetry_residual_dense(v, reps, q) -> float:
@@ -356,13 +335,17 @@ def classify(
     construction (attempted only when N_omega is an ideal, as the quotient
     needs it).  The three answers must agree; a disagreement is raised as
     an internal error because it contradicts the classification theorem.
+    A fourth answer is cross-checked the same way but not reported: omega
+    is a Haar idempotent iff it is a trace (:func:`_trace_residual`).
 
     The idempotency test, N_omega (one n x n eigh) and its ideal residual
     (n^4) run once and serve (b) and (c): the quotient is built from them
     by :func:`_quotient`, whose validation of B (n_B^6) dominates a Haar
-    state's cost.  When omega is a State of qg the quotient is kept on it,
-    it is the returned ``state``, and :func:`quotient_quantum_group` on it
-    returns that quotient.
+    state's cost.  The symmetry residual (a) costs r n^3 for r = dim
+    C_omega, after one n^5 map per V that every state shares
+    (:func:`symmetry_residual`), and the trace test n^3.  When omega is a
+    State of qg the quotient is kept on it, it is the returned ``state``,
+    and :func:`quotient_quantum_group` on it returns that quotient.
     """
     w = as_coeffs(omega)
     _require_idempotent(qg, w)
@@ -372,8 +355,10 @@ def classify(
     nsp = null_space(qg, w)
     ideal_res = ideal_residual(qg, nsp)
     sym_res = symmetry_residual(qg, gd, mu, left_slice(qg, w))
+    trace_res = _trace_residual(qg, w)
     ideal_ok = ideal_res <= CLASSIFY_TOL
     sym_ok = sym_res <= CLASSIFY_TOL
+    trace_ok = trace_res <= CLASSIFY_TOL
 
     quotient_built = False
     quotient_error = None
@@ -384,11 +369,11 @@ def classify(
         except QuantumGroupError as exc:
             quotient_error = str(exc)
 
-    if not (sym_ok == ideal_ok == quotient_built):
+    if not (sym_ok == ideal_ok == quotient_built == trace_ok):
         raise InternalConsistencyError(
             "Haar criteria disagree: "
             f"symmetry residual {sym_res:.2e}, ideal residual {ideal_res:.2e}, "
-            f"quotient built {quotient_built}"
+            f"tracial residual {trace_res:.2e}, quotient built {quotient_built}"
             + (f" ({quotient_error})" if quotient_error else "")
         )
     return Classification(
@@ -401,6 +386,16 @@ def classify(
             "quotient_built": quotient_built,
         },
     )
+
+
+def _trace_residual(qg: FiniteQuantumGroup, w) -> float:
+    """||M - M^T|| for M[i, j] = omega(e_i e_j), zero iff omega is a trace
+    (n^3).  The Haar state is a faithful trace, and an idempotent state is
+    omega = h(q . q) / h(q) with q its support projection, so
+    N_omega = A(1 - q) is a two-sided ideal iff q is central, that is, iff
+    omega(ab) = omega(ba): a Haar idempotent is exactly a tracial one."""
+    m = _contract(qg.mult, w, 2)
+    return frobenius(m - m.T)
 
 
 # -- quantum subgroup quotients ------------------------------------------

@@ -777,33 +777,15 @@ class GnsData:
         g_k g_l^* = sum_m gamma[m, k, l] g_m + E_kl, and ``defect`` is the
         larger of ||E|| and the distance of the identity from span g.  It is
         rounding exactly when span g is a unital *-algebra, which holds when
-        pi is multiplicative, so for every valid input.  The k are taken in
-        blocks of max(1, n // 4): one GEMM gives g_k g_l^* for the block
-        and every l, and one batched matmul their coefficients, an
-        n x n^2 x n product per k (a single wider GEMM takes another
-        OpenBLAS kernel and moves gamma, and the coproduct defect read off
-        it, by rounding).  A block holds two arrays of b n^3 (n^4 / 4)
-        entries at a time.
+        pi is multiplicative, so for every valid input.  The products are
+        taken in blocks by :func:`_product_coefficients`.
         """
         n = self.dim
         g = self._hs_basis
+        gamma, err, _ = _product_coefficients(g, g, g)
         gmat = g.reshape(n, n * n)
-        gmat_c = gmat.conj()
-        g_rows = g.reshape(n * n, n)  # [(k, x), y]
-        g_adj = np.conj(g_rows).T  # [y, (l, z)]
-        gamma = np.empty((n, n, n), dtype=g.dtype)
-        err_sq = 0.0
-        for ks in _row_blocks(n, 4):
-            b = ks.stop - ks.start
-            # g_k g_l^* as rows (k, l) of n^2 coordinates
-            prods = (g_rows[ks.start * n : ks.stop * n] @ g_adj).reshape(b, n, n, n)
-            prods = np.ascontiguousarray(prods.transpose(0, 2, 1, 3)).reshape(b, n, n * n)
-            coef = np.matmul(gmat_c, prods.transpose(0, 2, 1))  # [k, m, l]
-            gamma[:, ks, :] = coef.transpose(1, 0, 2)
-            prods -= np.matmul(coef.transpose(0, 2, 1), gmat)
-            err_sq += frobenius(prods) ** 2
         eye = np.eye(n).ravel()
-        defect = max(math.sqrt(err_sq), frobenius(eye - (gmat.conj() @ eye) @ gmat))
+        defect = max(err, frobenius(eye - (gmat.conj() @ eye) @ gmat))
         gamma.setflags(write=False)
         return gamma, defect
 
@@ -829,6 +811,39 @@ def gns(qg: FiniteQuantumGroup) -> GnsData:
     return GnsData(gram=gram, onb=onb, onb_inv=onb_inv, left_reg=left_reg)
 
 
+def _product_coefficients(left, right, onb) -> tuple[np.ndarray, float, float]:
+    """(coef, defect, size) of the products left_k right_l^* on the
+    Hilbert-Schmidt orthonormal stack ``onb`` (n^5 for n x n stacks of n).
+
+    left_k right_l^* = sum_m coef[m, k, l] onb_m + E_kl, ``defect`` is
+    ||E|| and ``size`` the norm of the products, both over all (k, l).
+    The k are taken in blocks of max(1, n // 4): one GEMM gives
+    left_k right_l^* for the block and every l, and one batched matmul
+    their coefficients, an n x n^2 x n product per k (a single wider GEMM
+    takes another OpenBLAS kernel and moves coef, and the coproduct defect
+    read off it, by rounding).  A block holds two arrays of b n^3 (n^4 / 4)
+    entries at a time.
+    """
+    n, d = left.shape[0], left.shape[1]
+    omat = onb.reshape(onb.shape[0], d * d)
+    omat_c = omat.conj()
+    rows = left.reshape(n * d, d)  # [(k, x), y]
+    adj = np.conj(right.reshape(n * d, d)).T  # [y, (l, z)]
+    coef = np.empty((onb.shape[0], n, n), dtype=np.result_type(left, right, onb))
+    err_sq = size_sq = 0.0
+    for ks in _row_blocks(n, 4):
+        b = ks.stop - ks.start
+        # left_k right_l^* as rows (k, l) of d^2 coordinates
+        prods = (rows[ks.start * d : ks.stop * d] @ adj).reshape(b, d, n, d)
+        prods = np.ascontiguousarray(prods.transpose(0, 2, 1, 3)).reshape(b, n, d * d)
+        size_sq += frobenius(prods) ** 2
+        c = np.matmul(omat_c, prods.transpose(0, 2, 1))  # [k, m, l]
+        coef[:, ks, :] = c.transpose(1, 0, 2)
+        prods -= np.matmul(c.transpose(0, 2, 1), omat)
+        err_sq += frobenius(prods) ** 2
+    return coef, math.sqrt(err_sq), math.sqrt(size_sq)
+
+
 @dataclass(frozen=True)
 class LegFactors:
     """V = sum_k F_k (x) g_k + R, sliced against an orthonormal basis of pi(A).
@@ -837,15 +852,67 @@ class LegFactors:
     orthonormal), ``factors[k]`` is F_k = (id (x) tr(g_k^* .))V, and
     ``remainder`` is ||R||.  The factored checks assume two things: that R
     is rounding (V lies in B(H) (x) pi(A), Baaj-Skandalis) and that span g
-    is closed under products and adjoints (``GnsData._hs_structure``).
-    ``exact`` says both hold, R <= 64 eps ||V|| and the closure defect
-    <= 64 eps n; when it is false the checks run their dense loops.
+    is closed under products and adjoints (``GnsData._hs_structure``,
+    whose gamma is kept as ``structure``).  ``exact`` says both hold,
+    R <= 64 eps ||V|| and the closure defect <= 64 eps n; when it is false
+    the checks run their dense loops.
     """
 
     basis: np.ndarray
     factors: np.ndarray
     remainder: float
     exact: bool
+    structure: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def conjugation(self) -> np.ndarray | None:
+        """x -> V^*(1 (x) x)V on pi(A) in g-coordinates, or None when the
+        slices cannot give it (:func:`_conjugation_map`); built on first use."""
+        return _conjugation_map(self)
+
+
+def _conjugation_map(legs: LegFactors) -> np.ndarray | None:
+    """Phi[m, p, j] with V^*(1 (x) g_j)V = sum_pm Phi[m, p, j] Ft_p (x) g_m
+    (n^5, once per V), for an orthonormal basis Ft of span{F_k}.
+
+    V^*(1 (x) x)V = sum_kl F_k^* F_l (x) g_k^* x g_l.  The first-leg slices
+    of a multiplicative unitary span a *-algebra (the dual), so
+    F_k^* F_l = sum_p beta[p, k, l] Ft_p (:func:`_product_coefficients`).
+    In g-coordinates g_k^* g_j g_l has the coefficient
+    sum_s conj(tau[s, k, m]) tau[s, j, l] on g_m, with
+    tau[s, a, b] = <g_s, g_a g_b> read off the kept gamma in n^4:
+    g_b = sum_u tr(g_u g_b) g_u^*.  Phi takes the m in blocks of
+    max(1, n // 4), one GEMM for the sums over s and one batched matmul
+    for those over (k, l), so a block holds b n^3 (n^4 / 4) entries.
+
+    None unless ``legs.exact`` holds and the products F_k^* F_l lie in
+    span Ft up to 64 eps times their norm, the cutoff of ``exact``; a
+    V (u (x) 1) with u a unitary outside the dual keeps its second leg in
+    pi(A) but not its first leg closed.
+    """
+    if not legs.exact:
+        return None
+    g, f = legs.basis, legs.factors  # g[k, b, d], f[k, a, c]
+    n = g.shape[0]
+    onb = np.linalg.qr(f.reshape(n, n * n).T)[0].T.reshape(n, n, n)
+    f_adj = np.conj(f.transpose(0, 2, 1))
+    beta, defect, size = _product_coefficients(f_adj, f_adj, onb)
+    if defect > 64 * np.finfo(float).eps * size:
+        return None
+    gmat = g.reshape(n, n * n)
+    traces = gmat @ g.transpose(0, 2, 1).reshape(n, n * n).T  # tr(g_u g_b)
+    tau = (legs.structure.reshape(n * n, n) @ traces).reshape(n, n, n)
+    left = np.ascontiguousarray(np.conj(tau).transpose(2, 1, 0)).reshape(n * n, n)
+    right = np.ascontiguousarray(tau.transpose(0, 2, 1)).reshape(n, n * n)
+    beta_rows = beta.reshape(n, n * n)  # [p, (k, l)]
+    phi = np.empty((n, n, n), dtype=np.result_type(beta, tau))
+    for ms in _row_blocks(n, 4):
+        b = ms.stop - ms.start
+        # sum_s conj(tau[s, k, m]) tau[s, j, l] as [m, (k, l), j]
+        prods = (left[ms.start * n : ms.stop * n] @ right).reshape(b, n * n, n)
+        phi[ms] = np.matmul(beta_rows, prods)
+    phi.setflags(write=False)
+    return phi
 
 
 def second_leg_factors(gd: GnsData, v) -> LegFactors:
@@ -875,9 +942,10 @@ def second_leg_factors(gd: GnsData, v) -> LegFactors:
         rem_sq += frobenius(block) ** 2
     remainder = math.sqrt(rem_sq)
     eps = np.finfo(float).eps
-    exact = remainder <= 64 * eps * frobenius(v) and gd._hs_structure[1] <= 64 * eps * n
+    gamma, closure = gd._hs_structure
+    exact = remainder <= 64 * eps * frobenius(v) and closure <= 64 * eps * n
     factors.setflags(write=False)
-    return LegFactors(basis=g, factors=factors, remainder=remainder, exact=exact)
+    return LegFactors(basis=g, factors=factors, remainder=remainder, exact=exact, structure=gamma)
 
 
 @dataclass(frozen=True)

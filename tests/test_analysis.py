@@ -31,7 +31,7 @@ from qgidem.analysis import (
     v_projection,
     verify_conditional_expectation,
 )
-from qgidem.core import MultUnitary, QuantumGroupError, frobenius
+from qgidem.core import InternalConsistencyError, MultUnitary, QuantumGroupError, frobenius
 from qgidem.states import (
     left_slice,
     subgroup_state_fn,
@@ -43,11 +43,14 @@ from helpers import (
     algebra,
     basis_vector,
     dense_algebra,
+    first_leg_twist,
     gns_and_unitary,
+    kac_paljutkin,
     non_associative_case,
     group,
     match_state,
     oracle_states,
+    phase_twin,
     random_unitary,
     right_regular_twist,
     solved,
@@ -301,6 +304,111 @@ def test_symmetry_fallback_when_pi_a_is_not_closed(kind):
         c_basis = left_slice(g, st.coeffs)
         res = symmetry_residual(g, gd, mu, c_basis)
         assert abs(res - kron_symmetry_residual(g, gd, v, c_basis)) <= 1e-12
+
+
+def zoo_input(label):
+    """(g, states) for a label "fn:S4", "dense ga:S4", "phase ga:D4", "KP"
+    or "dual:KP": the oracle states moved with the basis, or on the Kac-
+    Paljutkin inputs the solver's eight."""
+    if label in ("KP", "dual:KP"):
+        g = kac_paljutkin() if label == "KP" else qg.dual(kac_paljutkin())
+        return g, [st.coeffs for st in qg.solve_idempotents(g)]
+    form, _, spec = label.rpartition(" ")
+    kind, name = spec.split(":")
+    if form:
+        g, t = (dense_algebra if form == "dense" else phase_twin)(kind, name)
+    else:
+        g, t = algebra(kind, name), np.eye(algebra(kind, name).dim)
+    return g, [st.coeffs @ np.linalg.inv(t) for st in oracle_states(kind, name)]
+
+
+@pytest.mark.parametrize("kind", ["fn", "ga"])
+def test_symmetry_of_a_first_leg_twist_takes_the_dense_loop(kind, monkeypatch):
+    # V (u (x) 1) keeps its second leg in pi(A), so its slices are exact,
+    # but u is outside the dual and the first leg is not closed; u is
+    # unitary, so V^*(1 (x) x)V only moves by it and the residual stays
+    g = algebra(kind, "S3")
+    gd, mu = gns_and_unitary(kind, "S3")
+    a = basis_vector(g.dim, 1) if kind == "ga" else np.ones(g.dim) - 2 * basis_vector(g.dim, 1)
+    twisted = MultUnitary(v=first_leg_twist(g, gd, mu, a))
+    legs = twisted.leg_factors(gd)
+    assert legs.exact and legs.conjugation is None
+    dense_calls = []
+
+    def counted(*args):
+        dense_calls.append(1)
+        return _symmetry_residual_dense(*args)
+
+    monkeypatch.setattr(analysis, "_symmetry_residual_dense", counted)
+    states = oracle_states(kind, "S3")
+    for st in states:
+        c_basis = left_slice(g, st.coeffs)
+        res = symmetry_residual(g, gd, twisted, c_basis)
+        assert abs(res - kron_symmetry_residual(g, gd, twisted.v, c_basis)) <= 1e-12
+        assert abs(res - symmetry_residual(g, gd, mu, c_basis)) <= 1e-12
+    assert len(dense_calls) == len(states)
+
+
+ZOO = [
+    f"{form}{kind}:{name}"
+    for form in ("", "dense ", "phase ")
+    for kind in ("fn", "ga")
+    for name in ("S3", "D4", "Q8")
+] + ["KP", "dual:KP"]
+
+
+@pytest.mark.parametrize("label", ZOO)
+def test_valid_inputs_take_the_fast_symmetry_path(label, monkeypatch):
+    def fallback(*args):
+        raise AssertionError("dense symmetry loop taken on a valid input")
+
+    monkeypatch.setattr(analysis, "_symmetry_residual_dense", fallback)
+    g, states = zoo_input(label)
+    gd = qg.gns(g)
+    mu = qg.multiplicative_unitary(g, gd)
+    assert mu.legs.conjugation is not None
+    for w in states:
+        symmetry_residual(g, gd, mu, left_slice(g, w))
+
+
+@pytest.mark.parametrize("label", ["KP", "dual:KP"])
+def test_symmetry_residual_matches_dense_on_kac_paljutkin(label):
+    # noncommutative and noncocommutative: neither leg of V is a group's
+    g, states = zoo_input(label)
+    gd = qg.gns(g)
+    mu = qg.multiplicative_unitary(g, gd)
+    residuals = []
+    for w in states:
+        c_basis = left_slice(g, w)
+        res = symmetry_residual(g, gd, mu, c_basis)
+        assert abs(res - dense_symmetry_residual(g, gd, mu.v, c_basis)) <= 1e-12
+        residuals.append(res)
+    assert sum(res > 0.1 for res in residuals) == 2  # Pal's two non-Haar states
+
+
+@pytest.mark.parametrize(
+    "label", ["fn:S4", "ga:S4", "KP", "dual:KP", "dense ga:S4", "phase ga:D4"]
+)
+def test_tracial_witness_agrees_with_classify(label):
+    # a Haar idempotent is exactly a tracial one; the smallest non-tracial
+    # residual over these inputs is 0.707 (on KP and dual:KP)
+    g, states = zoo_input(label)
+    gd = qg.gns(g)
+    mu = qg.multiplicative_unitary(g, gd)
+    for w in states:
+        res = analysis._trace_residual(g, w)
+        if classify(g, w, gd=gd, mu=mu).is_haar:
+            assert res <= 1e-12
+        else:
+            assert res > 0.5
+
+
+def test_a_tracial_disagreement_raises(monkeypatch):
+    g = algebra("ga", "S3")
+    gd, mu = gns_and_unitary("ga", "S3")
+    monkeypatch.setattr(analysis, "_trace_residual", lambda qg, w: 0.25)
+    with pytest.raises(InternalConsistencyError, match="tracial residual 2.50e-01"):
+        classify(g, g.haar, gd=gd, mu=mu)
 
 
 @pytest.mark.parametrize("kind", ["fn", "ga"])

@@ -1062,6 +1062,19 @@ def test_validate_and_unitary_memory_on_d12():
     assert _traced_peak(multiplicative_unitary, g, gd) <= 13 * 2**20
 
 
+def test_symmetry_map_memory_on_d12():
+    small = algebra("fn", "S3")  # warm imports
+    analysis.symmetry_residual(small, *gns_and_unitary("fn", "S3"), small.unit[:, None])
+    g = qg.function_algebra(qg.dihedral_group(12))  # n = 24, fresh caches
+    gd = qg.gns(g)
+    mu = multiplicative_unitary(g, gd)  # fresh legs: the map is built below
+    # the conjugation map is built in blocks of n^4 / 4 beside a few n^3
+    # arrays: about 2.0 MiB, where the per-state products of F_k^* F_l and
+    # g_k g_m took 7.6 MiB
+    c_basis = qg.left_slice(g, g.haar)
+    assert _traced_peak(analysis.symmetry_residual, g, gd, mu, c_basis) <= 3 * 2**20
+
+
 def test_validate_memory_on_d16():
     small = algebra("fn", "S3")  # warm imports
     qg.validate(small)
