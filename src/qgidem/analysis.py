@@ -271,27 +271,25 @@ def symmetry_residual(
     Hilbert-Schmidt norm on C: sqrt(sum_c defect_c^2) over an orthonormal
     basis c of C, which depends on C alone, not on the basis.
 
-    Read off the conjugation map of V's slices (``LegFactors.conjugation``,
-    n^5 once per V, on the legs kept from :func:`multiplicative_unitary`)
-    when it exists: with X the g-coordinates of pi(C) (n x r, r = dim C)
-    and Q an orthonormal basis of its columns, the defect is
-    ||(1 - Q Q^*) Phi X||, r n^3 per state.  Otherwise (1 (x) pi(c)) V
-    contracts pi(c) into V's second output leg, and each basis vector of C
-    costs one n^2 x n^2 GEMM with V^*, n^6.
+    X = r^T u, the g-coordinates of pi(C) (``GnsData._hs_frame``; n x r,
+    r = dim C), and Q, an orthonormal basis of its columns, come first.
+    With the conjugation map of V's slices (``LegFactors.conjugation``, n^5
+    once per V) the defect is ||(1 - Q Q^*) Phi X||, r n^3 per state.
+    Without it (1 (x) pi(c)) V contracts pi(c) into V's second output leg,
+    projected on the lift of Q by g, at one n^2 x n^2 GEMM with V^* per
+    basis vector of C, n^6.
     """
     u = orthonormal_columns(c_basis)
     if u.shape[1] == 0:
         return 0.0
-    legs = mu.leg_factors(gd)
-    phi = legs.conjugation
+    n = gd.dim
+    g, r = gd._hs_frame
+    x = r.T @ u  # x[j, c] = <g_j, pi(u_c)>
+    q = orthonormal_columns(x)
+    phi = mu.leg_factors(gd).conjugation
     if phi is None:
         reps = np.tensordot(u, gd.left_reg, axes=(0, 0))  # reps[c] = pi(u_c)
-        q = orthonormal_columns(reps.reshape(u.shape[1], -1).T)
-        return _symmetry_residual_dense(mu.v, reps, q)
-    n = gd.dim
-    # x[j, c] = <g_j, pi(u_c)>
-    x = legs.basis.reshape(n, n * n).conj() @ (gd.left_reg.reshape(n, n * n).T @ u)
-    q = orthonormal_columns(x)
+        return _symmetry_residual_dense(mu.v, reps, g.reshape(n, n * n).T @ q)
     images = (phi.reshape(n * n, n) @ x).reshape(n, -1)  # [m, (p, c)]
     return frobenius(images - q @ (q.conj().T @ images))
 
@@ -481,9 +479,9 @@ def _quotient(qg: FiniteQuantumGroup, w, nsp) -> QuotientQG:
     gq = comp.conj().T @ g @ comp
     chol = np.linalg.cholesky((gq + gq.conj().T) / 2)
     section = comp @ np.linalg.inv(chol.conj().T)
-
-    full = np.hstack([section, nsp])
-    proj = np.linalg.inv(full)[:nb]
+    # section is Haar-orthonormal and Haar-orthogonal to nsp, so section^* G
+    # is 1 on section and 0 on nsp: the left inverse of [section, nsp]
+    proj = section.conj().T @ g
 
     # induced product and star
     mult_b = _transport(qg.mult, section.T, section.T, proj)
@@ -716,12 +714,14 @@ def v_projection(qg: FiniteQuantumGroup, gd: GnsData, mu: MultUnitary, omega):
     """p = (id (x) omega) V, the second leg read in A-coordinates.
 
     For an idempotent state p is an orthogonal projection (p^2 = p = p^*).
+    With V = sum_k F_k (x) g_k (``MultUnitary.leg_factors``) and
+    pi(e_i) = sum_k r[i, k] g_k (``GnsData._hs_frame``),
+    p = sum_k F_k (r^-1 w)_k: n^3 once the slices exist.
     """
     w = as_coeffs(omega)
     n = qg.dim
-    blocks = mu.second_leg_blocks().reshape(n * n, n * n)
-    lifts = blocks @ gd._rep_pinv.T
-    return (lifts @ w).reshape(n, n)
+    f = mu.leg_factors(gd).factors
+    return (np.linalg.solve(gd._hs_frame[1], w) @ f.reshape(n, n * n)).reshape(n, n)
 
 
 def projection_defect(p) -> float:

@@ -310,8 +310,8 @@ def cmd_quotient(qg, info, args):
     data = {
         "state_index": args.state,
         "quotient": serialize.qg_to_dict(q.quotient),
-        "projection": [[serialize._pair(z) for z in row] for row in q.projection],
-        "haar_mu": [serialize._pair(z) for z in q.haar_mu.coeffs],
+        "projection": serialize._matrix_out(q.projection),
+        "haar_mu": serialize._vector_out(q.haar_mu.coeffs),
         "homogeneous_space": {**hs.values, "passed": hs.passed},
         "coaction": {**co.values, "passed": co.passed},
         "passed": passed,
@@ -354,7 +354,7 @@ def cmd_walk(qg, info, args):
     data = {
         "steps": args.steps,
         "diagnostics": diag,
-        "limit": [serialize._pair(z) for z in limit],
+        "limit": serialize._vector_out(limit),
         "limit_is_idempotent": bool(limit_ok),
     }
     return data, bool(limit_ok), lines

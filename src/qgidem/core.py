@@ -23,7 +23,10 @@ complex operand (a structure tensor applied to complex vectors, sampled
 vectors) :func:`_real_matmul` applies it as one real product.  Every
 contraction of ``mult`` or ``comult`` with a vector or a stack of vectors,
 here and in the other modules, is :func:`_contract`: one GEMM; every
-change of a tensor's legs by matrices is :func:`_transport`.
+change of a tensor's legs by matrices is :func:`_transport`.  An
+orthonormal basis g of pi(A) and the coordinates r of each pi(e_i) on it
+are formed once, in ``GnsData._hs_frame``, and read by V's checks, the
+symmetry residual and ``analysis.v_projection`` (n^3 per call).
 
 All residual norms are Frobenius norms unless a sup-norm is stated.
 Multiplier algebras, affiliated elements and modular elements are trivial
@@ -761,18 +764,24 @@ class GnsData:
         return np.tensordot(np.asarray(a), self.left_reg, axes=(0, 0))
 
     @cached_property
-    def _hs_basis(self) -> np.ndarray:
-        """An orthonormal basis g_0 .. g_{n-1} of pi(A) for the
-        Hilbert-Schmidt inner product tr(x^* y), as an (n, n, n) stack."""
+    def _hs_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """(g, r): an orthonormal basis g_0 .. g_{n-1} of pi(A) for the
+        Hilbert-Schmidt inner product tr(x^* y), as an (n, n, n) stack, and
+        the coordinates pi(e_i) = sum_k r[i, k] g_k.  g is the Q of a QR of
+        pi (n^4); r is pi times conj(Q), not the QR's triangle, which
+        differs by rounding."""
         n = self.dim
-        q, _ = np.linalg.qr(self.left_reg.reshape(n, n * n).T)
+        reg = self.left_reg.reshape(n, n * n)
+        q, _ = np.linalg.qr(reg.T)
         g = np.ascontiguousarray(q.T).reshape(n, n, n)
-        g.setflags(write=False)
-        return g
+        r = reg @ q.conj()
+        for arr in (g, r):
+            arr.setflags(write=False)
+        return g, r
 
     @cached_property
     def _hs_structure(self) -> tuple[np.ndarray, float]:
-        """(gamma, defect) for the basis g of :attr:`_hs_basis` (n^5).
+        """(gamma, defect) for the basis g of :attr:`_hs_frame` (n^5).
 
         g_k g_l^* = sum_m gamma[m, k, l] g_m + E_kl, and ``defect`` is the
         larger of ||E|| and the distance of the identity from span g.  It is
@@ -781,18 +790,13 @@ class GnsData:
         taken in blocks by :func:`_product_coefficients`.
         """
         n = self.dim
-        g = self._hs_basis
+        g = self._hs_frame[0]
         gamma, err, _ = _product_coefficients(g, g, g)
         gmat = g.reshape(n, n * n)
         eye = np.eye(n).ravel()
         defect = max(err, frobenius(eye - (gmat.conj() @ eye) @ gmat))
         gamma.setflags(write=False)
         return gamma, defect
-
-    @cached_property
-    def _rep_pinv(self) -> np.ndarray:
-        cols = self.left_reg.reshape(self.dim, -1).T
-        return np.linalg.pinv(cols)
 
 
 def gns(qg: FiniteQuantumGroup) -> GnsData:
@@ -848,7 +852,7 @@ def _product_coefficients(left, right, onb) -> tuple[np.ndarray, float, float]:
 class LegFactors:
     """V = sum_k F_k (x) g_k + R, sliced against an orthonormal basis of pi(A).
 
-    ``basis[k]`` is g_k (``GnsData._hs_basis``, Hilbert-Schmidt
+    ``basis[k]`` is g_k (``GnsData._hs_frame``, Hilbert-Schmidt
     orthonormal), ``factors[k]`` is F_k = (id (x) tr(g_k^* .))V, and
     ``remainder`` is ||R||.  The factored checks assume two things: that R
     is rounding (V lies in B(H) (x) pi(A), Baaj-Skandalis) and that span g
@@ -916,14 +920,14 @@ def _conjugation_map(legs: LegFactors) -> np.ndarray | None:
 
 
 def second_leg_factors(gd: GnsData, v) -> LegFactors:
-    """Slice the second leg of V against ``gd._hs_basis`` (n^5).
+    """Slice the second leg of V against the basis g of ``gd._hs_frame`` (n^5).
 
     V[(a, b), (c, d)] has first leg (a, c) and second leg (b, d).  The
     rows a of the first leg are sliced in blocks of max(1, n // 4): one
     GEMM per block, which holds two arrays of b n^3 (n^4 / 4) entries.
     """
     n = gd.dim
-    g = gd._hs_basis
+    g = gd._hs_frame[0]
     gmat = g.reshape(n, n * n)
     gmat_h = gmat.conj().T
     v = np.asarray(v)
@@ -967,19 +971,9 @@ class MultUnitary:
     def leg_factors(self, gd: GnsData) -> LegFactors:
         """V sliced against ``gd``'s basis of pi(A); the kept factorization
         when it was made from that basis, else a new one (n^5)."""
-        if self.legs is not None and self.legs.basis is gd._hs_basis:
+        if self.legs is not None and self.legs.basis is gd._hs_frame[0]:
             return self.legs
         return second_leg_factors(gd, self.v)
-
-    @property
-    def hilbert_dim(self) -> int:
-        return int(round(np.sqrt(self.v.shape[0])))
-
-    def second_leg_blocks(self) -> np.ndarray:
-        """blocks[i, j] = B(H)-entry (i, j) of the first leg; each block is
-        an operator on the second H and lies in pi(A)."""
-        n = self.hilbert_dim
-        return self.v.reshape(n, n, n, n).transpose(0, 2, 1, 3)
 
 
 def unitarity_defect(v, work=None) -> float:
@@ -1058,7 +1052,8 @@ def _coproduct_defect_factored(qg, gd, legs: LegFactors, work=_NO_WORK) -> float
     (``GnsData._hs_structure``; ``legs.exact`` says it is one).  With
     g orthonormal the defect for e_i is the norm of the n matrices
     D_m = sum_kl gamma[m, k, l] F_k pi(e_i) F_l^* - (id (x) tr(g_m^* .))
-    (pi (x) pi)Delta(e_i).  The m are taken in blocks of max(1, n // 8):
+    (pi (x) pi)Delta(e_i), the last term from the coordinates r of
+    ``GnsData._hs_frame``.  The m are taken in blocks of max(1, n // 8):
     one (b n x n^2)(n^2 x n^2) GEMM gives D_m for a block of b values of m
     and every e_i at once, and the reference term, formed for the block
     by one GEMM in the same layout, is subtracted from it in place.  The
@@ -1070,8 +1065,7 @@ def _coproduct_defect_factored(qg, gd, legs: LegFactors, work=_NO_WORK) -> float
     workspace z and every block are allocated here.
     """
     n = qg.dim
-    g, f = legs.basis, legs.factors  # g[k, b, d], f[k, a, c]
-    gmat = g.reshape(n, n * n)
+    f = legs.factors  # f[k, a, c]
     reg = gd.left_reg  # reg[i, x, y] = pi(e_i)
     reg_flat = reg.reshape(n, n * n)
     gamma = gd._hs_structure[0]
@@ -1082,7 +1076,7 @@ def _coproduct_defect_factored(qg, gd, legs: LegFactors, work=_NO_WORK) -> float
     z = z.reshape(n * n, n * n)
     # (pi (x) pi)Delta(e_i) = sum_{p,m} coef[m, i, p] pi(e_p) (x) g_m, in
     # the result type of the products, which the difference is taken in
-    coef = (qg.comult @ (gmat.conj() @ reg_flat.T).T).transpose(2, 0, 1)
+    coef = (qg.comult @ gd._hs_frame[1]).transpose(2, 0, 1)
     coef = np.ascontiguousarray(coef, dtype=np.result_type(coef, z, gamma))
     f_rows = f.reshape(n, n * n)
     sq = np.zeros(n)
@@ -1118,7 +1112,7 @@ def _pentagon_defect_factored(qg, gd, legs: LegFactors) -> tuple[float, float]:
     V23 V12 V23^* = sum_k F_k (x) (pi (x) pi)Delta(g_k), which is
     sum_pm (sum_k D[k, p, m] F_k) (x) g_p (x) g_m with
     D[k, p, m] = sum_ijl c[k, i] comult[i, j, l] r[j, p] r[l, m], where
-    g_k = sum_i c[k, i] pi(e_i) and pi(e_j) = sum_p r[j, p] g_p.  The
+    pi(e_j) = sum_p r[j, p] g_p (``GnsData._hs_frame``) and c = r^-1.  The
     g_p (x) g_m are orthonormal and V23 is unitary, so ||V12 V13 V23 -
     V23 V12|| is the norm of the n^2 matrices F_p F_m - sum_k D[k, p, m]
     F_k: per p, two GEMMs of n^4 flops.  D takes n^4 (one product per
@@ -1127,9 +1121,8 @@ def _pentagon_defect_factored(qg, gd, legs: LegFactors) -> tuple[float, float]:
     defect into the bound of :func:`_pentagon_defect`.
     """
     n = qg.dim
-    g, f = legs.basis, legs.factors  # g[k, b, d], f[k, a, c]
-    gmat = g.reshape(n, n * n)
-    r = gd.left_reg.reshape(n, n * n) @ gmat.conj().T
+    f = legs.factors  # f[k, a, c]
+    r = gd._hs_frame[1]
     c = np.linalg.inv(r)
     d = _transport(qg.comult, c, r.T, r.T).transpose(1, 2, 0)
     # both terms as transposes, [(m, c), a], so neither needs a copy per p

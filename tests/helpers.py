@@ -155,11 +155,32 @@ def first_leg_twist(g, gd, mu, a):
     return mu.v @ np.kron(u, np.eye(g.dim))
 
 
-def lift(gd, x):
+def rep_pinv(gd):
+    """The pseudo-inverse of pi as an n x n^2 matrix: the least-squares
+    coordinates in A of an operator on H."""
+    return np.linalg.pinv(gd.left_reg.reshape(gd.dim, -1).T)
+
+
+def second_leg_blocks(v):
+    """blocks[i, j] = B(H)-entry (i, j) of the first leg of v; for V each
+    block is an operator on the second H and lies in pi(A)."""
+    n = int(round(np.sqrt(np.shape(v)[0])))
+    return np.asarray(v).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+
+
+def lift(gd, x, pinv=None):
     """Invert pi on its range: (a, residual) with pi(a) ~ x, through the
-    pseudo-inverse of pi."""
-    a = gd._rep_pinv @ np.asarray(x).ravel()
+    pseudo-inverse of pi (:func:`rep_pinv`, formed here unless given)."""
+    a = (rep_pinv(gd) if pinv is None else pinv) @ np.asarray(x).ravel()
     return a, float(np.linalg.norm(gd.rep(a) - x))
+
+
+def pinv_v_projection(gd, mu, w):
+    """(id (x) omega) V with every second-leg block of V lifted to A through
+    the pseudo-inverse of pi (n^5)."""
+    n = gd.dim
+    lifts = second_leg_blocks(mu.v).reshape(n * n, n * n) @ rep_pinv(gd).T
+    return (lifts @ np.asarray(w)).reshape(n, n)
 
 
 def coproduct_defect(g, gd, v):
@@ -178,14 +199,15 @@ def loop_antipode_slice_defect(g, gd, mu):
     which span A.
     """
     n = g.dim
-    blocks = mu.second_leg_blocks()
-    vstar_blocks = mu.v.conj().T.reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    blocks = second_leg_blocks(mu.v)
+    vstar_blocks = second_leg_blocks(mu.v.conj().T)
+    pinv = rep_pinv(gd)
     lifted = np.empty((n * n, n), dtype=np.complex128)
     worst = 0.0
     for i in range(n):
         for j in range(n):
-            a, res_a = lift(gd, blocks[i, j])
-            b, res_b = lift(gd, vstar_blocks[i, j])
+            a, res_a = lift(gd, blocks[i, j], pinv)
+            b, res_b = lift(gd, vstar_blocks[i, j], pinv)
             worst = max(worst, res_a, res_b)
             worst = max(worst, frobenius(g.antipode @ a - b))
             lifted[i * n + j] = a
@@ -226,6 +248,15 @@ def dense_algebra(kind, name, seed=0):
     basis in which every structure tensor is dense."""
     t = random_unitary(algebra(kind, name).dim, np.random.default_rng(seed))
     return change_basis(algebra(kind, name), t), t
+
+
+def badly_conditioned(kind, name):
+    """algebra(kind, name) carried by u diag(1 .. 100) w^T, u and w seeded
+    random unitaries: a valid input in a basis of condition number 100."""
+    base = algebra(kind, name)
+    rng = np.random.default_rng(0)
+    u, w = random_unitary(base.dim, rng), random_unitary(base.dim, rng)
+    return change_basis(base, u @ np.diag(np.logspace(0, 2, base.dim)) @ w.T)
 
 
 def phase_twin(kind, name, seed=0):

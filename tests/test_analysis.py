@@ -41,6 +41,7 @@ from qgidem.states import (
 from helpers import (
     SOLVER_CASES,
     algebra,
+    badly_conditioned,
     basis_vector,
     dense_algebra,
     first_leg_twist,
@@ -51,6 +52,8 @@ from helpers import (
     match_state,
     oracle_states,
     phase_twin,
+    pinv_v_projection,
+    random_state,
     random_unitary,
     right_regular_twist,
     solved,
@@ -926,6 +929,38 @@ def test_v_projection_for_idempotents():
         for st in solved(kind, name):
             p = v_projection(g, gd, mu, st.coeffs)
             assert projection_defect(p) <= 1e-10
+
+
+FRAME_INPUTS = [
+    f"{form}{kind}:{name}"
+    for form in ("", "dense ", "phase ")
+    for kind in ("fn", "ga")
+    for name in ("S3", "Q8")
+] + ["KP", "dual:KP"]
+
+
+@pytest.mark.parametrize("label", FRAME_INPUTS)
+def test_v_projection_matches_the_pseudo_inverse_lift(label):
+    # sum_k F_k (r^-1 w)_k against every second-leg block of V lifted to A
+    # through the pseudo-inverse of pi, on the idempotent states and one
+    # that is not
+    g, ws = zoo_input(label)
+    gd = qg.gns(g)
+    mu = qg.multiplicative_unitary(g, gd)
+    for w in list(ws) + [random_state(g, np.random.default_rng(0)).coeffs]:
+        p = v_projection(g, gd, mu, w)
+        assert np.abs(p - pinv_v_projection(gd, mu, w)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("label", FRAME_INPUTS + ["badly conditioned ga:S3"])
+def test_hs_frame_gives_pi_of_the_basis(label):
+    # g is Hilbert-Schmidt orthonormal and pi(e_i) = sum_k r[i, k] g_k
+    g = badly_conditioned("ga", "S3") if label.startswith("badly") else zoo_input(label)[0]
+    gd = qg.gns(g)
+    frame, r = gd._hs_frame
+    gmat = frame.reshape(g.dim, -1)
+    assert np.abs(gmat.conj() @ gmat.T - np.eye(g.dim)).max() <= 1e-13
+    assert np.abs(gd.left_reg - np.tensordot(r, frame, axes=(1, 0))).max() <= 1e-13
 
 
 def test_v_projection_generic_state_fails():

@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,20 @@ from qgidem.serialize import qg_to_dict, save_json, state_to_dict
 from qgidem.states import subgroup_state_fn
 
 from helpers import algebra, group, match_state, solved
+
+
+def test_console_scripts_resolve_to_callables():
+    # [project.scripts] read by hand: tomllib is missing on Python 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    targets = re.findall(r'^\s*([\w.-]+)\s*=\s*"([^"]+)"', section, re.MULTILINE)
+    assert targets
+    for name, target in targets:
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), name
 
 
 def run(capsys, *argv):

@@ -30,6 +30,7 @@ from qgidem.core import (
 
 from helpers import (
     algebra,
+    badly_conditioned,
     basis_vector,
     change_basis,
     coproduct_defect,
@@ -1171,11 +1172,7 @@ def test_a_badly_conditioned_valid_input_needs_the_dense_fallbacks(monkeypatch):
     # rounding leaves V's slicing remainder above the cutoff of
     # LegFactors.exact, and the factored pentagon bound, evaluated on those
     # slices anyway, exceeds tol; only the dense paths accept V
-    base = algebra("ga", "S3")
-    n = base.dim
-    rng = np.random.default_rng(0)
-    u, w = random_unitary(n, rng), random_unitary(n, rng)
-    g = change_basis(base, u @ np.diag(np.logspace(0, 2, n)) @ w.T)
+    g = badly_conditioned("ga", "S3")
     assert qg.validate(g).passed
     taken = []
 

@@ -120,7 +120,7 @@ def loop_coproduct_defect_factored(g, gd, legs):
 
 def loop_hs_structure(gd):
     n = gd.dim
-    g = gd._hs_basis
+    g = gd._hs_frame[0]
     gmat = g.reshape(n, n * n)
     g_adj = np.conj(g.transpose(0, 2, 1))
     gamma = np.empty((n, n, n), dtype=g.dtype)
@@ -136,7 +136,7 @@ def loop_hs_structure(gd):
 def loop_second_leg_factors(gd, v):
     """(factors, remainder), one row a of the first leg at a time."""
     n = gd.dim
-    gmat = gd._hs_basis.reshape(n, n * n)
+    gmat = gd._hs_frame[0].reshape(n, n * n)
     v4 = np.asarray(v).reshape(n, n, n, n)
     factors = np.empty((n, n, n), dtype=np.result_type(v, gmat))
     rem_sq = 0.0

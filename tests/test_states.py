@@ -624,6 +624,19 @@ def test_density_is_a_multiple_of_the_support_projection(name):
         assert abs(np.trace(g.left_mult_matrix(q)) - g.dim / u.shape[1]) <= 1e-12 * g.dim
 
 
+@pytest.mark.parametrize(
+    "name,size", [("KP", 8), ("dual:KP", 8), ("ga:S4", 30), ("fn:S3 (x) ga:S3", 52)]
+)
+def test_every_member_dimension_divides_n(name, size):
+    # a Hopf algebra is free over its coideal subalgebras (Skryabin), so
+    # dim C divides n; _phi's check dim C * dim phi(C) = n enforces it,
+    # since every member goes through _phi or is the image of one that did
+    g = phi_input(name)
+    families = states_module._coideal_families(g, qg.gns(g))[1]
+    assert [len(family.bases) for family in families] == [size, size]
+    assert all(g.dim % u.shape[1] == 0 for family in families for u in family.bases)
+
+
 def test_phi_checks_that_dim_c_times_dim_phi_c_is_n(monkeypatch, capsys):
     density = states_module._density
 
