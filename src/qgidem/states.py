@@ -326,9 +326,14 @@ def _atoms(side: _Side, own, other) -> list[np.ndarray]:
     - for each character chi(a) = h(a p) / h(p), p a projection of a
       block of rank one, the fixed points of L_chi, which are the range
       of L of the Cesaro limit (1/m) sum_{k<m} chi^{*k} (L_chi is unitary
-      of order m); all characters go through one stacked
-      :func:`left_slice` and one batched SVD.  The counit is one of them,
-      and L_eps = id, so the full algebra is an atom;
+      of order m).  chi . S is a character too, with
+      L_{chi . S} = L_chi^-1 and so the same fixed points: the rows of
+      chi are matched against those of chi . S (within ``_RANK_REL_TOL``
+      of the largest value).  All characters go through one stacked
+      :func:`left_slice`, and one of each matched pair through one
+      batched SVD; other repeats (the powers chi^k) are dropped by the
+      family.  The counit is one of them, and L_eps = id, so the full
+      algebra is an atom;
     - for each projection q of a larger block of the other side, read as
       a functional on g, the unital *-algebra generated by the coefficient
       space (q (x) id)Delta(A) of one irreducible corepresentation.
@@ -343,8 +348,11 @@ def _atoms(side: _Side, own, other) -> list[np.ndarray]:
     n = g.dim
     projections, ranks = own
     p = projections[:, ranks == 1]
-    chi = (g.mult @ g.haar @ p) / (g.haar @ p)  # h(e_i p) / h(p)
-    _, s, vh = np.linalg.svd(left_slice(g, chi.T) - np.eye(n), full_matrices=False)
+    chi = ((g.mult @ g.haar @ p) / (g.haar @ p)).T  # rows: h(e_i p) / h(p)
+    inverse = chi @ g.antipode  # rows: chi . S
+    tol = _RANK_REL_TOL * np.abs(chi).max()
+    keep = [not (np.abs(inverse[:a] - x).max(axis=-1) <= tol).any() for a, x in enumerate(chi)]
+    _, s, vh = np.linalg.svd(left_slice(g, chi)[keep] - np.eye(n), full_matrices=False)
     atoms = [v.conj().T[:, _numerical_rank(sv, _RANK_REL_TOL) :] for sv, v in zip(s, vh)]
     projections, ranks = other
     for lq in left_slice(g, (side.from_other @ projections[:, ranks > 1]).T):
@@ -377,8 +385,8 @@ _MEET_CUT = (1 - _RANK_REL_TOL) ** 2
 
 
 class _Family:
-    """Distinct subspaces of C^n, each an orthonormal basis, with the
-    inclusions among them that the intersections have found.
+    """Distinct subspaces of C^n, each an orthonormal basis, with every
+    inclusion among them.
 
     The members are also kept in persistent stacks of the rows of U_j^*,
     one stack per dimension.  A subspace u is tested against the members
@@ -389,8 +397,11 @@ class _Family:
     ``(1 - _RANK_REL_TOL)^2`` count the dimension r of span(u) n span(U_j):
     r = dim u = k_j is equality, r = dim u or r = k_j containment.  Per
     pair that is ``k_i k_j n`` for the product and
-    ``min(k_i, k_j)^3 <= k_i^3`` for the eigenvalues, with no SVD;
-    eigenvectors are computed only for meets that may be new.  On a side
+    ``min(k_i, k_j)^3 <= k_i^3`` for the eigenvalues, with no SVD.  Each
+    pair of members is tested once, when the later one is added
+    (:meth:`add`), so whether a meet is already a member is known exactly,
+    and eigenvectors are computed only for meets that are not
+    (:meth:`intersect`).  On a side
     with real tensors a subspace that equals its complex conjugate is kept
     by a real basis (:func:`_realified`, run when a member is appended), so
     real inputs keep real states.
@@ -399,7 +410,10 @@ class _Family:
     def __init__(self, real: bool):
         self.real = real
         self.bases: list[np.ndarray] = []
-        self.below: list[set] = []  # below[i]: the members found inside member i
+        self.below: list[set] = []  # below[i]: the members inside member i
+        # _pending[i]: (j, dim of the meet) for the earlier members j that
+        # neither contain member i nor lie in it
+        self._pending: list[list[tuple[int, int]]] = []
         # k: (the rows of U_j^* for the members j of dimension k, stacked; j)
         self._stacks: dict[int, tuple[np.ndarray, list[int]]] = {}
 
@@ -429,63 +443,73 @@ class _Family:
         return order, np.concatenate(meets) if meets else np.empty(0, dtype=int)
 
     def add(self, u) -> int:
-        """The index of the member span(u), appended unless it is one."""
+        """The index of the member span(u), appended unless it is one.
+
+        u is first tested against the members of its own dimension alone,
+        so a repeat costs one product and one ``eigvalsh``.  A new member
+        is then tested against the other dimensions as well: every
+        inclusion between it and an earlier member is recorded in
+        ``below``, and the earlier members that neither contain it nor lie
+        in it are kept, with the dimension of each meet, as its pending
+        pairs for :meth:`intersect`.
+        """
         k = u.shape[1]
-        if k in self._stacks:
-            members, r = self._overlaps(u, len(self.bases), [k])
-            if (r == k).any():
-                return members[int(np.argmax(r == k))]
+        i = len(self.bases)
+        members, r = self._overlaps(u, i, [k] if k in self._stacks else [])
+        if (r == k).any():
+            return members[int(np.argmax(r == k))]
         u = _realified(u) if self.real else u
-        rows, members = self._stacks.get(k, (np.empty((0, u.shape[0])), []))
-        c = len(members) * k
+        others, r_others = self._overlaps(u, i, [kj for kj in self._stacks if kj != k])
+        rows, same = self._stacks.get(k, (np.empty((0, u.shape[0])), []))
+        c = len(same) * k
         if c == len(rows) or (np.iscomplexobj(u) and not np.iscomplexobj(rows)):
             grown = np.empty((max(4 * k, 2 * c), u.shape[0]), np.result_type(rows, u))
             grown[:c] = rows[:c]
             rows = grown
         rows[c : c + k] = np.conj(u.T)
-        members.append(len(self.bases))
-        self._stacks[k] = (rows, members)
+        same.append(i)
+        self._stacks[k] = (rows, same)
         self.bases.append(u)
-        self.below.append({len(self.bases) - 1})
-        return len(self.bases) - 1
-
-    def _known(self, i: int, j: int, r: int) -> bool:
-        """Whether a member of dimension r is known to lie inside i and j."""
-        return any(self.bases[l].shape[1] == r for l in self.below[i] & self.below[j])
-
-    def intersect(self, i: int):
-        """Intersect member i with every earlier member, each of which has
-        been intersected with all members before it.
-
-        One batched test (:meth:`_overlaps`) gives every meet's dimension
-        r.  When one member contains the other the inclusion is recorded.
-        Otherwise the meet is U_i x for the eigenvectors x of the Gram
-        (U_j^* U_i)^* (U_j^* U_i) past the cutoff, taken in one batched
-        ``eigh`` for the pairs whose meet is not yet known (no member of
-        dimension r known inside both), and added; the member it gives is
-        recorded inside both.
-        """
-        u = self.bases[i]
-        k = u.shape[1]
-        members, r = self._overlaps(u, i)
-        pairs = []  # (j, r) for the pairs in which neither contains the other
-        for j, rj in zip(members, r.tolist()):
+        self.below.append({i})
+        pending = []
+        for j, rj in zip(members + others, np.concatenate([r, r_others]).tolist()):
             if rj == k:
                 self.below[j].add(i)
             elif rj == self.bases[j].shape[1]:
                 self.below[i].add(j)
             else:
-                pairs.append((j, rj))
-        pairs = sorted(p for p in pairs if not self._known(i, *p))
+                pending.append((j, rj))
+        self._pending.append(sorted(pending))
+        return i
+
+    def _known(self, i: int, j: int, r: int) -> bool:
+        """Whether a member of dimension r is known to lie inside i and j:
+        exact, since every pair of members was tested when the later one
+        was added, so it holds when the meet of i and j is a member."""
+        return any(self.bases[l].shape[1] == r for l in self.below[i] & self.below[j])
+
+    def intersect(self, i: int):
+        """Add the meet of member i with each earlier member that neither
+        contains it nor lies in it (its pending pairs, from :meth:`add`),
+        unless the meet is already a member.
+
+        No overlap test runs here.  The meet of dimension r is U_i x for
+        the eigenvectors x of the Gram (U_j^* U_i)^* (U_j^* U_i) past the
+        cutoff, taken in one batched ``eigh`` for the pairs whose meet is
+        not a member (:meth:`_known`), and added, which records it inside
+        both.  Two pairs of one batch with the same meet both pay for the
+        ``eigh``, and the second adds nothing.
+        """
+        u = self.bases[i]
+        k = u.shape[1]
+        pairs = [p for p in self._pending[i] if not self._known(i, *p)]
         if not pairs:
             return
         products = [np.conj(self.bases[j].T) @ u for j, _ in pairs]
         vectors = np.linalg.eigh(np.stack([np.conj(m.T) @ m for m in products]))[1]
         for (j, r), x in zip(pairs, vectors):
             if not self._known(i, j, r):
-                meet = self.add(u @ x[:, k - r :])
-                self.below[i].add(meet)
-                self.below[j].add(meet)
+                self.add(u @ x[:, k - r :])
 
 
 def _closure(sides, atoms) -> list[_Family]:
@@ -570,9 +594,10 @@ def solve_idempotents(
     its dimension; the read-back (:func:`_vector_state`, in A's
     coordinates) and the state test ``n^3`` per state.  In all
     ``O(m^2 n^3)`` plus the atoms; each product or coproduct applied to
-    a stack of vectors is one GEMM in ``core``.  The tests of one member
-    against all earlier ones make one product per member dimension and
-    one ``eigvalsh`` per Gram size, whatever m is.
+    a stack of vectors is one GEMM in ``core``.  Each pair of members is
+    tested once, when the later one joins its family, by one product per
+    member dimension and one ``eigvalsh`` per Gram size, whatever m is;
+    ``eigh`` runs only for the meets that are not yet members.
     """
     if not _state_mask(qg, qg.counit[None], 1e-9, idempotent=True)[0]:
         return []
@@ -628,7 +653,7 @@ def cesaro_walk(qg: FiniteQuantumGroup, mu, n: int) -> list[State]:
     means = np.empty((n, qg.dim), dtype=np.result_type(step, w))
     means[0] = power = w
     for k in range(1, n):
-        power = step @ power
+        power = step.dot(power)
         means[k] = power
     np.add.accumulate(means, axis=0, out=means)
     means[1:] /= np.arange(2, n + 1)[:, None]

@@ -710,47 +710,174 @@ def count_linalg_calls(monkeypatch):
 
 def test_intersect_linalg_calls_do_not_grow_with_the_family(monkeypatch):
     # one batched eigvalsh per size of Gram, not one SVD per earlier member
-    # or per block of them.  Rerun on the closed family of fn:S4, where
-    # every meet is known, each intersection makes at most one np.linalg
-    # call per member dimension
+    # or per block of them.  Replayed into a fresh family, each closed
+    # member of fn:S4 is tested against all earlier ones when it is added,
+    # in at most one np.linalg call per member dimension; every meet is a
+    # member, so no intersection makes a call
     g = algebra("fn", "S4")
-    family = states_module._coideal_families(g, qg.gns(g))[1][0]
+    closed = states_module._coideal_families(g, qg.gns(g))[1][0]
+    family = states_module._Family(closed.real)
     calls = count_linalg_calls(monkeypatch)
-    per_call = []
+    per_add = []
+    for i, u in enumerate(closed.bases):
+        calls[0] = 0
+        assert family.add(u) == i
+        per_add.append(calls[0])
+    per_intersect = []
     for i in range(len(family.bases)):
         calls[0] = 0
         family.intersect(i)
-        per_call.append(calls[0])
+        per_intersect.append(calls[0])
     assert len(family.bases) == 30
     dims = {u.shape[1] for u in family.bases}
     assert len(dims) == 8  # 24 / |H| for the subgroup orders of S4
-    # member 29 meets 29 earlier members in at most 8 calls
-    assert max(per_call) <= len(dims) < len(family.bases) - 1
+    # member 29 is tested against 29 earlier members in at most 8 calls
+    assert max(per_add) <= len(dims) < len(family.bases) - 1
+    assert per_intersect == [0] * len(family.bases)
+    assert [sorted(b) for b in family.below] == [sorted(b) for b in closed.below]
 
 
 @pytest.mark.parametrize("members", [4, 16, 64])
 def test_intersect_linalg_calls_do_not_depend_on_the_member_count(monkeypatch, members):
     # W (dimension 5) and subspaces W + span(x_a) of dimension 6: every pair
-    # of the latter meets in W, which is known to lie in both, so each
-    # intersection reads two Gram sizes (5 and 6) in two calls, however
-    # many members came before
+    # of the latter meets in W, which is recorded inside both when the later
+    # one is added, so each add after the first reads two Gram sizes (6 for
+    # its own dimension, 5 for W) in two calls, however many members came
+    # before, and no intersection makes a call
     rng = np.random.default_rng(0)
     q = random_unitary(24, rng)
     w = q[:, :5]
-    family = states_module._Family(real=False)
-    family.add(w)
+    subspaces = []
     for _ in range(members):
         x = q[:, 5:] @ (rng.standard_normal(19) + 1j * rng.standard_normal(19))
-        family.add(np.hstack([w, (x / np.linalg.norm(x))[:, None]]))
+        subspaces.append(np.hstack([w, (x / np.linalg.norm(x))[:, None]]))
+    family = states_module._Family(real=False)
+    family.add(w)
     calls = count_linalg_calls(monkeypatch)
-    per_call = []
+    per_add = []
+    for u in subspaces:
+        calls[0] = 0
+        family.add(u)
+        per_add.append(calls[0])
+    per_intersect = []
     for i in range(len(family.bases)):
         calls[0] = 0
         family.intersect(i)
-        per_call.append(calls[0])
+        per_intersect.append(calls[0])
     assert len(family.bases) == members + 1  # no meet is new
-    assert per_call[2:] == [2] * (members - 1)
+    assert per_add[1:] == [2] * (members - 1)
+    assert per_intersect == [0] * (members + 1)
 
+
+CLOSURE_INPUTS = {
+    "fn:S4": (lambda: algebra("fn", "S4"), 30),
+    "ga:S4": (lambda: algebra("ga", "S4"), 30),
+    "phase fn:S4": (lambda: phase_twin("fn", "S4")[0], 30),
+    "dense ga:S4": (lambda: dense_algebra("ga", "S4")[0], 30),
+    "KP (x) ga:S3": (lambda: tensor_product(kac_paljutkin(), algebra("ga", "S3")), 92),
+}
+
+
+def distinct_subspaces(bases):
+    """The number of distinct spans among orthonormal bases."""
+    projectors = []
+    for u in bases:
+        p = u @ np.conj(u.T)
+        if not any(q.shape == p.shape and np.abs(q - p).max() <= 1e-8 for q in projectors):
+            projectors.append(p)
+    return len(projectors)
+
+
+@pytest.mark.parametrize("name", list(CLOSURE_INPUTS))
+def test_intersect_eigensolves_only_meets_that_are_not_members(monkeypatch, name):
+    # every pair of members is tested when the later one is added, so
+    # intersect runs no overlap test, never builds a meet that is already a
+    # member, and takes eigenvectors only for new meets: the meets of one
+    # batch that are not ties (two pairs of the batch with the same meet)
+    # are exactly the members it appends
+    family = states_module._Family
+    add, intersect, overlaps, eigh = family.add, family.intersect, family._overlaps, np.linalg.eigh
+    frames = []  # the _Family methods running, innermost last
+    batch = dict(u=None, meets=[], appended=0)
+    totals = dict(eigensolved=0, appended=0)
+
+    def checked_add(self, u):
+        called_by_intersect = frames[-1:] == ["intersect"]
+        before = len(self.bases)
+        frames.append("add")
+        try:
+            got = add(self, u)
+        finally:
+            frames.pop()
+        if called_by_intersect:
+            assert got == before  # a new member
+            batch["appended"] += 1
+        return got
+
+    def checked_overlaps(self, *args, **kwargs):
+        assert frames[-1:] != ["intersect"]
+        return overlaps(self, *args, **kwargs)
+
+    def checked_intersect(self, i):
+        batch.update(u=self.bases[i], meets=[], appended=0)
+        frames.append("intersect")
+        try:
+            intersect(self, i)
+        finally:
+            frames.pop()
+        assert distinct_subspaces(batch["meets"]) == batch["appended"]
+        totals["eigensolved"] += len(batch["meets"])
+        totals["appended"] += batch["appended"]
+
+    def checked_eigh(a, *args, **kwargs):
+        w, v = eigh(a, *args, **kwargs)
+        if frames[-1:] == ["intersect"]:
+            k = batch["u"].shape[1]
+            for wm, vm in zip(w, v):
+                r = int(np.sum(wm > states_module._MEET_CUT))
+                batch["meets"].append(batch["u"] @ vm[:, k - r :])
+        return w, v
+
+    monkeypatch.setattr(family, "add", checked_add)
+    monkeypatch.setattr(family, "_overlaps", checked_overlaps)
+    monkeypatch.setattr(family, "intersect", checked_intersect)
+    monkeypatch.setattr(np.linalg, "eigh", checked_eigh)
+    build, size = CLOSURE_INPUTS[name]
+    g = build()
+    families = states_module._coideal_families(g, qg.gns(g))[1]
+    assert [len(f.bases) for f in families] == [size, size]
+    assert 0 < totals["appended"] <= totals["eigensolved"]
+
+
+def character_fixed_points(g):
+    """The fixed points of L_chi for every character chi of g, one SVD
+    each, with no pairing of chi and chi . S."""
+    p, ranks = states_module._central_projections(g)
+    p = p[:, ranks == 1]
+    chi = (g.mult @ g.haar @ p) / (g.haar @ p)
+    return [_kernel_basis(left_slice(g, c) - np.eye(g.dim)) for c in chi.T]
+
+
+def test_atoms_keep_one_character_of_each_pair_chi_and_chi_antipode():
+    # the characters of fn:S4 are the evaluations at the 24 elements, and
+    # chi . S evaluates at the inverse: the 10 elements with x = x^-1 and
+    # one of each of the 7 pairs {x, x^-1} give 17 fixed-point algebras,
+    # next to the 3 algebras of the larger blocks of the dual
+    g = algebra("fn", "S4")
+    sides = states_module._sides(g, qg.gns(g))
+    blocks = [states_module._central_projections(side.g) for side in sides]
+    atoms = [states_module._atoms(sides[0], *blocks), states_module._atoms(sides[1], *blocks[::-1])]
+    assert [len(a) for a in atoms] == [17 + 3, 2]
+    # the closure from every character's atom, repeats included, has the
+    # same members in the same order, so the same states
+    unpaired = [character_fixed_points(sides[0].g) + atoms[0][17:], atoms[1]]
+    assert len(unpaired[0]) == 24 + 3
+    for got, ref in zip(states_module._closure(sides, atoms),
+                        states_module._closure(sides, unpaired)):
+        assert len(got.bases) == len(ref.bases) == 30
+        for u, v in zip(got.bases, ref.bases):
+            assert u.shape == v.shape
+            assert np.abs(u @ np.conj(u.T) - v @ np.conj(v.T)).max() <= 1e-12
 
 
 def test_solver_working_set_is_blocked():
